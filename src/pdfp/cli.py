@@ -11,7 +11,8 @@ comments. The full key table is documented in the README. Subcommands:
   problem supports one.
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
-1 on configuration errors (including unknown keys and mismatched compares).
+1 on configuration errors (including unknown keys and mismatched compares)
+and when a spectral bound cannot be estimated.
 """
 
 import argparse
@@ -24,14 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import rate_certificate, rel_err, snr, write_trace_csv
+from .linops import PowerIterationError
 from .schedules import ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
     pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu
-from .tomo import DEFAULT_CT_REG_WEIGHT, TomoGeometry, make_deblur_problem, \
-    make_denoise_problem, make_lasso_problem, make_tomo_problem, make_tv_problem, \
-    seed_stream, write_pgm
-
-POWER_CHANNEL = 1
+from .tomo import DEFAULT_CT_REG_WEIGHT, POWER_CHANNEL, TomoGeometry, \
+    make_deblur_problem, make_denoise_problem, make_lasso_problem, make_tomo_problem, \
+    make_tv_problem, seed_stream, write_pgm
 
 
 class ConfigError(ValueError):
@@ -43,6 +43,10 @@ SOLVER_NAMES = (
     "pdfp2o", "pdfp2o_kappa", "pdfp2o_ds", "pdfp2o_dsn", "pfbs_fp2o", "ifp2o", "cp", "siu"
 )
 SCHEDULE_KINDS = ("constant", "bb_dynamic", "convergent_perturbation")
+
+# Errors reported as ``error: ...`` with exit code 1 instead of a traceback;
+# ConfigError and UnsupportedProblemError are ValueErrors.
+_USER_ERRORS = (ValueError, PowerIterationError)
 
 # key -> (parser, default); "auto" stands for a problem-derived value.
 _AUTO = "auto"
@@ -277,7 +281,11 @@ def _run_solver(cfg, problem, x_true):
         )
         return u.x, tr
     if name == "siu":
-        state, tr = siu(problem, gamma, lam / gamma, stop=stop, x_true=xt)
+        # gamma and lambda fix the penalty nu; the step delta sits inside
+        # the convergent range delta < 1 / (L + nu * lambda_max(D D^T)).
+        nu = lam / gamma
+        delta = 0.9 / (problem.f2.lipschitz + nu * problem.lambda_max_ddt)
+        state, tr = siu(problem, delta, nu, stop=stop, x_true=xt)
         return state.x, tr
     raise ConfigError(f"unknown solver: {name}")
 
@@ -311,7 +319,7 @@ def run_experiment(config_path, overrides=None):
         cfg = ExperimentConfig.load(config_path, overrides)
         problem, x_true, _ = cfg.build_problem()
         x_final, trace = _run_solver(cfg, problem, x_true)
-    except (ConfigError, ValueError) as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _output_dir(cfg)
@@ -348,11 +356,12 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
                 raise ConfigError(
                     f"configs disagree on {key}: {cfg_a[key]!r} vs {cfg_b[key]!r}"
                 )
-        problem_a, x_true_a, _ = cfg_a.build_problem()
-        xa, tr_a = _run_solver(cfg_a, problem_a, x_true_a)
-        problem_b, x_true_b, _ = cfg_b.build_problem()
-        xb, tr_b = _run_solver(cfg_b, problem_b, x_true_b)
-    except (ConfigError, ValueError) as exc:
+        # the identity keys match and assembly is deterministic, so one
+        # problem serves both runs
+        problem, x_true, _ = cfg_a.build_problem()
+        _, tr_a = _run_solver(cfg_a, problem, x_true)
+        _, tr_b = _run_solver(cfg_b, problem, x_true)
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = max(len(tr_a.iters), len(tr_b.iters))
@@ -400,7 +409,7 @@ def certify(config_path, overrides=None):
             cfg["schedule.alpha_lo"], cfg["schedule.alpha_hi"], sig,
             alpha0=cfg["schedule.alpha"] or None,
         )
-    except (ConfigError, ValueError) as exc:
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cert is None:

@@ -224,7 +224,7 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     a0 = alpha_lo if alpha0 is None else float(alpha0)
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
-    vt, xt = _tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x))
+    vt, xt, _ = _tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x), p.D.adjoint(u0.v))
     u1 = PDState(mann_combine(a0, u0.v, vt), mann_combine(a0, u0.x, xt))
     d = lambda_norm(PDState(u1.v - u0.v, u1.x - u0.x), lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prox import QuadraticFn
-from .solvers import Schedule
+from .solvers import Iterate, Schedule
 
 # Default clamp intervals, expressed relative to the problem's admissible ranges:
 # gamma in [0.01, 1.99] * beta, alpha in [0.1, 0.9].
@@ -43,9 +43,9 @@ def constant_schedule(gamma, lam, alpha=0.0, problem=None):
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha={alpha} out of range [0, 1)")
     return Schedule(
-        gamma=lambda n, x: gamma,
-        lam=lambda n, x: lam,
-        alpha=lambda n, x: alpha,
+        gamma=lambda n, it: gamma,
+        lam=lambda n, it: lam,
+        alpha=lambda n, it: alpha,
     )
 
 
@@ -59,9 +59,12 @@ def bb_gamma_raw(f2, x, half_numerator=False):
     """
     if not isinstance(f2, QuadraticFn):
         raise ValueError("the adaptive stepsize rule needs a quadratic data term")
-    val, grad = f2.value_and_grad(x)
-    num = val if half_numerator else 2.0 * val
-    den = float(grad @ grad)
+    return _bb_quotient(Iterate.at(f2, x), half_numerator)
+
+
+def _bb_quotient(it, half_numerator):
+    num = it.value if half_numerator else 2.0 * it.value
+    den = float(it.grad @ it.grad)
     if num == 0.0:
         return 0.0
     if den == 0.0:
@@ -73,7 +76,8 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None, half_numerator=
     """Adaptive stepsize schedule: ``gamma_n`` from the residual/gradient quotient.
 
     ``gamma_n`` is the clamped quotient of the (unhalved) residual norm
-    squared over the squared gradient norm at the current iterate;
+    squared over the squared gradient norm at the current iterate, read
+    from the iterate's cached ``f2`` value and gradient;
     ``lambda_n`` is held constant at ``min(lambda0, 1/lambda_max(D D^T))``
     and ``alpha_n`` constant at ``alpha0`` clamped into the alpha interval.
     A vanishing residual emits the lower gamma clamp; a vanishing gradient
@@ -90,13 +94,13 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None, half_numerator=
     lam = _clip(lam, l_lo, l_hi)
     alpha = _clip(float(alpha0), a_lo, a_hi)
 
-    def gamma(n, x):
-        raw = bb_gamma_raw(p.f2, x, half_numerator=half_numerator)
+    def gamma(n, it):
+        raw = _bb_quotient(it, half_numerator)
         if math.isnan(raw):
             return g_hi
         return _clip(raw, g_lo, g_hi)
 
-    return Schedule(gamma=gamma, lam=lambda n, x: lam, alpha=lambda n, x: alpha)
+    return Schedule(gamma=gamma, lam=lambda n, it: lam, alpha=lambda n, it: alpha)
 
 
 def _resolve_clamp(p, clamp):
@@ -134,13 +138,13 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
     g_hi = math.inf if problem is None else 2.0 * problem.beta * (1.0 - 1e-9)
     l_hi = math.inf if problem is None else problem.lambda_hi
 
-    def gamma_src(n, x):
+    def gamma_src(n, it):
         return min(gamma + decay / (n + 1.0), g_hi)
 
-    def lam_src(n, x):
+    def lam_src(n, it):
         return min(lam + decay / (n + 1.0), l_hi)
 
-    return Schedule(gamma=gamma_src, lam=lam_src, alpha=lambda n, x: alpha)
+    return Schedule(gamma=gamma_src, lam=lam_src, alpha=lambda n, it: alpha)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,31 @@ def make_problem(f1, f2, D, power_tol=1e-6, power_seed=0):
 
 
 @dataclass(frozen=True)
+class Iterate:
+    """The primal iterate ``x`` with ``value = f2(x)`` and ``grad = grad f2(x)``.
+
+    The fixed-point driver evaluates ``f2`` once per iterate and hands this
+    record to the schedule sources and to the next step, so neither repeats
+    the operator calls behind ``f2``.
+    """
+
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+
+    @classmethod
+    def at(cls, f2, x):
+        """Evaluate ``f2`` and its gradient at ``x`` in one pass."""
+        value, grad = f2.value_and_grad(x)
+        return cls(x, value, grad)
+
+
+@dataclass(frozen=True)
 class Schedule:
-    """Per-iteration parameter sources ``(n, x_n) -> value`` for the solvers."""
+    """Per-iteration parameter sources ``(n, it) -> value`` for the solvers.
+
+    ``it`` is the :class:`Iterate` the n-th step starts from.
+    """
 
     gamma: Callable
     lam: Callable
@@ -163,13 +186,18 @@ def _check_alpha(a, n):
         raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
 
 
-def _tentative(p, g, l, v, x, grad):
-    """One unrelaxed fixed-point step from (v, x) at stepsizes (g, l)."""
+def _tentative(p, g, l, v, x, grad, Dt_v):
+    """One unrelaxed fixed-point step from (v, x) at stepsizes (g, l).
+
+    Takes ``Dt_v = D^T v`` and returns ``(v', x', D^T v')``, so a caller
+    stepping on from ``v'`` need not apply ``D^T`` to it again.
+    """
     z = x - g * grad
-    w = p.D.forward(z) + (v - l * p.D.forward(p.D.adjoint(v)))
+    w = p.D.forward(z) + (v - l * p.D.forward(Dt_v))
     vt = w - p.f1.prox(g / l, w)
-    xt = z - l * p.D.adjoint(vt)
-    return vt, xt
+    Dt_vt = p.D.adjoint(vt)
+    xt = z - l * Dt_vt
+    return vt, xt, Dt_vt
 
 
 def apply_T(p, gamma, lam, u):
@@ -182,17 +210,18 @@ def apply_T(p, gamma, lam, u):
     """
     _check_gamma(gamma, p.beta, 0)
     _check_lambda(lam, p.lambda_hi, 0)
-    vt, xt = _tentative(p, gamma, lam, u.v, u.x, p.f2.grad(u.x))
+    vt, xt, _ = _tentative(p, gamma, lam, u.v, u.x, p.f2.grad(u.x), p.D.adjoint(u.v))
     return PDState(vt, xt)
 
 
 def apply_Tn(p, sched, n, u):
     """Apply the fixed-point operator with stepsizes drawn at index ``n``."""
-    g = float(sched.gamma(n, u.x))
-    l = float(sched.lam(n, u.x))
+    it = Iterate.at(p.f2, u.x)
+    g = float(sched.gamma(n, it))
+    l = float(sched.lam(n, it))
     _check_gamma(g, p.beta, n)
     _check_lambda(l, p.lambda_hi, n)
-    vt, xt = _tentative(p, g, l, u.v, u.x, p.f2.grad(u.x))
+    vt, xt, _ = _tentative(p, g, l, u.v, u.x, it.grad, p.D.adjoint(u.v))
     return PDState(vt, xt)
 
 
@@ -209,38 +238,53 @@ def _metrics(x, x_true):
 
 def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
                 ref=None, x_true=None, record_iterates=False):
-    """Shared driver for the fixed-point family (plain, relaxed, dynamic)."""
+    """Shared driver for the fixed-point family (plain, relaxed, dynamic).
+
+    Each quantity is computed once: ``f2`` data of every iterate comes from
+    one ``f2.value_and_grad`` call that feeds both the trace's objective
+    and the next step, and an unrelaxed step's ``D^T v'`` is the next
+    step's ``D^T v``. A step thus applies ``A``, ``A^T`` and ``D^T`` once
+    each (a relaxed step applies ``D^T`` a second time, to the relaxed
+    dual), plus ``D`` three times.
+    """
     v = np.array(u0.v, dtype=np.float64)
-    x = np.array(u0.x, dtype=np.float64)
-    lam_ref = float(lam_src(0, x))
+    it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
+    Dt_v = None
+    lam_ref = float(lam_src(0, it))
     rows = {k: [] for k in ("it", "g", "l", "a", "obj", "res", "dref", "snr", "rel", "wall")}
-    iterates = [PDState(v.copy(), x.copy())] if record_iterates else None
+    iterates = [PDState(v.copy(), it.x.copy())] if record_iterates else None
     t0 = time.perf_counter()
     converged = False
     n_done = 0
     for n in range(stop.max_iter):
-        g = float(gamma_src(n, x))
-        l = float(lam_src(n, x))
-        a = float(alpha_src(n, x)) if alpha_src is not None else 0.0
+        x = it.x
+        g = float(gamma_src(n, it))
+        l = float(lam_src(n, it))
+        a = float(alpha_src(n, it)) if alpha_src is not None else 0.0
         _check_gamma(g, p.beta, n)
         _check_lambda(l, p.lambda_hi, n)
         _check_alpha(a, n)
-        grad = p.f2.grad(x)
-        vt, xt = _tentative(p, g, l, v, x, grad)
+        if Dt_v is None:
+            Dt_v = p.D.adjoint(v)
+        vt, xt, Dt_vt = _tentative(p, g, l, v, x, it.grad, Dt_v)
         res = _lnorm(vt - v, xt - x, lam_ref)
         if a == 0.0:
-            v_new, x_new = vt, xt
+            v_new, x_new, Dt_v = vt, xt, Dt_vt
+            step = res
         else:
             v_new = mann_combine(a, v, vt)
             x_new = mann_combine(a, x, xt)
-        step = _lnorm(v_new - v, x_new - x, lam_ref)
+            Dt_v = None
+            step = _lnorm(v_new - v, x_new - x, lam_ref)
         denom = max(1.0, _lnorm(v, x, lam_ref))
+        it = Iterate.at(p.f2, x_new)
         snr, rel = _metrics(x_new, x_true)
         rows["it"].append(n + 1)
         rows["g"].append(g)
         rows["l"].append(l)
         rows["a"].append(a)
-        rows["obj"].append(p.objective(x_new))
+        # summed in the order of Problem.objective, so the rounding matches
+        rows["obj"].append(p.f1.value(p.D.forward(x_new)) + it.value)
         rows["res"].append(res)
         rows["dref"].append(
             _lnorm(v_new - ref.v, x_new - ref.x, lam_ref) if ref is not None else math.nan
@@ -248,10 +292,10 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
         rows["snr"].append(snr)
         rows["rel"].append(rel)
         rows["wall"].append((time.perf_counter() - t0) * 1e3)
-        v, x = v_new, x_new
+        v = v_new
         n_done = n + 1
         if record_iterates:
-            iterates.append(PDState(v.copy(), x.copy()))
+            iterates.append(PDState(v.copy(), x_new.copy()))
         if stop.tol > 0.0 and step / denom <= stop.tol:
             converged = True
             break
@@ -271,12 +315,12 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
         wall_ms=np.array(rows["wall"]),
         iterates=iterates,
     )
-    return PDState(v, x), trace
+    return PDState(v, it.x), trace
 
 
 def _const(value):
     value = float(value)
-    return lambda n, x: value
+    return lambda n, it: value
 
 
 def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):

@@ -1,7 +1,10 @@
 import csv
+import math
 
 import pytest
 
+import pdfp.prox
+from pdfp import PowerIterationError
 from pdfp.cli import ExperimentConfig, ConfigError, certify, compare, main, \
     parse_config_text, run_experiment
 
@@ -96,6 +99,16 @@ class TestSolve:
         cfg = write_cfg(tmp_path / f"{solver}.cfg", **extra)
         assert run_experiment(cfg) == 2  # fixed budget, tolerance disabled
 
+    def test_siu_default_steps_converge(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", **{"solver.name": "siu", "run.max_iter": "200",
+                                               "run.tol": "0"})
+        assert run_experiment(cfg) == 2
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
+        objectives = [float(r["objective"]) for r in rows]
+        snrs = [float(r["snr"]) for r in rows]
+        assert objectives[-1] < objectives[0]
+        assert all(math.isfinite(s) for s in snrs) and snrs[-1] > 0.0
+
     def test_ifp2o_on_lasso(self, tmp_path):
         cfg = write_cfg(
             tmp_path / "l.cfg",
@@ -129,6 +142,22 @@ class TestCompare:
             assert row[1] == row[3] and row[2] == row[4]
         printed = capsys.readouterr().out
         assert "crosses 15 dB" in printed
+
+    def test_problem_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = ExperimentConfig.build_problem
+
+        def counting_build(cfg):
+            calls.append(cfg)
+            return build(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "build_problem", counting_build)
+        a = write_cfg(tmp_path / "a.cfg", **{"run.max_iter": "5", "run.tol": "0"})
+        b = write_cfg(tmp_path / "b.cfg", **{"solver.name": "pdfp2o_ds",
+                                             "schedule.kind": "bb_dynamic",
+                                             "run.max_iter": "5", "run.tol": "0"})
+        assert compare(a, b, tmp_path / "m.csv") == 0
+        assert len(calls) == 1
 
     def test_seed_mismatch_rejected(self, tmp_path):
         a = write_cfg(tmp_path / "a.cfg", **{"run.seed": "1"})
@@ -187,3 +216,20 @@ class TestScheduleClamp:
                "schedule.gamma_lo": "0.1"},
         )
         assert run_experiment(cfg) == 1
+
+
+class TestErrors:
+    @pytest.mark.parametrize("command", ["solve", "compare", "certify"])
+    def test_power_iteration_failure_exits_cleanly(self, tmp_path, monkeypatch, capsys, command):
+        def failing_norm(*args, **kwargs):
+            raise PowerIterationError("power iteration did not converge", best_estimate=1.0)
+
+        # the CT data operator carries no spectral hint, so assembly estimates it
+        monkeypatch.setattr(pdfp.prox, "op_norm_sq", failing_norm)
+        cfg = write_cfg(tmp_path / "c.cfg", **{"problem.kind": "ct", "run.max_iter": "5"})
+        argv = [command, str(cfg)]
+        if command == "compare":
+            argv += [str(cfg), "--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: power iteration did not converge\n"
+        assert not (tmp_path / "out").exists()

@@ -165,7 +165,7 @@ class TestFejerCheck:
         x = np.array([5.0])
         iterates = [PDState(v.copy(), x.copy())]
         for _ in range(25):
-            v, x = _tentative(p, gamma, 1.0, v, x, p.f2.grad(x))
+            v, x, _ = _tentative(p, gamma, 1.0, v, x, p.f2.grad(x), p.D.adjoint(v))
             iterates.append(PDState(v.copy(), x.copy()))
         trace = _trace_with_iterates(iterates)
         u_hat = PDState(np.array([0.1]), np.array([0.9]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdfp import (
+    Iterate,
     ScheduleSpec,
     SparseMatrix,
     bb_dynamic_schedule,
@@ -69,7 +70,7 @@ class TestAdaptiveGamma:
         sched = bb_dynamic_schedule(quad2)
         # at the exact solution the residual (and gradient) vanish; the
         # zero numerator wins and the lower clamp is emitted
-        g = sched.gamma(0, np.zeros(2))
+        g = sched.gamma(0, Iterate.at(quad2.f2, np.zeros(2)))
         assert g == pytest.approx(0.01 * quad2.beta)
 
     def test_zero_gradient_with_residual_clamps_high(self):
@@ -79,7 +80,7 @@ class TestAdaptiveGamma:
         f2 = quadratic_fn(matrix_op(M), np.array([1.0, 1.0]))
         p = make_problem(l1_norm_fn(1, weight=0.1), f2, identity_op(1))
         sched = bb_dynamic_schedule(p)
-        g = sched.gamma(0, np.zeros(1))  # grad = A^T b = 0, residual = b
+        g = sched.gamma(0, Iterate.at(f2, np.zeros(1)))  # grad = A^T b = 0, residual = b
         assert g == pytest.approx(1.99 * p.beta)
 
     def test_emitted_values_always_in_clamp(self, quad2):
@@ -88,7 +89,7 @@ class TestAdaptiveGamma:
         lo, hi = 0.01 * quad2.beta, 1.99 * quad2.beta
         for n in range(100000):
             x = rng.standard_normal(2) * rng.uniform(0, 100)
-            g = sched.gamma(n, x)
+            g = sched.gamma(n, Iterate.at(quad2.f2, x))
             assert lo <= g <= hi
         assert sched.lam(0, None) == quad2.lambda_hi
 
