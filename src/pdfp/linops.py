@@ -140,11 +140,14 @@ def diff_op_2d(height, width, variant="anisotropic"):
         if x.shape != (hw,):
             raise ValueError(f"expected a flattened {h}x{w} image of length {hw}")
         img = x.reshape(h, w)
-        dh = np.zeros((h, w))
-        dh[:, :-1] = img[:, 1:] - img[:, :-1]
-        dv = np.zeros((h, w))
-        dv[:-1, :] = img[1:, :] - img[:-1, :]
-        return np.concatenate([dh.ravel(), dv.ravel()])
+        out = np.empty(2 * hw)
+        dh = out[:hw].reshape(h, w)
+        dv = out[hw:].reshape(h, w)
+        np.subtract(img[:, 1:], img[:, :-1], out=dh[:, :-1])
+        dh[:, -1] = 0.0
+        np.subtract(img[1:], img[:-1], out=dv[:-1])
+        dv[-1] = 0.0
+        return out
 
     def adjoint(u):
         u = np.asarray(u, dtype=np.float64)
@@ -152,8 +155,11 @@ def diff_op_2d(height, width, variant="anisotropic"):
             raise ValueError(f"expected a stacked difference vector of length {2 * hw}")
         p = u[:hw].reshape(h, w)
         q = u[hw:].reshape(h, w)
-        out = np.zeros((h, w))
-        out[:, :-1] -= p[:, :-1]
+        # Each entry sums as (((0 - p_right) + p_left) - q_below) + q_above,
+        # a fixed order; 0.0 - p, unlike -p, gives +0.0 where p is +0.0.
+        out = np.empty((h, w))
+        np.subtract(0.0, p[:, :-1], out=out[:, :-1])
+        out[:, -1] = 0.0
         out[:, 1:] += p[:, :-1]
         out[:-1, :] -= q[:-1, :]
         out[1:, :] += q[:-1, :]

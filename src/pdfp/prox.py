@@ -1,5 +1,7 @@
 """Proximity operators, conjugate proxes, and smooth quadratic terms."""
 
+import itertools
+
 import numpy as np
 from dataclasses import dataclass
 from typing import Callable
@@ -55,18 +57,81 @@ def l1_prox(t, z):
 
 
 def _group_ids(dim, groups):
-    """Validate that ``groups`` partitions ``range(dim)``; return the id map."""
-    gid = np.full(dim, -1, dtype=np.int64)
-    for g, idx in enumerate(groups):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= dim):
-            raise ValueError("group index out of range")
-        if np.any(gid[idx] >= 0):
-            raise ValueError("groups overlap; overlapping groups are not supported")
-        gid[idx] = g
-    if np.any(gid < 0):
+    """Validate that ``groups``, sequences of indices, partition ``range(dim)``;
+    return the id map.
+
+    The check runs on all indices at once. Read group by group, it raises at
+    the first group that is out of range or overlaps an earlier one, and
+    only then checks that every index is covered.
+    """
+    n_groups = len(groups)
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n_groups)
+    idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                      count=int(sizes.sum()))
+    owner = np.repeat(np.arange(n_groups), sizes)
+    bad = (idx < 0) | (idx >= dim)
+    n_ok = int(owner[np.argmax(bad)]) if bad.any() else n_groups
+    # only groups before the first out-of-range one can overlap
+    ok = owner < n_ok
+    idx, owner = idx[ok], owner[ok]
+    gid = np.full(dim, n_groups, dtype=np.int64)
+    np.minimum.at(gid, idx, owner)
+    if (owner > gid[idx]).any():
+        raise ValueError("groups overlap; overlapping groups are not supported")
+    if n_ok < n_groups:
+        raise ValueError("group index out of range")
+    if np.any(gid == n_groups):
         raise ValueError("groups do not cover every index")
     return gid
+
+
+class _Partition:
+    """A validated partition of ``range(dim)`` with per-group norms and scaling.
+
+    When group ``g`` is ``{g, g + G, g + 2G, ...}`` for ``G`` groups of one
+    size (the layout of the isotropic TV penalty on stacked differences),
+    both work on a ``(size, G)`` view of the vector and add its rows in
+    index order, the order ``np.bincount`` adds in, so either layout gives
+    the same bits. Other partitions go through ``np.bincount``.
+    """
+
+    def __init__(self, dim, groups):
+        self.gid = _group_ids(dim, groups)
+        self.n_groups = n = len(groups)
+        strided = n > 0 and dim % n == 0 and np.array_equal(self.gid, np.arange(dim) % n)
+        self.rows = dim // n if strided else None
+
+    def _norms(self, z):
+        """Group norms and, for the strided layout, the ``(size, G)`` array of
+        squares whose row 0 they overwrite (None otherwise)."""
+        if self.rows is None:
+            return np.sqrt(np.bincount(self.gid, weights=z * z, minlength=self.n_groups)), None
+        sq = (z * z).reshape(self.rows, self.n_groups)
+        norms = sq[0]
+        for row in sq[1:]:
+            norms += row
+        return np.sqrt(norms, out=norms), sq
+
+    def norms(self, z):
+        return self._norms(z)[0]
+
+    def shrink(self, t, z):
+        """``z_g * max(1 - t/||z_g||, 0)`` per group; zero where ``||z_g||`` is 0 or NaN.
+
+        The strided layout computes in the one buffer it returns.
+        """
+        norms, sq = self._norms(z)
+        nz = norms > 0.0
+        scale = np.divide(t, norms, out=norms, where=nz)
+        np.subtract(1.0, scale, out=scale)
+        np.maximum(scale, 0.0, out=scale)
+        scale[~nz] = 0.0
+        if sq is None:
+            return z * scale[self.gid]
+        zr = z.reshape(sq.shape)
+        np.multiply(zr[1:], scale, out=sq[1:])
+        np.multiply(zr[0], scale, out=sq[0])  # last: sq[0] holds the scale
+        return sq.ravel()
 
 
 def group_l2_prox(t, z, groups):
@@ -74,16 +139,7 @@ def group_l2_prox(t, z, groups):
     if t <= 0:
         raise ValueError("t must be positive")
     z = np.asarray(z, dtype=np.float64)
-    gid = _group_ids(z.size, groups)
-    return _group_shrink(t, z, gid, len(groups))
-
-
-def _group_shrink(t, z, gid, n_groups):
-    norms = np.sqrt(np.bincount(gid, weights=z * z, minlength=n_groups))
-    scale = np.zeros(n_groups)
-    nz = norms > 0.0
-    scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
-    return z * scale[gid]
+    return _Partition(z.size, groups).shrink(t, z)
 
 
 def conjugate_prox(f, t, z):
@@ -185,18 +241,16 @@ def group_l2_norm_fn(dim, groups, weight=1.0):
     """Weighted mixed l1-l2 norm ``weight * sum_g ||z_g||_2`` over a partition."""
     if weight <= 0:
         raise ValueError("weight must be positive")
-    gid = _group_ids(dim, groups)
-    n_groups = len(groups)
+    part = _Partition(dim, groups)
 
     def value(z):
         z = np.asarray(z, dtype=np.float64)
-        norms = np.sqrt(np.bincount(gid, weights=z * z, minlength=n_groups))
-        return weight * float(norms.sum())
+        return weight * float(part.norms(z).sum())
 
     def prox(t, z):
         if t <= 0:
             raise ValueError("t must be positive")
         z = np.asarray(z, dtype=np.float64)
-        return _group_shrink(t * weight, z, gid, n_groups)
+        return part.shrink(t * weight, z)
 
     return ProxFn(dim=dim, value=value, prox=prox)

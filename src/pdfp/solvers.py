@@ -186,6 +186,20 @@ def _check_alpha(a, n):
         raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
 
 
+def _dual_step(f1, t, l, Dz, v, DDt_v):
+    """The dual update ``v' = (I - prox_{t f1})(D z + (v - l D D^T v))``.
+
+    Takes ``Dz = D z`` and ``DDt_v = D D^T v`` (for ``ifp2o``, the product
+    with its ``D Q^{-1} D^T``) and works in one new array, which it returns;
+    every sum rounds as the expression above does.
+    """
+    w = np.multiply(DDt_v, l)
+    np.subtract(v, w, out=w)
+    np.add(Dz, w, out=w)
+    w -= f1.prox(t, w)
+    return w
+
+
 def _tentative(p, g, l, v, x, grad, Dt_v):
     """One unrelaxed fixed-point step from (v, x) at stepsizes (g, l).
 
@@ -193,11 +207,10 @@ def _tentative(p, g, l, v, x, grad, Dt_v):
     stepping on from ``v'`` need not apply ``D^T`` to it again.
     """
     z = x - g * grad
-    w = p.D.forward(z) + (v - l * p.D.forward(Dt_v))
-    vt = w - p.f1.prox(g / l, w)
+    vt = _dual_step(p.f1, g / l, l, p.D.forward(z), v, p.D.forward(Dt_v))
     Dt_vt = p.D.adjoint(vt)
-    xt = z - l * Dt_vt
-    return vt, xt, Dt_vt
+    z -= l * Dt_vt
+    return vt, z, Dt_vt
 
 
 def apply_T(p, gamma, lam, u):
@@ -399,7 +412,14 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     relaxed by ``kappa``, and the primal update is ``x' = z - lam D^T v*``.
     The trace records the inner-iteration count per outer step; with a
     single warm-started inner iteration and ``kappa = 0`` the method
-    coincides with :func:`pdfp2o` step for step.
+    coincides with :func:`pdfp2o` step for step, since both take the same
+    dual step.
+
+    Each inner iterate's ``D^T v_i`` serves the next inner step, the primal
+    update and the next warm start, and ``f2`` is evaluated once per outer
+    step. An outer step with ``k`` inner steps thus applies ``A`` and
+    ``A^T`` once each, ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a
+    warm-started run adds one ``D^T`` at its start.
     """
     _check_gamma(gamma, p.beta, 0)
     _check_lambda(lam, p.lambda_hi, 0)
@@ -408,36 +428,44 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     u0 = p.zeros() if u0 is None else u0
     stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
-    x = np.array(u0.x, dtype=np.float64)
+    it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
+    # D^T v of the outer iterate, carried from step to step
+    Dt_v = p.D.adjoint(v) if warm_start else None
     lam_ref = lam
     rows = {k: [] for k in ("it", "obj", "res", "dref", "snr", "rel", "wall", "inner")}
-    iterates = [PDState(v.copy(), x.copy())] if record_iterates else None
+    iterates = [PDState(v.copy(), it.x.copy())] if record_iterates else None
     t0 = time.perf_counter()
     converged = False
     n_done = 0
     for n in range(stop.max_iter):
-        grad = p.f2.grad(x)
-        z = x - gamma * grad
+        x = it.x
+        z = x - gamma * it.grad
         Dz = p.D.forward(z)
-        vi = v if warm_start else np.zeros_like(v)
+        if warm_start:
+            vi, Dt_vi = v, Dt_v
+        else:
+            # D^T 0 = 0, so the cold start needs no operator call
+            vi, Dt_vi = np.zeros_like(v), np.zeros_like(x)
         inner = 0
         for _ in range(inner_stop.max_iter):
-            w = Dz + (vi - lam * p.D.forward(p.D.adjoint(vi)))
-            Hv = w - p.f1.prox(gamma / lam, w)
+            Hv = _dual_step(p.f1, gamma / lam, lam, Dz, vi, p.D.forward(Dt_vi))
             vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
+            Dt_vi = p.D.adjoint(vi_new)
             inner += 1
             dv = float(np.linalg.norm(vi_new - vi))
             ref_v = max(1.0, float(np.linalg.norm(vi)))
             vi = vi_new
             if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
                 break
-        x_new = z - lam * p.D.adjoint(vi)
-        v_new = vi
+        z -= lam * Dt_vi
+        x_new, v_new = z, vi
         step = _lnorm(v_new - v, x_new - x, lam_ref)
         denom = max(1.0, _lnorm(v, x, lam_ref))
+        it = Iterate.at(p.f2, x_new)
         snr, rel = _metrics(x_new, x_true)
         rows["it"].append(n + 1)
-        rows["obj"].append(p.objective(x_new))
+        # summed in the order of Problem.objective, so the rounding matches
+        rows["obj"].append(p.f1.value(p.D.forward(x_new)) + it.value)
         rows["res"].append(step)
         rows["dref"].append(
             _lnorm(v_new - ref.v, x_new - ref.x, lam_ref) if ref is not None else math.nan
@@ -446,10 +474,10 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
         rows["rel"].append(rel)
         rows["wall"].append((time.perf_counter() - t0) * 1e3)
         rows["inner"].append(inner)
-        v, x = v_new, x_new
+        v, Dt_v = v_new, Dt_vi
         n_done = n + 1
         if record_iterates:
-            iterates.append(PDState(v.copy(), x.copy()))
+            iterates.append(PDState(v.copy(), x_new.copy()))
         if stop.tol > 0.0 and step / denom <= stop.tol:
             converged = True
             break
@@ -471,7 +499,7 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
         iterates=iterates,
         inner_iters=np.array(rows["inner"], dtype=np.int64),
     )
-    return PDState(v, x), trace
+    return PDState(v, it.x), trace
 
 
 def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
@@ -522,8 +550,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
     converged = False
     n_done = 0
     for it in range(stop.max_iter):
-        w = Dc + (v - lam * K.forward(v))
-        Hv = w - f1.prox(1.0 / lam, w)
+        Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
         v_new = mann_combine(kappa, v, Hv)
         res = float(np.linalg.norm(Hv - v))
         step = float(np.linalg.norm(v_new - v))
@@ -725,7 +752,11 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
         d' = prox_{(1/nu_n) f1}(D x' + v)
         v' = v - (d' - D x')
 
-    As the iteration converges, ``d - D x`` tends to zero.
+    As the iteration converges, ``d - D x`` tends to zero. ``D x'`` feeds
+    the d-update, the trace objective and the next x-update, and one
+    evaluation of ``f2`` at ``x'`` the objective and the next gradient, so
+    an iteration applies ``A``, ``A^T``, ``D`` and ``D^T`` once each; the
+    run adds one ``A``, one ``A^T`` and one ``D`` at its start.
     """
     if not isinstance(p.f2, QuadraticFn):
         raise UnsupportedProblemError("this scheme needs a quadratic data term")
@@ -743,18 +774,18 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
     t0 = time.perf_counter()
     converged = False
     n_done = 0
-    A, b = p.f2.A, p.f2.b
+    it = Iterate.at(p.f2, x)
+    Dx = p.D.forward(x)
     for n in range(stop.max_iter):
         delta = float(delta_src(n))
         nu = float(nu_src(n))
         if delta <= 0 or nu <= 0:
             raise ValueError(f"delta and nu must be positive at iteration {n}")
-        x_new = x - delta * A.adjoint(A.forward(x) - b) - delta * nu * p.D.adjoint(
-            p.D.forward(x) - d + v
-        )
+        x_new = x - delta * it.grad - delta * nu * p.D.adjoint(Dx - d + v)
         Dx_new = p.D.forward(x_new)
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
+        it = Iterate.at(p.f2, x_new)
         step = math.sqrt(
             float((x_new - x) @ (x_new - x))
             + float((d_new - d) @ (d_new - d))
@@ -765,12 +796,13 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
         rows["it"].append(n + 1)
         rows["g"].append(delta)
         rows["l"].append(nu)
-        rows["obj"].append(p.objective(x_new))
+        # summed in the order of Problem.objective, so the rounding matches
+        rows["obj"].append(p.f1.value(Dx_new) + it.value)
         rows["res"].append(step)
         rows["snr"].append(snr)
         rows["rel"].append(rel)
         rows["wall"].append((time.perf_counter() - t0) * 1e3)
-        x, d, v = x_new, d_new, v_new
+        x, d, v, Dx = x_new, d_new, v_new, Dx_new
         n_done = n + 1
         if stop.tol > 0.0 and step / denom <= stop.tol:
             converged = True

@@ -1,5 +1,5 @@
-"""Operator applications per fixed-point step, and the fused driver checked
-bit for bit against an unfused reference loop."""
+"""Operator applications per step of the fixed-point driver, ``pfbs_fp2o``
+and ``siu``, and each checked bit for bit against an unfused reference loop."""
 
 import dataclasses
 import math
@@ -15,6 +15,7 @@ from pdfp import (
     bb_dynamic_schedule,
     constant_schedule,
     diff_op_2d,
+    LinearOp,
     identity_op,
     l1_norm_fn,
     make_problem,
@@ -24,7 +25,9 @@ from pdfp import (
     pdfp2o,
     pdfp2o_ds,
     pdfp2o_dsn,
+    pfbs_fp2o,
     quadratic_fn,
+    siu,
 )
 from conftest import DENOISE4_DATA
 
@@ -160,3 +163,149 @@ def test_fused_driver_matches_unfused_reference(builder, kind):
     assert_array_equal(tr.objectives, objs)
     assert_array_equal(tr.residuals, ress)
     assert_array_equal(tr.gammas, gammas)
+
+
+def lnorm(v, x, lam):
+    return math.sqrt(float(x @ x) + lam * float(v @ v))
+
+
+# Inner loops of 1 to 5 steps: the tolerance ends most early, the cap some.
+INNER = StoppingRule(tol=1e-2, max_iter=5)
+PFBS_CASES = [(warm, kappa) for warm in (True, False) for kappa in (0.0, 0.4)]
+
+
+def _pfbs(p, warm, kappa):
+    return pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, kappa, INNER, stop=STOP,
+                     record_iterates=True, warm_start=warm)
+
+
+def pfbs_reference(p, gamma, lam, kappa, inner_stop, n_iter, warm_start):
+    """``pfbs_fp2o`` before fusion: ``grad f2`` and ``D^T v_i`` afresh at every
+    use, both norms of the inner test afresh, the objective from
+    ``Problem.objective``."""
+    v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
+    xs, vs, objs, ress, inners = [x], [v], [], [], []
+    for _ in range(n_iter):
+        z = x - gamma * p.f2.grad(x)
+        Dz = p.D.forward(z)
+        vi = v if warm_start else np.zeros_like(v)
+        inner = 0
+        for _ in range(inner_stop.max_iter):
+            w = Dz + (vi - lam * p.D.forward(p.D.adjoint(vi)))
+            Hv = w - p.f1.prox(gamma / lam, w)
+            vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
+            inner += 1
+            dv = float(np.linalg.norm(vi_new - vi))
+            ref_v = max(1.0, float(np.linalg.norm(vi)))
+            vi = vi_new
+            if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
+                break
+        x_new = z - lam * p.D.adjoint(vi)
+        ress.append(lnorm(vi - v, x_new - x, lam))
+        v, x = vi, x_new
+        xs.append(x)
+        vs.append(v)
+        objs.append(p.objective(x))
+        inners.append(inner)
+    return xs, vs, np.array(objs), np.array(ress), np.array(inners)
+
+
+def siu_steps(p):
+    nu = 1.0
+    return 0.9 / (p.f2.lipschitz + nu * p.lambda_max_ddt), nu
+
+
+def siu_reference(p, delta, nu, n_iter):
+    """``siu`` before fusion: ``A x`` and ``D x`` afresh in each x-update and
+    again in ``Problem.objective``."""
+    A, b = p.f2.A, p.f2.b
+    x, d, v = np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)
+    objs, ress = [], []
+    for _ in range(n_iter):
+        x_new = x - delta * A.adjoint(A.forward(x) - b) - delta * nu * p.D.adjoint(
+            p.D.forward(x) - d + v
+        )
+        Dx_new = p.D.forward(x_new)
+        d_new = p.f1.prox(1.0 / nu, Dx_new + v)
+        v_new = v - (d_new - Dx_new)
+        ress.append(math.sqrt(float((x_new - x) @ (x_new - x))
+                              + float((d_new - d) @ (d_new - d))
+                              + float((v_new - v) @ (v_new - v))))
+        objs.append(p.objective(x_new))
+        x, d, v = x_new, d_new, v_new
+    return (x, d, v), np.array(objs), np.array(ress)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+class TestSplitSolverOperatorCounts:
+    @pytest.mark.parametrize("warm,kappa", PFBS_CASES)
+    def test_pfbs_fp2o_outer_step(self, builder, warm, kappa):
+        p, counter = BUILDERS[builder]()
+        _, tr = _pfbs(p, warm, kappa)
+        k = int(tr.inner_iters.sum())
+        # the run start adds one f2 evaluation, and a warm start one D^T
+        assert counter.counts == {
+            "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
+            "D_fwd": k + 2 * N_ITER, "D_adj": k + int(warm),
+        }
+
+    def test_siu_applies_each_operator_once(self, builder):
+        p, counter = BUILDERS[builder]()
+        siu(p, *siu_steps(p), stop=STOP)
+        # the run start adds one f2 evaluation and D x0
+        assert counter.counts == {
+            "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1, "D_fwd": N_ITER + 1, "D_adj": N_ITER,
+        }
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("warm,kappa", PFBS_CASES)
+def test_pfbs_fp2o_matches_unfused_reference(builder, warm, kappa):
+    p, _ = BUILDERS[builder]()
+    xs, vs, objs, ress, inners = pfbs_reference(
+        p, 1.99 * p.beta, p.lambda_hi, kappa, INNER, N_ITER, warm)
+    _, tr = _pfbs(p, warm, kappa)
+    assert len(tr.iterates) == N_ITER + 1
+    for u, x, v in zip(tr.iterates, xs, vs):
+        assert_array_equal(u.x, x)
+        assert_array_equal(u.v, v)
+    assert_array_equal(tr.objectives, objs)
+    assert_array_equal(tr.residuals, ress)
+    assert_array_equal(tr.inner_iters, inners)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_siu_matches_unfused_reference(builder):
+    p, _ = BUILDERS[builder]()
+    delta, nu = siu_steps(p)
+    (x, d, v), objs, ress = siu_reference(p, delta, nu, N_ITER)
+    state, tr = siu(p, delta, nu, stop=STOP)
+    assert_array_equal(state.x, x)
+    assert_array_equal(state.d, d)
+    assert_array_equal(state.v, v)
+    assert_array_equal(tr.objectives, objs)
+    assert_array_equal(tr.residuals, ress)
+
+
+def test_operators_returning_their_input_are_not_overwritten():
+    """A ``D`` that hands back its argument (or any array the caller keeps)
+    gives the same iterates as one that returns a copy."""
+    aliasing = LinearOp(in_dim=16, out_dim=16, forward=lambda z: z, adjoint=lambda z: z,
+                        norm_sq_hint=1.0)
+    copying = dataclasses.replace(aliasing, forward=np.copy, adjoint=np.copy)
+    runs = {
+        "pdfp2o": lambda p: pdfp2o(p, 1.99 * p.beta, p.lambda_hi, stop=STOP,
+                                   record_iterates=True),
+        "pdfp2o_dsn": lambda p: pdfp2o_dsn(p, constant_schedule(1.99 * p.beta, p.lambda_hi, 0.3),
+                                           stop=STOP, record_iterates=True),
+        **{f"pfbs_fp2o-{warm}-{kappa}": (lambda p, w=warm, k=kappa: _pfbs(p, w, k))
+           for warm, kappa in PFBS_CASES},
+    }
+    for name, run in runs.items():
+        got, want = (run(make_problem(l1_norm_fn(16, weight=0.2),
+                                      quadratic_fn(identity_op(16), DENOISE4_DATA), D))[1]
+                     for D in (aliasing, copying))
+        for u, w in zip(got.iterates, want.iterates):
+            assert_array_equal(u.x, w.x, err_msg=name)
+            assert_array_equal(u.v, w.v, err_msg=name)
+        assert_array_equal(got.objectives, want.objectives, err_msg=name)

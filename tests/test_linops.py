@@ -70,6 +70,54 @@ class TestDiffOp2D:
             assert D.norm_sq_hint <= 8.0
 
 
+def diff_forward_reference(h, w, x):
+    """``diff_op_2d`` forward written plainly: two zeroed blocks, then concatenated."""
+    img = x.reshape(h, w)
+    dh = np.zeros((h, w))
+    dh[:, :-1] = img[:, 1:] - img[:, :-1]
+    dv = np.zeros((h, w))
+    dv[:-1, :] = img[1:, :] - img[:-1, :]
+    return np.concatenate([dh.ravel(), dv.ravel()])
+
+
+def diff_adjoint_reference(h, w, u):
+    """``diff_op_2d`` adjoint written plainly: four passes accumulating into zeros."""
+    p = u[:h * w].reshape(h, w)
+    q = u[h * w:].reshape(h, w)
+    out = np.zeros((h, w))
+    out[:, :-1] -= p[:, :-1]
+    out[:, 1:] += p[:, :-1]
+    out[:-1, :] -= q[:-1, :]
+    out[1:, :] += q[:-1, :]
+    return out.ravel()
+
+
+def with_signed_zeros(rng, n):
+    """Normal draws with about a third of the entries set to +0.0 or -0.0."""
+    z = rng.standard_normal(n)
+    z[rng.random(n) < 0.35] = 0.0
+    z[rng.random(n) < 0.5] *= -1.0
+    return z
+
+
+class TestDiffOpAgainstReference:
+    @pytest.mark.parametrize("h,w", [(2, 2), (3, 5), (7, 4)])
+    def test_bit_identical_with_signed_zeros(self, h, w):
+        rng = np.random.default_rng(h * 10 + w)
+        D = diff_op_2d(h, w)
+        for _ in range(20):
+            x = with_signed_zeros(rng, h * w)
+            u = with_signed_zeros(rng, 2 * h * w)
+            assert D.forward(x).tobytes() == diff_forward_reference(h, w, x).tobytes()
+            assert D.adjoint(u).tobytes() == diff_adjoint_reference(h, w, u).tobytes()
+
+    def test_all_negative_zero_input(self):
+        D = diff_op_2d(3, 5)
+        x, u = np.full(15, -0.0), np.full(30, -0.0)
+        assert D.forward(x).tobytes() == diff_forward_reference(3, 5, x).tobytes()
+        assert D.adjoint(u).tobytes() == diff_adjoint_reference(3, 5, u).tobytes()
+
+
 class TestSparseMatrix:
     def test_identity_matvec(self):
         M = SparseMatrix.identity(3)

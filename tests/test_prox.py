@@ -15,6 +15,7 @@ from pdfp import (
     zero_prox_fn,
     SparseMatrix,
 )
+from pdfp.prox import _group_ids
 
 
 def grid_search_prox_1d(t, z, f_scalar, lo=-10.0, hi=10.0, steps=2000001):
@@ -72,6 +73,102 @@ class TestGroupL2Prox:
             group_l2_prox(1.0, np.ones(3), [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
             group_l2_prox(1.0, np.ones(3), [(0, 1)])  # does not cover index 2
+
+
+def group_ids_reference(dim, groups):
+    """The partition check one group at a time, the reference for ``_group_ids``."""
+    gid = np.full(dim, -1, dtype=np.int64)
+    for g, idx in enumerate(groups):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= dim):
+            raise ValueError("group index out of range")
+        if np.any(gid[idx] >= 0):
+            raise ValueError("groups overlap; overlapping groups are not supported")
+        gid[idx] = g
+    if np.any(gid < 0):
+        raise ValueError("groups do not cover every index")
+    return gid
+
+
+def group_norms_reference(z, gid, n_groups):
+    return np.sqrt(np.bincount(gid, weights=z * z, minlength=n_groups))
+
+
+def group_shrink_reference(t, z, gid, n_groups):
+    """Group shrinkage through ``np.bincount`` and a gather, the reference for every layout."""
+    norms = group_norms_reference(z, gid, n_groups)
+    scale = np.zeros(n_groups)
+    nz = norms > 0.0
+    scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
+    return z * scale[gid]
+
+
+def strided_groups(n_groups, size):
+    """Group ``g`` is ``{g, g + G, ...}``: the isotropic TV pairs when ``size = 2``."""
+    return [tuple(g + n_groups * j for j in range(size)) for g in range(n_groups)]
+
+
+def partitions():
+    """Strided partitions (2x2, 3x5, 7x4 images; triples) and ones that are not."""
+    cases = {f"tv{h}x{w}": (2 * h * w, strided_groups(h * w, 2))
+             for h, w in ((2, 2), (3, 5), (7, 4))}
+    cases["triples"] = (18, strided_groups(6, 3))
+    cases["singletons"] = (5, strided_groups(5, 1))
+    cases["adjacent_pairs"] = (12, [(2 * k, 2 * k + 1) for k in range(6)])
+    cases["strided_listed_backwards"] = (12, strided_groups(6, 2)[::-1])
+    cases["ragged"] = (9, [(0, 5, 8), (1,), (2, 3, 4, 6), (7,)])
+    return cases
+
+
+class TestGroupL2AgainstReference:
+    @pytest.mark.parametrize("name", sorted(partitions()))
+    def test_prox_and_value_bit_identical(self, name):
+        dim, groups = partitions()[name]
+        gid = group_ids_reference(dim, groups)
+        f = group_l2_norm_fn(dim, groups, weight=1.3)
+        rng = np.random.default_rng(len(name))
+        for _ in range(20):
+            z = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 1e3])
+            z[rng.random(dim) < 0.3] = 0.0
+            z[rng.random(dim) < 0.5] *= -1.0
+            for t in (1e-3, 0.7, 1e300):
+                want = group_shrink_reference(t * 1.3, z, gid, len(groups))
+                assert f.prox(t, z).tobytes() == want.tobytes()
+                assert group_l2_prox(t, z, groups).tobytes() == group_shrink_reference(
+                    t, z, gid, len(groups)).tobytes()
+            assert f.value(z) == 1.3 * float(group_norms_reference(z, gid, len(groups)).sum())
+
+    @pytest.mark.parametrize("name", ["tv3x5", "adjacent_pairs"])
+    def test_zero_and_nan_groups(self, name):
+        dim, groups = partitions()[name]
+        gid = group_ids_reference(dim, groups)
+        f = group_l2_norm_fn(dim, groups)
+        z = np.linspace(-2.0, 2.0, dim)
+        z[np.asarray(groups[0])] = [0.0, -0.0]
+        z[np.asarray(groups[1])] = [np.nan, -1.5]
+        z[np.asarray(groups[2])] = [-0.0, -0.0]
+        got = f.prox(0.5, z)
+        assert got.tobytes() == group_shrink_reference(0.5, z, gid, len(groups)).tobytes()
+        assert np.isnan(got[groups[1][0]]) and got[groups[1][1]] == 0.0
+        assert np.isnan(f.value(z))
+
+
+@pytest.mark.parametrize("groups", [
+    [(0, 1), (1, 6)],          # group 1 overlaps and is out of range: range first
+    [(0, 1), (1, 2), (6,)],    # overlap before a later out-of-range group
+    [(0, 1, 2), (6,), (2,)],   # out of range before a later overlap
+    [(0, 0, 1), (2, 3, 4, 5)], # a repeat inside one group is no overlap
+    [(0, 1), (), (3, 4, 5)],   # an empty group; index 2 uncovered
+    [(5,), (0, 1, 2, 3, 4)],
+])
+def test_group_ids_matches_loop_on_ragged_groups(groups):
+    try:
+        want = group_ids_reference(6, groups)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            _group_ids(6, groups)
+    else:
+        np.testing.assert_array_equal(_group_ids(6, groups), want)
 
 
 class TestConjugateProx:
