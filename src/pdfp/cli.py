@@ -11,8 +11,9 @@ comments. The full key table is documented in the README. Subcommands:
   problem supports one.
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
-1 on configuration errors (including unknown keys and mismatched compares)
-and when a spectral bound cannot be estimated.
+3 when ``solve`` diverged (a step's change came out non-finite), 1 on
+configuration errors (including unknown keys and mismatched compares) and
+when a spectral bound cannot be estimated.
 """
 
 import argparse
@@ -301,6 +302,7 @@ def _write_summary(path, cfg, trace, final_snr, final_rel):
         f"problem={cfg['problem.kind']}",
         f"iterations={trace.n_iter}",
         f"converged={'true' if trace.converged else 'false'}",
+        f"stop_reason={trace.stop_reason}",
         f"objective={float(trace.objectives[-1])!r}",
         f"snr_db={float(final_snr)!r}",
         f"relerr={float(final_rel)!r}",
@@ -313,7 +315,7 @@ def run_experiment(config_path, overrides=None):
     """Run one configured experiment and write its artifacts.
 
     Returns the process exit code: 0 converged, 2 budget exhausted,
-    1 configuration error (in which case nothing is written).
+    3 diverged, 1 configuration error (in which case nothing is written).
     """
     try:
         cfg = ExperimentConfig.load(config_path, overrides)
@@ -329,7 +331,7 @@ def run_experiment(config_path, overrides=None):
     final_snr = snr(x_final, x_true.ravel())
     final_rel = rel_err(x_final, x_true.ravel())
     _write_summary(out / "summary.txt", cfg, trace, final_snr, final_rel)
-    return 0 if trace.converged else 2
+    return {"converged": 0, "budget": 2, "diverged": 3}[trace.stop_reason]
 
 
 SNR_THRESHOLDS = (15.0, 20.0, 23.0)

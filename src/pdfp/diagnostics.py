@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .solvers import PDState, _tentative, apply_T, mann_combine
+from . import solvers
 
 TRACE_CSV_HEADER = "iter,gamma,lambda,alpha,objective,residual,snr,relerr,wall_ms"
 
@@ -72,8 +72,8 @@ def rel_err(x, x_true):
 
 def fixed_point_residual(p, gamma, lam, u):
     """``||u - T(u)||`` in the lambda-weighted norm, at constant stepsizes."""
-    Tu = apply_T(p, gamma, lam, u)
-    return lambda_norm(PDState(u.v - Tu.v, u.x - Tu.x), lam)
+    Tu = solvers.apply_T(p, gamma, lam, u)
+    return lambda_norm(solvers.PDState(u.v - Tu.v, u.x - Tu.x), lam)
 
 
 def optimality_residual(p, gamma, lam, u):
@@ -99,7 +99,7 @@ def fejer_check(trace, u_ref, lam, slack=1e-10):
     if trace.iterates is None:
         raise ValueError("trace does not store iterates; rerun with record_iterates=True")
     dists = [
-        lambda_norm(PDState(u.v - u_ref.v, u.x - u_ref.x), lam) for u in trace.iterates
+        lambda_norm(solvers.PDState(u.v - u_ref.v, u.x - u_ref.x), lam) for u in trace.iterates
     ]
     return all(b <= a + slack for a, b in zip(dists, dists[1:]))
 
@@ -224,9 +224,10 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     a0 = alpha_lo if alpha0 is None else float(alpha0)
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
-    vt, xt, _ = _tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x), p.D.adjoint(u0.v))
-    u1 = PDState(mann_combine(a0, u0.v, vt), mann_combine(a0, u0.x, xt))
-    d = lambda_norm(PDState(u1.v - u0.v, u1.x - u0.x), lam)
+    vt, xt, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x),
+                                   p.D.adjoint(u0.v))
+    u1 = solvers.PDState(solvers.mann_combine(a0, u0.v, vt), solvers.mann_combine(a0, u0.x, xt))
+    d = lambda_norm(solvers.PDState(u1.v - u0.v, u1.x - u0.x), lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)
 
 

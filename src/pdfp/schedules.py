@@ -5,23 +5,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .prox import QuadraticFn
-from .solvers import Iterate, Schedule
+from .solvers import Iterate, Schedule, _check_alpha, _check_gamma, _check_lambda
 
 # Default clamp intervals, expressed relative to the problem's admissible ranges:
 # gamma in [0.01, 1.99] * beta, alpha in [0.1, 0.9].
 GAMMA_CLAMP_FRACTIONS = (0.01, 1.99)
 ALPHA_CLAMP = (0.1, 0.9)
-
-
-def _check_gamma_static(gamma, p):
-    if not (0.0 < gamma < 2.0 * p.beta):
-        raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
-
-
-def _check_lambda_static(lam, p):
-    hi = p.lambda_hi
-    if not (0.0 < lam) or lam > hi:
-        raise ValueError(f"lambda={lam} out of range (0, {hi}]")
 
 
 def _clip(value, lo, hi):
@@ -31,17 +20,17 @@ def _clip(value, lo, hi):
 def constant_schedule(gamma, lam, alpha=0.0, problem=None):
     """Schedule emitting the same (gamma, lambda, alpha) every iteration.
 
-    When ``problem`` is given, the values are validated against its ranges
-    at construction: ``gamma`` strictly inside ``(0, 2 beta)``, ``lam`` in
-    ``(0, 1/lambda_max(D D^T)]`` (the upper end is admissible), ``alpha``
-    in ``[0, 1)``.
+    When ``problem`` is given, the values are validated at construction by
+    the checks the solvers apply at every iteration: ``gamma`` strictly
+    inside ``(0, 2 beta)``, ``lam`` in ``(0, 1/lambda_max(D D^T)]`` (the
+    upper end is admissible), both with a margin of ``1e-12`` times the
+    range at the open ends. ``alpha`` must lie in ``[0, 1)``.
     """
     gamma, lam, alpha = float(gamma), float(lam), float(alpha)
     if problem is not None:
-        _check_gamma_static(gamma, problem)
-        _check_lambda_static(lam, problem)
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha={alpha} out of range [0, 1)")
+        _check_gamma(gamma, problem.beta, 0)
+        _check_lambda(lam, problem.lambda_hi, 0)
+    _check_alpha(alpha, 0)
     return Schedule(
         gamma=lambda n, it: gamma,
         lam=lambda n, it: lam,
@@ -72,7 +61,7 @@ def _bb_quotient(it, half_numerator):
     return num / den
 
 
-def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None, half_numerator=False):
+def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     """Adaptive stepsize schedule: ``gamma_n`` from the residual/gradient quotient.
 
     ``gamma_n`` is the clamped quotient of the (unhalved) residual norm
@@ -95,7 +84,7 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None, half_numerator=
     alpha = _clip(float(alpha0), a_lo, a_hi)
 
     def gamma(n, it):
-        raw = _bb_quotient(it, half_numerator)
+        raw = _bb_quotient(it, False)
         if math.isnan(raw):
             return g_hi
         return _clip(raw, g_lo, g_hi)
@@ -131,10 +120,9 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
     if decay < 0:
         raise ValueError("decay must be nonnegative")
     if problem is not None:
-        _check_gamma_static(gamma, problem)
-        _check_lambda_static(lam, problem)
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha={alpha} out of range [0, 1)")
+        _check_gamma(gamma, problem.beta, 0)
+        _check_lambda(lam, problem.lambda_hi, 0)
+    _check_alpha(alpha, 0)
     g_hi = math.inf if problem is None else 2.0 * problem.beta * (1.0 - 1e-9)
     l_hi = math.inf if problem is None else problem.lambda_hi
 
@@ -157,7 +145,6 @@ class ScheduleSpec:
     alpha0: float = 0.0
     decay: float = 0.0
     clamp: Optional[tuple] = None
-    half_numerator: bool = False
 
     def build(self, problem):
         gamma0 = 1.99 * problem.beta if self.gamma0 is None else self.gamma0
@@ -170,7 +157,6 @@ class ScheduleSpec:
                 lambda0=lambda0,
                 alpha0=self.alpha0 if self.alpha0 > 0 else 0.5,
                 clamp=self.clamp,
-                half_numerator=self.half_numerator,
             )
         if self.kind == "convergent_perturbation":
             return convergent_perturbation_schedule(

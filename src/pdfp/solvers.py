@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from . import diagnostics
 from .linops import LinearOp, op_norm_sq
 from .prox import QuadraticFn, conjugate_prox
 
@@ -141,6 +142,9 @@ class RunTrace:
     solvers record their per-step state change there instead. ``iterates``
     (including the starting state) is populated only when requested.
     ``snr``/``relerr`` hold NaN when no ground-truth image was supplied.
+    ``stop_reason`` is ``"converged"`` (the tolerance test passed),
+    ``"budget"`` (``max_iter`` steps ran) or ``"diverged"`` (a step's
+    change came out non-finite; that step is the last one recorded).
     """
 
     lambda_ref: float
@@ -158,6 +162,7 @@ class RunTrace:
     wall_ms: np.ndarray
     iterates: Optional[list] = None
     inner_iters: Optional[np.ndarray] = None
+    stop_reason: str = "budget"
 
 
 def mann_combine(alpha, a, b):
@@ -238,38 +243,110 @@ def apply_Tn(p, sched, n, u):
     return PDState(vt, xt)
 
 
-def _metrics(x, x_true):
-    if x_true is None:
-        return math.nan, math.nan
-    d = x - x_true
-    nd = float(np.linalg.norm(d))
-    nt = float(np.linalg.norm(x_true))
-    if nd == 0.0:
-        return math.inf, 0.0
-    return 20.0 * math.log10(nt / nd), (nd * nd) / (nt * nt)
+@dataclass
+class _Row:
+    """What one solver step hands the driver.
+
+    ``(v, x)`` is the new state: ``x`` feeds SNR/RelErr, and both feed
+    ``dist_ref`` and the stored iterates. ``obj`` and ``res`` fill the
+    objective and residual columns, ``step / denom`` is the relative change
+    the stop test reads, and ``g``, ``l``, ``a`` and ``inner`` fill the
+    gamma, lambda, alpha and inner-iteration columns.
+    """
+
+    v: np.ndarray
+    x: np.ndarray
+    obj: float
+    res: float
+    step: float
+    denom: float
+    g: float = math.nan
+    l: float = math.nan
+    a: float = math.nan
+    inner: Optional[int] = None
+
+
+def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False,
+           inner=False):
+    """The one iteration loop of every solver: ``step(n) -> _Row``, recorded.
+
+    Stops with reason "converged" when ``step / denom`` falls to
+    ``stop.tol``, "diverged" when a step's change is not finite, and
+    "budget" after ``stop.max_iter`` steps. ``u0`` is the starting state
+    stored with ``record_iterates``, ``lam_ref`` weights ``dist_ref`` (the
+    distance to ``ref``), and ``inner`` asks for the ``inner_iters`` column.
+    """
+    stop = StoppingRule() if stop is None else stop
+    cols = {k: [] for k in ("g", "l", "a", "obj", "res", "inner", "dref", "snr", "rel", "wall")}
+    iterates = [u0.copy()] if record_iterates else None
+    # the caller's starting arrays must not outlive its first step
+    del u0
+    reason = "budget"
+    t0 = time.perf_counter()
+    for n in range(stop.max_iter):
+        row = step(n)
+        for k in ("g", "l", "a", "obj", "res", "inner"):
+            cols[k].append(getattr(row, k))
+        cols["dref"].append(
+            _lnorm(row.v - ref.v, row.x - ref.x, lam_ref) if ref is not None else math.nan
+        )
+        if x_true is None:
+            cols["rel"].append(math.nan)
+            cols["snr"].append(math.nan)
+        else:
+            # rel_err first: it names the error a zero x_true raises
+            cols["rel"].append(diagnostics.rel_err(row.x, x_true))
+            cols["snr"].append(diagnostics.snr(row.x, x_true))
+        cols["wall"].append((time.perf_counter() - t0) * 1e3)
+        if record_iterates:
+            iterates.append(PDState(row.v.copy(), row.x.copy()))
+        if not math.isfinite(row.step):
+            reason = "diverged"
+            break
+        if stop.tol > 0.0 and row.step / row.denom <= stop.tol:
+            reason = "converged"
+            break
+    k = len(cols["obj"])
+    return RunTrace(
+        lambda_ref=lam_ref,
+        converged=reason == "converged",
+        n_iter=k,
+        iters=np.arange(1, k + 1, dtype=np.int64),
+        gammas=np.array(cols["g"]),
+        lams=np.array(cols["l"]),
+        alphas=np.array(cols["a"]),
+        objectives=np.array(cols["obj"]),
+        residuals=np.array(cols["res"]),
+        dist_ref=np.array(cols["dref"]),
+        snrs=np.array(cols["snr"]),
+        relerrs=np.array(cols["rel"]),
+        wall_ms=np.array(cols["wall"]),
+        iterates=iterates,
+        inner_iters=np.array(cols["inner"], dtype=np.int64) if inner else None,
+        stop_reason=reason,
+    )
 
 
 def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
                 ref=None, x_true=None, record_iterates=False):
-    """Shared driver for the fixed-point family (plain, relaxed, dynamic).
+    """Shared step of the fixed-point family (plain, relaxed, dynamic).
 
     Each quantity is computed once: ``f2`` data of every iterate comes from
     one ``f2.value_and_grad`` call that feeds both the trace's objective
     and the next step, and an unrelaxed step's ``D^T v'`` is the next
     step's ``D^T v``. A step thus applies ``A``, ``A^T`` and ``D^T`` once
     each (a relaxed step applies ``D^T`` a second time, to the relaxed
-    dual), plus ``D`` three times.
+    dual), plus ``D`` three times. The residual column holds the unrelaxed
+    step's change; the stop test reads the relaxed one.
     """
+    u0 = p.zeros() if u0 is None else u0
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
     Dt_v = None
     lam_ref = float(lam_src(0, it))
-    rows = {k: [] for k in ("it", "g", "l", "a", "obj", "res", "dref", "snr", "rel", "wall")}
-    iterates = [PDState(v.copy(), it.x.copy())] if record_iterates else None
-    t0 = time.perf_counter()
-    converged = False
-    n_done = 0
-    for n in range(stop.max_iter):
+
+    def step(n):
+        nonlocal v, it, Dt_v
         x = it.x
         g = float(gamma_src(n, it))
         l = float(lam_src(n, it))
@@ -283,51 +360,19 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
         res = _lnorm(vt - v, xt - x, lam_ref)
         if a == 0.0:
             v_new, x_new, Dt_v = vt, xt, Dt_vt
-            step = res
+            change = res
         else:
             v_new = mann_combine(a, v, vt)
             x_new = mann_combine(a, x, xt)
             Dt_v = None
-            step = _lnorm(v_new - v, x_new - x, lam_ref)
+            change = _lnorm(v_new - v, x_new - x, lam_ref)
         denom = max(1.0, _lnorm(v, x, lam_ref))
-        it = Iterate.at(p.f2, x_new)
-        snr, rel = _metrics(x_new, x_true)
-        rows["it"].append(n + 1)
-        rows["g"].append(g)
-        rows["l"].append(l)
-        rows["a"].append(a)
+        v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
-        rows["obj"].append(p.f1.value(p.D.forward(x_new)) + it.value)
-        rows["res"].append(res)
-        rows["dref"].append(
-            _lnorm(v_new - ref.v, x_new - ref.x, lam_ref) if ref is not None else math.nan
-        )
-        rows["snr"].append(snr)
-        rows["rel"].append(rel)
-        rows["wall"].append((time.perf_counter() - t0) * 1e3)
-        v = v_new
-        n_done = n + 1
-        if record_iterates:
-            iterates.append(PDState(v.copy(), x_new.copy()))
-        if stop.tol > 0.0 and step / denom <= stop.tol:
-            converged = True
-            break
-    trace = RunTrace(
-        lambda_ref=lam_ref,
-        converged=converged,
-        n_iter=n_done,
-        iters=np.array(rows["it"], dtype=np.int64),
-        gammas=np.array(rows["g"]),
-        lams=np.array(rows["l"]),
-        alphas=np.array(rows["a"]),
-        objectives=np.array(rows["obj"]),
-        residuals=np.array(rows["res"]),
-        dist_ref=np.array(rows["dref"]),
-        snrs=np.array(rows["snr"]),
-        relerrs=np.array(rows["rel"]),
-        wall_ms=np.array(rows["wall"]),
-        iterates=iterates,
-    )
+        obj = p.f1.value(p.D.forward(x_new)) + it.value
+        return _Row(v_new, x_new, obj, res, change, denom, g=g, l=l, a=a)
+
+    trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates)
     return PDState(v, it.x), trace
 
 
@@ -347,11 +392,9 @@ def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iter
     Returns
     -------
     (PDState, RunTrace)
-        The final state and the per-iteration trace; the trace is flagged
-        non-converged when the iteration budget ran out first.
+        The final state and the per-iteration trace, whose ``stop_reason``
+        tells a converged run from one that ran out of budget or diverged.
     """
-    u0 = p.zeros() if u0 is None else u0
-    stop = StoppingRule() if stop is None else stop
     return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop,
                        ref=ref, x_true=x_true, record_iterates=record_iterates)
 
@@ -362,10 +405,7 @@ def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None
 
     ``kappa = 0`` reproduces :func:`pdfp2o` exactly.
     """
-    if not (0.0 <= kappa < 1.0):
-        raise ValueError("kappa must lie in [0, 1)")
-    u0 = p.zeros() if u0 is None else u0
-    stop = StoppingRule() if stop is None else stop
+    _check_alpha(kappa, 0)
     return _run_kernel(p, _const(gamma), _const(lam), _const(kappa), u0, stop,
                        ref=ref, x_true=x_true, record_iterates=record_iterates)
 
@@ -381,8 +421,6 @@ def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterat
 
     A constant schedule reproduces :func:`pdfp2o` exactly.
     """
-    u0 = p.zeros() if u0 is None else u0
-    stop = StoppingRule() if stop is None else stop
     return _run_kernel(p, sched.gamma, sched.lam, None, u0, stop,
                        ref=ref, x_true=x_true, record_iterates=record_iterates)
 
@@ -394,8 +432,6 @@ def pdfp2o_dsn(p, sched, u0=None, stop=None, ref=None, x_true=None, record_itera
     with all three parameter sequences drawn from ``sched``. ``alpha_n = 0``
     reproduces :func:`pdfp2o_ds` exactly.
     """
-    u0 = p.zeros() if u0 is None else u0
-    stop = StoppingRule() if stop is None else stop
     return _run_kernel(p, sched.gamma, sched.lam, sched.alpha, u0, stop,
                        ref=ref, x_true=x_true, record_iterates=record_iterates)
 
@@ -423,21 +459,15 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     """
     _check_gamma(gamma, p.beta, 0)
     _check_lambda(lam, p.lambda_hi, 0)
-    if not (0.0 <= kappa < 1.0):
-        raise ValueError("kappa must lie in [0, 1)")
+    _check_alpha(kappa, 0)
     u0 = p.zeros() if u0 is None else u0
-    stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
     # D^T v of the outer iterate, carried from step to step
     Dt_v = p.D.adjoint(v) if warm_start else None
-    lam_ref = lam
-    rows = {k: [] for k in ("it", "obj", "res", "dref", "snr", "rel", "wall", "inner")}
-    iterates = [PDState(v.copy(), it.x.copy())] if record_iterates else None
-    t0 = time.perf_counter()
-    converged = False
-    n_done = 0
-    for n in range(stop.max_iter):
+
+    def step(n):
+        nonlocal v, it, Dt_v
         x = it.x
         z = x - gamma * it.grad
         Dz = p.D.forward(z)
@@ -458,47 +488,15 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
             if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
                 break
         z -= lam * Dt_vi
-        x_new, v_new = z, vi
-        step = _lnorm(v_new - v, x_new - x, lam_ref)
-        denom = max(1.0, _lnorm(v, x, lam_ref))
-        it = Iterate.at(p.f2, x_new)
-        snr, rel = _metrics(x_new, x_true)
-        rows["it"].append(n + 1)
+        change = _lnorm(vi - v, z - x, lam)
+        denom = max(1.0, _lnorm(v, x, lam))
+        v, Dt_v, it = vi, Dt_vi, Iterate.at(p.f2, z)
         # summed in the order of Problem.objective, so the rounding matches
-        rows["obj"].append(p.f1.value(p.D.forward(x_new)) + it.value)
-        rows["res"].append(step)
-        rows["dref"].append(
-            _lnorm(v_new - ref.v, x_new - ref.x, lam_ref) if ref is not None else math.nan
-        )
-        rows["snr"].append(snr)
-        rows["rel"].append(rel)
-        rows["wall"].append((time.perf_counter() - t0) * 1e3)
-        rows["inner"].append(inner)
-        v, Dt_v = v_new, Dt_vi
-        n_done = n + 1
-        if record_iterates:
-            iterates.append(PDState(v.copy(), x_new.copy()))
-        if stop.tol > 0.0 and step / denom <= stop.tol:
-            converged = True
-            break
-    k = len(rows["it"])
-    trace = RunTrace(
-        lambda_ref=lam_ref,
-        converged=converged,
-        n_iter=n_done,
-        iters=np.array(rows["it"], dtype=np.int64),
-        gammas=np.full(k, gamma),
-        lams=np.full(k, lam),
-        alphas=np.full(k, kappa),
-        objectives=np.array(rows["obj"]),
-        residuals=np.array(rows["res"]),
-        dist_ref=np.array(rows["dref"]),
-        snrs=np.array(rows["snr"]),
-        relerrs=np.array(rows["rel"]),
-        wall_ms=np.array(rows["wall"]),
-        iterates=iterates,
-        inner_iters=np.array(rows["inner"], dtype=np.int64),
-    )
+        obj = p.f1.value(p.D.forward(z)) + it.value
+        return _Row(vi, z, obj, change, change, denom, g=gamma, l=lam, a=kappa, inner=inner)
+
+    trace = _drive(step, stop, lam, PDState(v, it.x), x_true, ref, record_iterates,
+                   inner=True)
     return PDState(v, it.x), trace
 
 
@@ -510,7 +508,6 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
     and returns ``x* = Q^{-1}(b - lam D^T v*)``. Requires
     ``0 < lam <= 2 / lambda_max(D Q^{-1} D^T)`` and ``kappa`` in (0, 1).
     """
-    stop = StoppingRule() if stop is None else stop
     Q = np.asarray(Q, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     n = Q.shape[0]
@@ -545,42 +542,17 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
     def obj(xx):
         return f1.value(D.forward(xx)) + 0.5 * float(xx @ (Q @ xx)) - float(b @ xx)
 
-    rows = {k: [] for k in ("it", "obj", "res", "wall")}
-    t0 = time.perf_counter()
-    converged = False
-    n_done = 0
-    for it in range(stop.max_iter):
+    def step(n):
+        nonlocal v
         Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
         v_new = mann_combine(kappa, v, Hv)
-        res = float(np.linalg.norm(Hv - v))
-        step = float(np.linalg.norm(v_new - v))
+        change = float(np.linalg.norm(v_new - v))
         denom = max(1.0, float(np.linalg.norm(v)))
-        rows["it"].append(it + 1)
-        rows["obj"].append(obj(x_of(v_new)))
-        rows["res"].append(res)
-        rows["wall"].append((time.perf_counter() - t0) * 1e3)
-        v = v_new
-        n_done = it + 1
-        if stop.tol > 0.0 and step / denom <= stop.tol:
-            converged = True
-            break
-    k = len(rows["it"])
-    nanarr = np.full(k, math.nan)
-    trace = RunTrace(
-        lambda_ref=lam,
-        converged=converged,
-        n_iter=n_done,
-        iters=np.array(rows["it"], dtype=np.int64),
-        gammas=nanarr.copy(),
-        lams=np.full(k, lam),
-        alphas=np.full(k, kappa),
-        objectives=np.array(rows["obj"]),
-        residuals=np.array(rows["res"]),
-        dist_ref=nanarr.copy(),
-        snrs=nanarr.copy(),
-        relerrs=nanarr.copy(),
-        wall_ms=np.array(rows["wall"]),
-    )
+        res = float(np.linalg.norm(Hv - v))
+        v, x = v_new, x_of(v_new)
+        return _Row(v, x, obj(x), res, change, denom, l=lam, a=kappa)
+
+    trace = _drive(step, stop, lam, None)
     return x_of(v), trace
 
 
@@ -643,7 +615,6 @@ def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
-    stop = StoppingRule() if stop is None else stop
     sigma_src = _as_source(sigma_sched)
     tau_src = _as_source(tau_sched)
     state0 = p.zeros() if state0 is None else state0
@@ -653,12 +624,9 @@ def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,
     lam_ref = float(sigma_src(0)) * float(tau_src(0))
     if lam_ref <= 0:
         raise ValueError("sigma_0 * tau_0 must be positive")
-    rows = {k: [] for k in ("it", "g", "l", "obj", "res", "dref", "snr", "rel", "wall")}
-    iterates = [PDState(vbar.copy(), x.copy())] if record_iterates else None
-    t0 = time.perf_counter()
-    converged = False
-    n_done = 0
-    for n in range(stop.max_iter):
+
+    def step(n):
+        nonlocal vbar, x, y
         sig = float(sigma_src(n))
         tau = float(tau_src(n))
         prod = sig * tau
@@ -668,44 +636,12 @@ def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,
         vbar_new = conjugate_prox(p.f1, sig, vbar + sig * p.D.forward(y))
         x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
-        step = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
+        change = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
         denom = max(1.0, _lnorm(vbar, x, lam_ref))
-        snr, rel = _metrics(x_new, x_true)
-        rows["it"].append(n + 1)
-        rows["g"].append(tau)
-        rows["l"].append(sig)
-        rows["obj"].append(p.objective(x_new))
-        rows["res"].append(step)
-        rows["dref"].append(
-            _lnorm(vbar_new - ref.v, x_new - ref.x, lam_ref) if ref is not None else math.nan
-        )
-        rows["snr"].append(snr)
-        rows["rel"].append(rel)
-        rows["wall"].append((time.perf_counter() - t0) * 1e3)
         vbar, x = vbar_new, x_new
-        n_done = n + 1
-        if record_iterates:
-            iterates.append(PDState(vbar.copy(), x.copy()))
-        if stop.tol > 0.0 and step / denom <= stop.tol:
-            converged = True
-            break
-    k = len(rows["it"])
-    trace = RunTrace(
-        lambda_ref=lam_ref,
-        converged=converged,
-        n_iter=n_done,
-        iters=np.array(rows["it"], dtype=np.int64),
-        gammas=np.array(rows["g"]),
-        lams=np.array(rows["l"]),
-        alphas=np.full(k, theta),
-        objectives=np.array(rows["obj"]),
-        residuals=np.array(rows["res"]),
-        dist_ref=np.array(rows["dref"]),
-        snrs=np.array(rows["snr"]),
-        relerrs=np.array(rows["rel"]),
-        wall_ms=np.array(rows["wall"]),
-        iterates=iterates,
-    )
+        return _Row(vbar, x, p.objective(x), change, change, denom, g=tau, l=sig, a=theta)
+
+    trace = _drive(step, stop, lam_ref, PDState(vbar, x), x_true, ref, record_iterates)
     return PDState(vbar, x), trace
 
 
@@ -760,7 +696,6 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
     """
     if not isinstance(p.f2, QuadraticFn):
         raise UnsupportedProblemError("this scheme needs a quadratic data term")
-    stop = StoppingRule() if stop is None else stop
     delta_src = _as_source(delta_sched)
     nu_src = _as_source(nu_sched)
     if state0 is None:
@@ -770,13 +705,11 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
     x = np.array(state0.x, dtype=np.float64)
     d = np.array(state0.d, dtype=np.float64)
     v = np.array(state0.v, dtype=np.float64)
-    rows = {k: [] for k in ("it", "g", "l", "obj", "res", "snr", "rel", "wall")}
-    t0 = time.perf_counter()
-    converged = False
-    n_done = 0
     it = Iterate.at(p.f2, x)
     Dx = p.D.forward(x)
-    for n in range(stop.max_iter):
+
+    def step(n):
+        nonlocal x, d, v, Dx, it
         delta = float(delta_src(n))
         nu = float(nu_src(n))
         if delta <= 0 or nu <= 0:
@@ -786,44 +719,18 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
         it = Iterate.at(p.f2, x_new)
-        step = math.sqrt(
+        change = math.sqrt(
             float((x_new - x) @ (x_new - x))
             + float((d_new - d) @ (d_new - d))
             + float((v_new - v) @ (v_new - v))
         )
         denom = max(1.0, math.sqrt(float(x @ x) + float(d @ d) + float(v @ v)))
-        snr, rel = _metrics(x_new, x_true)
-        rows["it"].append(n + 1)
-        rows["g"].append(delta)
-        rows["l"].append(nu)
-        # summed in the order of Problem.objective, so the rounding matches
-        rows["obj"].append(p.f1.value(Dx_new) + it.value)
-        rows["res"].append(step)
-        rows["snr"].append(snr)
-        rows["rel"].append(rel)
-        rows["wall"].append((time.perf_counter() - t0) * 1e3)
         x, d, v, Dx = x_new, d_new, v_new, Dx_new
-        n_done = n + 1
-        if stop.tol > 0.0 and step / denom <= stop.tol:
-            converged = True
-            break
-    k = len(rows["it"])
-    nanarr = np.full(k, math.nan)
-    trace = RunTrace(
-        lambda_ref=1.0,
-        converged=converged,
-        n_iter=n_done,
-        iters=np.array(rows["it"], dtype=np.int64),
-        gammas=np.array(rows["g"]),
-        lams=np.array(rows["l"]),
-        alphas=np.zeros(k),
-        objectives=np.array(rows["obj"]),
-        residuals=np.array(rows["res"]),
-        dist_ref=nanarr.copy(),
-        snrs=np.array(rows["snr"]),
-        relerrs=np.array(rows["rel"]),
-        wall_ms=np.array(rows["wall"]),
-    )
+        # summed in the order of Problem.objective, so the rounding matches
+        obj = p.f1.value(Dx) + it.value
+        return _Row(v, x, obj, change, change, denom, g=delta, l=nu, a=0.0)
+
+    trace = _drive(step, stop, 1.0, None, x_true)
     return SIUState(x, d, v), trace
 
 

@@ -270,12 +270,12 @@ def make_lasso_problem(n, noise_level, seed, reg_weight):
 
 
 def write_pgm(path, image):
-    """Write an image with values in [0, 1] as 16-bit big-endian binary PGM."""
+    """Write an image with values in [0, 1] (NaN as 0) as 16-bit big-endian binary PGM."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("image must be 2-D")
     h, w = image.shape
-    data = np.round(np.clip(image, 0.0, 1.0) * 65535.0).astype(">u2")
+    data = np.round(np.clip(np.nan_to_num(image), 0.0, 1.0) * 65535.0).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         fh.write(data.tobytes())

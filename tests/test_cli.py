@@ -72,6 +72,24 @@ class TestSolve:
         assert run_experiment(cfg) == 2
         assert "converged=false" in (tmp_path / "out" / "summary.txt").read_text()
 
+    def test_summary_records_stop_reason(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", **{"run.tol": "1e-5", "run.max_iter": "5000"})
+        assert run_experiment(cfg) == 0
+        assert "stop_reason=converged" in (tmp_path / "out" / "summary.txt").read_text()
+        cfg = write_cfg(tmp_path / "c.cfg", **{"run.max_iter": "3", "run.tol": "1e-14"})
+        assert run_experiment(cfg) == 2
+        assert "stop_reason=budget" in (tmp_path / "out" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o", "cp", "siu"])
+    def test_nan_data_exits_diverged(self, tmp_path, solver):
+        cfg = write_cfg(tmp_path / "c.cfg", **{"problem.noise": "nan", "solver.name": solver,
+                                               "run.max_iter": "500", "run.tol": "0"})
+        assert run_experiment(cfg) == 3
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "stop_reason=diverged" in summary
+        assert "iterations=1\n" in summary
+        assert (tmp_path / "out" / "recon.pgm").exists()
+
     def test_malformed_config_writes_nothing(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("problem.kind = warp\n" + f"run.output_dir = {tmp_path / 'out'}\n")

@@ -1,22 +1,29 @@
 """Operator applications per step of the fixed-point driver, ``pfbs_fp2o``
-and ``siu``, and each checked bit for bit against an unfused reference loop."""
+and ``siu``, and every solver checked bit for bit against a reference loop."""
 
 import dataclasses
+import itertools
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_array_equal
 
 from pdfp import (
     Iterate,
+    PDState,
     StoppingRule,
     TomoGeometry,
     bb_dynamic_schedule,
+    chambolle_pock,
+    conjugate_prox,
     constant_schedule,
     diff_op_2d,
     LinearOp,
     identity_op,
+    ifp2o,
     l1_norm_fn,
     make_problem,
     make_tomo_problem,
@@ -29,6 +36,7 @@ from pdfp import (
     quadratic_fn,
     siu,
 )
+from pdfp.solvers import _quadratic_resolvent
 from conftest import DENOISE4_DATA
 
 N_ITER = 20
@@ -99,14 +107,29 @@ def _run(kind, p):
     return solver(p, sched, stop=STOP, record_iterates=True)
 
 
-def unfused_reference(p, sched, n_iter, relaxed):
+class Step(NamedTuple):
+    """One step of a reference loop: the new state, the objective and
+    residual columns, the relative change ``step / denom`` the stop test
+    reads, and the gamma/lambda/alpha/inner columns."""
+
+    v: np.ndarray
+    x: np.ndarray
+    obj: float
+    res: float
+    step: float
+    denom: float
+    g: float = math.nan
+    l: float = math.nan
+    a: float = math.nan
+    inner: Optional[int] = None
+
+
+def unfused_steps(p, sched, relaxed, lam_ref):
     """The driver before fusion: every step evaluates ``grad f2`` and
     ``D^T v`` afresh, the schedule reads a fresh ``f2`` evaluation, and the
     objective comes from ``Problem.objective``."""
     v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
-    lam_ref = float(sched.lam(0, None))
-    xs, vs, objs, ress, gammas = [x], [v], [], [], []
-    for n in range(n_iter):
+    for n in itertools.count():
         g = float(sched.gamma(n, Iterate.at(p.f2, x)))
         l = float(sched.lam(n, None))
         a = float(sched.alpha(n, None)) if relaxed else 0.0
@@ -114,16 +137,20 @@ def unfused_reference(p, sched, n_iter, relaxed):
         w = p.D.forward(z) + (v - l * p.D.forward(p.D.adjoint(v)))
         vt = w - p.f1.prox(g / l, w)
         xt = z - l * p.D.adjoint(vt)
-        ress.append(math.sqrt(float((xt - x) @ (xt - x)) + lam_ref * float((vt - v) @ (vt - v))))
-        if a == 0.0:
-            v, x = vt, xt
-        else:
-            v, x = mann_combine(a, v, vt), mann_combine(a, x, xt)
-        xs.append(x)
-        vs.append(v)
-        objs.append(p.objective(x))
-        gammas.append(g)
-    return xs, vs, np.array(objs), np.array(ress), np.array(gammas)
+        res = math.sqrt(float((xt - x) @ (xt - x)) + lam_ref * float((vt - v) @ (vt - v)))
+        v_new, x_new = (vt, xt) if a == 0.0 else (mann_combine(a, v, vt), mann_combine(a, x, xt))
+        step, denom = lnorm(v_new - v, x_new - x, lam_ref), max(1.0, lnorm(v, x, lam_ref))
+        v, x = v_new, x_new
+        yield Step(v, x, p.objective(x), res, step, denom, g, l, a)
+
+
+def unfused_reference(p, sched, n_iter, relaxed):
+    steps = list(itertools.islice(
+        unfused_steps(p, sched, relaxed, float(sched.lam(0, None))), n_iter))
+    xs = [np.zeros(p.D.in_dim)] + [s.x for s in steps]
+    vs = [np.zeros(p.D.out_dim)] + [s.v for s in steps]
+    return (xs, vs, np.array([s.obj for s in steps]), np.array([s.res for s in steps]),
+            np.array([s.g for s in steps]))
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -179,13 +206,12 @@ def _pfbs(p, warm, kappa):
                      record_iterates=True, warm_start=warm)
 
 
-def pfbs_reference(p, gamma, lam, kappa, inner_stop, n_iter, warm_start):
+def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
     """``pfbs_fp2o`` before fusion: ``grad f2`` and ``D^T v_i`` afresh at every
     use, both norms of the inner test afresh, the objective from
     ``Problem.objective``."""
     v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
-    xs, vs, objs, ress, inners = [x], [v], [], [], []
-    for _ in range(n_iter):
+    while True:
         z = x - gamma * p.f2.grad(x)
         Dz = p.D.forward(z)
         vi = v if warm_start else np.zeros_like(v)
@@ -201,13 +227,18 @@ def pfbs_reference(p, gamma, lam, kappa, inner_stop, n_iter, warm_start):
             if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
                 break
         x_new = z - lam * p.D.adjoint(vi)
-        ress.append(lnorm(vi - v, x_new - x, lam))
+        step, denom = lnorm(vi - v, x_new - x, lam), max(1.0, lnorm(v, x, lam))
         v, x = vi, x_new
-        xs.append(x)
-        vs.append(v)
-        objs.append(p.objective(x))
-        inners.append(inner)
-    return xs, vs, np.array(objs), np.array(ress), np.array(inners)
+        yield Step(v, x, p.objective(x), step, step, denom, gamma, lam, kappa, inner)
+
+
+def pfbs_reference(p, gamma, lam, kappa, inner_stop, n_iter, warm_start):
+    steps = list(itertools.islice(
+        pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start), n_iter))
+    xs = [np.zeros(p.D.in_dim)] + [s.x for s in steps]
+    vs = [np.zeros(p.D.out_dim)] + [s.v for s in steps]
+    return (xs, vs, np.array([s.obj for s in steps]), np.array([s.res for s in steps]),
+            np.array([s.inner for s in steps]))
 
 
 def siu_steps(p):
@@ -215,25 +246,31 @@ def siu_steps(p):
     return 0.9 / (p.f2.lipschitz + nu * p.lambda_max_ddt), nu
 
 
-def siu_reference(p, delta, nu, n_iter):
+def siu_loop(p, delta, nu, final):
     """``siu`` before fusion: ``A x`` and ``D x`` afresh in each x-update and
-    again in ``Problem.objective``."""
+    again in ``Problem.objective``. ``final`` gets the latest ``(x, d, v)``."""
     A, b = p.f2.A, p.f2.b
     x, d, v = np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)
-    objs, ress = [], []
-    for _ in range(n_iter):
+    while True:
         x_new = x - delta * A.adjoint(A.forward(x) - b) - delta * nu * p.D.adjoint(
             p.D.forward(x) - d + v
         )
         Dx_new = p.D.forward(x_new)
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
-        ress.append(math.sqrt(float((x_new - x) @ (x_new - x))
-                              + float((d_new - d) @ (d_new - d))
-                              + float((v_new - v) @ (v_new - v))))
-        objs.append(p.objective(x_new))
+        step = math.sqrt(float((x_new - x) @ (x_new - x))
+                         + float((d_new - d) @ (d_new - d))
+                         + float((v_new - v) @ (v_new - v)))
+        denom = max(1.0, math.sqrt(float(x @ x) + float(d @ d) + float(v @ v)))
         x, d, v = x_new, d_new, v_new
-    return (x, d, v), np.array(objs), np.array(ress)
+        final[:] = [x, d, v]
+        yield Step(v, x, p.objective(x), step, step, denom, delta, nu, 0.0)
+
+
+def siu_reference(p, delta, nu, n_iter):
+    final = [None] * 3
+    steps = list(itertools.islice(siu_loop(p, delta, nu, final), n_iter))
+    return tuple(final), np.array([s.obj for s in steps]), np.array([s.res for s in steps])
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -309,3 +346,182 @@ def test_operators_returning_their_input_are_not_overwritten():
             assert_array_equal(u.x, w.x, err_msg=name)
             assert_array_equal(u.v, w.v, err_msg=name)
         assert_array_equal(got.objectives, want.objectives, err_msg=name)
+
+
+def cp_steps(p, sigma, tau, theta, lam_ref):
+    """``chambolle_pock``'s loop at constant ``sigma`` and ``tau``."""
+    vbar, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
+    y = x.copy()
+    while True:
+        vbar_new = conjugate_prox(p.f1, sigma, vbar + sigma * p.D.forward(y))
+        x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
+        y = x_new + theta * (x_new - x)
+        step = lnorm(vbar_new - vbar, x_new - x, lam_ref)
+        denom = max(1.0, lnorm(vbar, x, lam_ref))
+        vbar, x = vbar_new, x_new
+        yield Step(vbar, x, p.objective(x), step, step, denom, tau, sigma, theta)
+
+
+def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
+    """``ifp2o``'s loop: the relaxed dual iteration on ``H``, each primal
+    read off by a Cholesky solve. ``final`` gets the latest primal."""
+    cho = scipy.linalg.cho_factor(Q)
+    solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
+    Dc = D.forward(solve(b))
+    v = np.zeros(D.out_dim)
+    while True:
+        w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
+        Hv = w - f1.prox(1.0 / lam, w)
+        v_new = mann_combine(kappa, v, Hv)
+        res = float(np.linalg.norm(Hv - v))
+        step, denom = float(np.linalg.norm(v_new - v)), max(1.0, float(np.linalg.norm(v)))
+        v = v_new
+        x = solve(b - lam * D.adjoint(v))
+        final[:] = [x]
+        obj = f1.value(D.forward(x)) + 0.5 * float(x @ (Q @ x)) - float(b @ x)
+        yield Step(v, x, obj, res, step, denom, math.nan, lam, kappa)
+
+
+def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=False):
+    """The trace a reference loop gives under ``stop``: the stop test on
+    ``step / denom``, the distance to ``ref`` in the ``lam_ref`` norm, and
+    SNR/RelErr against ``x_true`` (NaN columns where these are absent)."""
+    rows, converged = [], False
+    for s in itertools.islice(steps, stop.max_iter):
+        rows.append(s)
+        if stop.tol > 0.0 and s.step / s.denom <= stop.tol:
+            converged = True
+            break
+    k = len(rows)
+    col = lambda name: np.array([getattr(s, name) for s in rows])
+    nans = np.full(k, math.nan)
+    snrs = relerrs = nans
+    if x_true is not None:
+        nt = float(np.linalg.norm(x_true))
+        nds = [float(np.linalg.norm(s.x - x_true)) for s in rows]
+        snrs = np.array([20.0 * math.log10(nt / nd) for nd in nds])
+        relerrs = np.array([(nd * nd) / (nt * nt) for nd in nds])
+    return {
+        "converged": converged,
+        "stop_reason": "converged" if converged else "budget",
+        "n_iter": k,
+        "lambda_ref": lam_ref,
+        "iters": np.arange(1, k + 1, dtype=np.int64),
+        "gammas": col("g"),
+        "lams": col("l"),
+        "alphas": col("a"),
+        "objectives": col("obj"),
+        "residuals": col("res"),
+        "dist_ref": nans if ref is None else np.array(
+            [lnorm(s.v - ref.v, s.x - ref.x, lam_ref) for s in rows]),
+        "snrs": snrs,
+        "relerrs": relerrs,
+        "inner_iters": np.array([s.inner for s in rows], dtype=np.int64) if inner else None,
+        "iterates": None if u0 is None else [u0] + [PDState(s.v, s.x) for s in rows],
+    }
+
+
+def assert_trace_matches(tr, want):
+    for name, value in want.items():
+        got = getattr(tr, name)
+        if value is None:
+            assert got is None, name
+        elif name == "iterates":
+            assert len(got) == len(value)
+            for u, w in zip(got, value):
+                assert_array_equal(u.x, w.x)
+                assert_array_equal(u.v, w.v)
+        elif isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype, name
+            assert_array_equal(got, value, err_msg=name)
+        else:
+            assert got == value, name
+
+
+def x_true_for(p):
+    return np.linspace(0.5, 1.5, p.D.in_dim)
+
+
+def ref_state_for(p):
+    return PDState(np.full(p.D.out_dim, 0.01), np.full(p.D.in_dim, 0.2))
+
+
+def dense_ifp2o_data(p):
+    """``Q = A^T A + I`` as a dense symmetric matrix and ``b = A^T b_data``."""
+    A = p.f2.A
+    Q = np.column_stack([A.adjoint(A.forward(e)) for e in np.eye(p.D.in_dim)])
+    return 0.5 * (Q + Q.T) + np.eye(p.D.in_dim), A.adjoint(p.f2.b)
+
+
+def solver_case(name, p, stop):
+    """Runs solver ``name`` under ``stop``; returns its final state arrays and
+    trace, and the reference loop's final state arrays and expected trace."""
+    g, l = p.beta, p.lambda_hi
+    xt, ref, u0 = x_true_for(p), ref_state_for(p), p.zeros()
+    common = dict(stop=stop, ref=ref, x_true=xt, record_iterates=True)
+    if name in ("pdfp2o", "ds_bb", "dsn_const", "dsn_bb"):
+        sched = {"pdfp2o": constant_schedule(g, l, problem=p),
+                 "ds_bb": bb_dynamic_schedule(p),
+                 "dsn_const": constant_schedule(g, l, 0.3, problem=p),
+                 "dsn_bb": bb_dynamic_schedule(p, alpha0=0.3)}[name]
+        if name == "pdfp2o":
+            state, tr = pdfp2o(p, g, l, **common)
+        else:
+            state, tr = (pdfp2o_ds if name == "ds_bb" else pdfp2o_dsn)(p, sched, **common)
+        lam_ref = float(sched.lam(0, None))
+        steps = unfused_steps(p, sched, name.startswith("dsn"), lam_ref)
+        want = expected_trace(steps, stop, lam_ref, u0, ref, xt)
+        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
+    if name.startswith("pfbs"):
+        _, warm, kappa = name.split("-")
+        warm, kappa = warm == "warm", float(kappa)
+        state, tr = pfbs_fp2o(p, g, l, kappa, INNER, warm_start=warm, **common)
+        want = expected_trace(pfbs_steps(p, g, l, kappa, INNER, warm), stop, l, u0, ref, xt,
+                              inner=True)
+        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
+    if name.startswith("cp"):
+        theta = float(name.split("-")[1])
+        sigma, tau = 0.9 * l / g, g
+        state, tr = chambolle_pock(p, sigma, tau, theta, **common)
+        want = expected_trace(cp_steps(p, sigma, tau, theta, sigma * tau), stop, sigma * tau,
+                              u0, ref, xt)
+        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
+    if name == "siu":
+        final = [np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)]
+        delta, nu = siu_steps(p)
+        state, tr = siu(p, delta, nu, stop=stop, x_true=xt)
+        want = expected_trace(siu_loop(p, delta, nu, final), stop, 1.0, x_true=xt)
+        return (state.x, state.d, state.v), tr, tuple(final), want
+    Q, b = dense_ifp2o_data(p)
+    lam = 1.0 / p.lambda_max_ddt
+    final = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q),
+                                    b - lam * p.D.adjoint(np.zeros(p.D.out_dim)))]
+    x, tr = ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=stop)
+    want = expected_trace(ifp2o_loop(Q, b, p.f1, p.D, lam, 0.3, final), stop, lam)
+    return (x,), tr, tuple(final), want
+
+
+SOLVER_CASES = ["pdfp2o", "ds_bb", "dsn_const", "dsn_bb",
+                *(f"pfbs-{'warm' if warm else 'cold'}-{kappa}" for warm, kappa in PFBS_CASES),
+                "cp-1.0", "cp-0.0", "siu", "ifp2o"]
+EARLY = StoppingRule(tol=1e-2, max_iter=200)
+STOPS = {"budget": STOP, "early": EARLY, "empty": StoppingRule(tol=1e-2, max_iter=0)}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("stop_name", sorted(STOPS))
+@pytest.mark.parametrize("name", SOLVER_CASES)
+def test_solver_trace_matches_reference_loop(builder, stop_name, name):
+    """Every solver's state and every trace field but ``wall_ms`` equal
+    those of its reference loop, under a fixed budget, an early stop and an
+    empty budget."""
+    p, _ = BUILDERS[builder]()
+    state, tr, want_state, want = solver_case(name, p, STOPS[stop_name])
+    assert_trace_matches(tr, want)
+    assert len(state) == len(want_state)
+    for got, w in zip(state, want_state):
+        assert_array_equal(got, w)
+    if stop_name == "early":
+        assert tr.converged and tr.n_iter < EARLY.max_iter
+    if stop_name == "empty":
+        assert tr.n_iter == 0 and len(tr.wall_ms) == 0

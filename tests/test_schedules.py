@@ -48,6 +48,16 @@ class TestConstantSchedule:
             constant_schedule(lasso1d.beta, lasso1d.lambda_hi, alpha=1.0, problem=lasso1d)
 
 
+@pytest.mark.parametrize("build", [constant_schedule, convergent_perturbation_schedule])
+def test_gamma_within_solver_margin_of_two_beta_rejected(lasso1d, build):
+    # the solvers reject gamma within 1e-12 beta of 2 beta; so do the
+    # schedules, at construction rather than at iteration 0
+    gamma = 2.0 * lasso1d.beta - 0.5e-12 * lasso1d.beta
+    assert gamma < 2.0 * lasso1d.beta
+    with pytest.raises(ValueError, match="iteration 0"):
+        build(gamma, lasso1d.lambda_hi, problem=lasso1d)
+
+
 class TestAdaptiveGamma:
     def test_identity_zero_data_gives_unit_quotient(self):
         f2 = quadratic_fn(identity_op(3), np.zeros(3))

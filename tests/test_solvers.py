@@ -435,3 +435,47 @@ class TestOptimality:
         u, tr = pdfp2o(p, gamma, lam, stop=TIGHT)
         assert tr.converged
         assert optimality_residual(p, gamma, lam, u) <= 1e-6
+
+
+class TestDivergence:
+    """A NaN in the data ends the run at its first step with reason
+    "diverged" instead of running out the budget."""
+
+    BUDGET = StoppingRule(tol=0.0, max_iter=500)
+
+    @staticmethod
+    def nan_problem():
+        p = build_denoise4()
+        b = p.f2.b.copy()
+        b[5] = np.nan
+        return make_problem(p.f1, quadratic_fn(identity_op(16), b), p.D)
+
+    @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o", "chambolle_pock", "siu"])
+    def test_nan_data_stops_as_diverged(self, solver):
+        p = self.nan_problem()
+        g, l = p.beta, p.lambda_hi
+        run = {
+            "pdfp2o": lambda: pdfp2o(p, g, l, stop=self.BUDGET),
+            "pfbs_fp2o": lambda: pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-8, 20),
+                                           stop=self.BUDGET),
+            "chambolle_pock": lambda: chambolle_pock(p, 0.9 * l / g, g, 1.0, stop=self.BUDGET),
+            "siu": lambda: siu(p, *siu_safe_steps(p), stop=self.BUDGET),
+        }[solver]
+        _, tr = run()
+        assert tr.stop_reason == "diverged"
+        assert not tr.converged
+        assert tr.n_iter == 1 and len(tr.residuals) == 1
+        assert np.isnan(tr.residuals[0])
+
+    def test_ifp2o_rejects_nan_data_in_its_solves(self):
+        # every step solves with Q, and the Cholesky solve refuses NaN input
+        p = self.nan_problem()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ifp2o(np.eye(16), p.f2.b, p.f1, p.D, p.lambda_hi, 0.3, stop=self.BUDGET)
+
+    def test_finite_runs_record_budget_or_convergence(self, denoise4):
+        g, l = denoise4.beta, denoise4.lambda_hi
+        _, tr = pdfp2o(denoise4, g, l, stop=StoppingRule(tol=0.0, max_iter=5))
+        assert (tr.stop_reason, tr.converged, tr.n_iter) == ("budget", False, 5)
+        _, tr = pdfp2o(denoise4, g, l, stop=StoppingRule(tol=1e-3, max_iter=500))
+        assert tr.stop_reason == "converged" and tr.converged and tr.n_iter < 500
