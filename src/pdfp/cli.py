@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import rate_certificate, rel_err, snr, write_trace_csv
+from .diagnostics import atomic_write, rate_certificate, rel_err_snr, write_trace_csv
 from .linops import PowerIterationError
 from .schedules import ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
@@ -308,7 +308,8 @@ def _write_summary(path, cfg, trace, final_snr, final_rel):
         f"relerr={float(final_rel)!r}",
         f"wall_ms={float(trace.wall_ms[-1])!r}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
 
 
 def run_experiment(config_path, overrides=None):
@@ -328,8 +329,7 @@ def run_experiment(config_path, overrides=None):
     out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_pgm(out / "recon.pgm", x_final.reshape(x_true.shape))
-    final_snr = snr(x_final, x_true.ravel())
-    final_rel = rel_err(x_final, x_true.ravel())
+    final_rel, final_snr = rel_err_snr(x_final, x_true.ravel())
     _write_summary(out / "summary.txt", cfg, trace, final_snr, final_rel)
     return {"converged": 0, "budget": 2, "diverged": 3}[trace.stop_reason]
 
@@ -379,7 +379,8 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
     lines = ["iter,snr_a,relerr_a,snr_b,relerr_b"]
     for row in table:
         lines.append(",".join([str(int(row[0]))] + [repr(float(c)) for c in row[1:]]))
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    with atomic_write(out_path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     for label, tr in (("a", tr_a), ("b", tr_b)):
         for thr in SNR_THRESHOLDS:
             hit = _first_crossing(tr.snrs, thr)
@@ -419,12 +420,9 @@ def certify(config_path, overrides=None):
         return 1
     out = _output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "certificate.csv"
-    path.write_text(
-        "mu,nu,eta,theta,d\n"
-        + ",".join(repr(float(v)) for v in (cert.mu, cert.nu, cert.eta, cert.theta, cert.d))
-        + "\n"
-    )
+    row = ",".join(repr(float(v)) for v in (cert.mu, cert.nu, cert.eta, cert.theta, cert.d))
+    with atomic_write(out / "certificate.csv") as fh:
+        fh.write(f"mu,nu,eta,theta,d\n{row}\n".encode())
     print(f"mu={cert.mu!r} nu={cert.nu!r} theta={cert.theta!r} d={cert.d!r}")
     return 0
 

@@ -1,6 +1,9 @@
 """Norms, residuals, image-quality metrics, and the linear-rate certificate."""
 
+import contextlib
 import math
+import os
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,11 @@ def snr(x, x_true):
 
 def rel_err(x, x_true):
     """Squared relative error ``||x - x_true||^2 / ||x_true||^2``."""
+    return rel_err_snr(x, x_true)[0]
+
+
+def rel_err_snr(x, x_true):
+    """``(rel_err(x, x_true), snr(x, x_true))`` from one difference and one norm each."""
     x = np.asarray(x, dtype=np.float64)
     x_true = np.asarray(x_true, dtype=np.float64)
     if x.shape != x_true.shape:
@@ -67,7 +75,8 @@ def rel_err(x, x_true):
     if nt == 0.0:
         raise ValueError("x_true must be nonzero")
     nd = float(np.linalg.norm(x - x_true))
-    return (nd * nd) / (nt * nt)
+    snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
+    return (nd * nd) / (nt * nt), snr_db
 
 
 def fixed_point_residual(p, gamma, lam, u):
@@ -237,6 +246,24 @@ def _fmt(value):
     return repr(float(value))
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a temporary binary file beside ``path``; move it onto ``path`` when done.
+
+    Readers of ``path`` see the previous file or the whole new one. If the
+    body raises, the temporary file is removed and ``path`` is untouched.
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_trace_csv(trace, path):
     """Serialize a run trace to CSV (one row per iteration, '.' decimals)."""
     lines = [TRACE_CSV_HEADER]
@@ -257,5 +284,5 @@ def write_trace_csv(trace, path):
                 )
             )
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())

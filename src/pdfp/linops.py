@@ -59,10 +59,25 @@ class SparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if i.size and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
             raise ValueError("triplet index out of range")
-        coo = scipy.sparse.coo_matrix((v, (i, j)), shape=(rows, cols))
-        self._csr = coo.tocsr()
+        # a stable sort keeps each row's triplets in input order, as coo.tocsr() does
+        order = np.argsort(i, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=self.rows))))
+        self._set_csr(v[order], j[order], indptr)
+
+    @classmethod
+    def _from_csr(cls, rows, cols, data, indices, indptr):
+        """Wrap CSR arrays whose rows need not be sorted or free of duplicates."""
+        M = cls.__new__(cls)
+        M.rows, M.cols = int(rows), int(cols)
+        M._set_csr(data, indices, indptr)
+        return M
+
+    def _set_csr(self, data, indices, indptr):
+        # sorts each row's indices and sums duplicates in the order coo.tocsr()
+        # does, so both constructors give the same arrays bit for bit
+        self._csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=self.shape)
         self._csr.sum_duplicates()
-        self._csc = None
+        self._csr_t = None
 
     @classmethod
     def identity(cls, n):
@@ -92,9 +107,9 @@ class SparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.rows}, got {v.shape}")
-        if self._csc is None:
-            self._csc = self._csr.T.tocsr()
-        return self._csc @ v
+        if self._csr_t is None:
+            self._csr_t = self._csr.T.tocsr()
+        return self._csr_t @ v
 
     def to_dense(self):
         return self._csr.toarray()

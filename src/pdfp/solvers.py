@@ -290,13 +290,9 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
         cols["dref"].append(
             _lnorm(row.v - ref.v, row.x - ref.x, lam_ref) if ref is not None else math.nan
         )
-        if x_true is None:
-            cols["rel"].append(math.nan)
-            cols["snr"].append(math.nan)
-        else:
-            # rel_err first: it names the error a zero x_true raises
-            cols["rel"].append(diagnostics.rel_err(row.x, x_true))
-            cols["snr"].append(diagnostics.snr(row.x, x_true))
+        rel, snr_db = (math.nan,) * 2 if x_true is None else diagnostics.rel_err_snr(row.x, x_true)
+        cols["rel"].append(rel)
+        cols["snr"].append(snr_db)
         cols["wall"].append((time.perf_counter() - t0) * 1e3)
         if record_iterates:
             iterates.append(PDState(row.v.copy(), row.x.copy()))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import atomic_write
 from .linops import SparseMatrix, diff_op_2d, gaussian_blur_op, identity_op, matrix_op
 from .prox import group_l2_norm_fn, l1_norm_fn, quadratic_fn
 from .solvers import make_problem
@@ -96,45 +97,6 @@ def paper_ct_geometry(n=256):
     return TomoGeometry(image_side=n, angles_deg=tuple(range(0, 180, 10)), rays_per_angle=rays)
 
 
-def _ray_segments(n, x0, y0, ux, uy):
-    """Intersection lengths of the line (x0, y0) + s (ux, uy) with the pixel grid.
-
-    Returns (rows, cols, lengths) arrays for the unit-pixel grid covering
-    [-n/2, n/2]^2. A ray running exactly along a pixel edge is credited to
-    the pixel with the larger index (floor of the boundary coordinate).
-    """
-    half = n / 2.0
-    s_lo, s_hi = -np.inf, np.inf
-    for p0, d in ((x0, ux), (y0, uy)):
-        if d == 0.0:
-            if not (-half <= p0 <= half):
-                return None
-        else:
-            s1 = (-half - p0) / d
-            s2 = (half - p0) / d
-            s_lo = max(s_lo, min(s1, s2))
-            s_hi = min(s_hi, max(s1, s2))
-    if not (s_lo < s_hi):
-        return None
-    grid = np.arange(n + 1) - half
-    parts = [np.array([s_lo, s_hi])]
-    for p0, d in ((x0, ux), (y0, uy)):
-        if d != 0.0:
-            s = (grid - p0) / d
-            parts.append(s[(s > s_lo) & (s < s_hi)])
-    s = np.sort(np.concatenate(parts))
-    lengths = np.diff(s)
-    keep = lengths > 1e-12
-    if not keep.any():
-        return None
-    mids = 0.5 * (s[:-1] + s[1:])[keep]
-    lengths = lengths[keep]
-    cols = np.floor(x0 + mids * ux + half).astype(np.int64)
-    rows = np.floor(y0 + mids * uy + half).astype(np.int64)
-    ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    return rows[ok], cols[ok], lengths[ok]
-
-
 def build_projection_matrix(g):
     """Line-length parallel-beam system matrix for a :class:`TomoGeometry`.
 
@@ -144,25 +106,63 @@ def build_projection_matrix(g):
     """
     n = g.image_side
     p = g.rays_per_angle
-    ri, ci, vi = [], [], []
-    for a, ang in enumerate(g.angles_deg):
-        t = math.radians(ang)
-        ux, uy = -math.sin(t), math.cos(t)
-        wx, wy = math.cos(t), math.sin(t)
-        for k in range(p):
-            off = (k - (p - 1) / 2.0) * g.detector_spacing
-            seg = _ray_segments(n, off * wx, off * wy, ux, uy)
-            if seg is None:
-                continue
-            rows, cols, lengths = seg
-            ri.append(np.full(rows.size, a * p + k, dtype=np.int64))
-            ci.append(rows * n + cols)
-            vi.append(lengths)
-    if ri:
-        triplets = (np.concatenate(ri), np.concatenate(ci), np.concatenate(vi))
-    else:
-        triplets = ([], [], [])
-    return SparseMatrix(g.n_rows, g.n_cols, triplets)
+    offs = (np.arange(p) - (p - 1) / 2.0) * g.detector_spacing
+    idx_dtype = np.int32 if g.n_cols <= np.iinfo(np.int32).max else np.int64
+    data, indices, counts = [], [], []
+    for ang in g.angles_deg:
+        lengths, cols, ray = _trace_angle(n, offs, math.radians(ang))
+        data.append(lengths)
+        indices.append(cols.astype(idx_dtype))
+        counts.append(np.bincount(ray, minlength=p))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    # each list is dropped as soon as it is joined, which bounds the peak memory
+    data = np.concatenate(data)
+    indices = np.concatenate(indices)
+    return SparseMatrix._from_csr(g.n_rows, g.n_cols, data, indices, indptr)
+
+
+def _trace_angle(n, offs, t):
+    """Siddon's parametric tracing of the rays at offsets ``offs``, angle ``t`` (radians).
+
+    Each ray's entry into and exit from the unit-pixel grid over
+    ``[-n/2, n/2]^2`` and its grid-line crossings are sorted; each gap
+    longer than 1e-12 goes to the pixel holding its midpoint, so a ray
+    along a pixel edge goes to the pixel with the larger index. Returns each
+    gap's length, pixel (flattened) and ray (index into ``offs``), in ray
+    order and then along the ray.
+    """
+    half = n / 2.0
+    ux, uy = -math.sin(t), math.cos(t)
+    x0, y0 = offs * math.cos(t), offs * math.sin(t)
+    s_lo, s_hi = np.full(offs.size, -np.inf), np.full(offs.size, np.inf)
+    hit = np.ones(offs.size, dtype=bool)
+    for p0, d in ((x0, ux), (y0, uy)):
+        if d == 0.0:
+            hit &= (-half <= p0) & (p0 <= half)
+        else:
+            s1, s2 = (-half - p0) / d, (half - p0) / d
+            np.maximum(s_lo, np.minimum(s1, s2), out=s_lo)
+            np.minimum(s_hi, np.maximum(s1, s2), out=s_hi)
+    hit &= s_lo < s_hi
+    # one row per ray: entry, exit and the grid crossings strictly between
+    # them; NaN marks an unused slot, sorts last and fails the length test
+    grid = np.arange(n + 1) - half
+    parts = [s_lo[:, None], s_hi[:, None]]
+    for p0, d in ((x0, ux), (y0, uy)):
+        if d != 0.0:
+            s = (grid - p0[:, None]) / d
+            s[~((s > s_lo[:, None]) & (s < s_hi[:, None]))] = np.nan
+            parts.append(s)
+    s = np.concatenate(parts, axis=1)
+    s[~hit] = np.nan
+    s.sort(axis=1)
+    lengths = np.diff(s, axis=1)
+    ray, seg = np.nonzero(lengths > 1e-12)
+    mids = 0.5 * (s[ray, seg] + s[ray, seg + 1])
+    cols = np.floor(x0[ray] + mids * ux + half).astype(np.int64)
+    rows = np.floor(y0[ray] + mids * uy + half).astype(np.int64)
+    ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    return lengths[ray[ok], seg[ok]], rows[ok] * n + cols[ok], ray[ok]
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def write_pgm(path, image):
         raise ValueError("image must be 2-D")
     h, w = image.shape
     data = np.round(np.clip(np.nan_to_num(image), 0.0, 1.0) * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
         fh.write(data.tobytes())
 

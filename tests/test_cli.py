@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +207,42 @@ class TestCertify:
         # strong-convexity route does not apply
         cfg = write_cfg(tmp_path / "d.cfg", **{"solver.sigma_strong": "1.0"})
         assert certify(cfg) == 1
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize(
+        "target", ["trace.csv", "recon.pgm", "summary.txt", "merged.csv", "certificate.csv"])
+    def test_failed_write_keeps_previous_artifact(self, tmp_path, monkeypatch, target):
+        solve_cfg = write_cfg(tmp_path / "s.cfg", **{"run.max_iter": "20", "run.tol": "0"})
+        cert_cfg = write_cfg(tmp_path / "l.cfg", **{"problem.kind": "lasso",
+                                                    "solver.gamma": "1.0",
+                                                    "schedule.alpha": "0.5"})
+        out = tmp_path / "out"
+        runs = [lambda o: run_experiment(solve_cfg, o),
+                lambda o: compare(solve_cfg, solve_cfg, out / "merged.csv", o),
+                lambda o: certify(cert_cfg, o)]
+        assert [run(None) for run in runs] == [2, 0, 0]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == target:
+                raise OSError("no space left on device")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        # another seed and budget change every artifact's content
+        failed = 0
+        for run in runs:
+            try:
+                run({"run.max_iter": 7, "run.seed": 4})
+            except OSError:
+                failed += 1
+        assert failed == 1
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted(before)
+        assert after[target] == before[target]
+        assert sum(after[name] != before[name] for name in before) >= 1
 
 
 class TestScheduleClamp:

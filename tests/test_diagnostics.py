@@ -31,6 +31,7 @@ from pdfp import (
     zero_prox_fn,
     SparseMatrix,
 )
+from pdfp.diagnostics import atomic_write, rel_err_snr
 from conftest import TIGHT_STOP
 
 
@@ -116,6 +117,25 @@ class TestSnrRelErr:
     def test_rel_err_rejects_zero_truth(self):
         with pytest.raises(ValueError):
             rel_err(np.ones(2), np.zeros(2))
+
+    def test_one_pass_pair_matches_two_pass_formulas(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            x_true = rng.standard_normal(7)
+            x = x_true + rng.standard_normal(7) * 10.0 ** rng.uniform(-9, 1)
+            nt, nd = float(np.linalg.norm(x_true)), float(np.linalg.norm(x - x_true))
+            rel, snr_db = rel_err_snr(x, x_true)
+            assert rel == (nd * nd) / (nt * nt) and rel == rel_err(x, x_true)
+            assert snr_db == 20.0 * math.log10(nt / nd) and snr_db == snr(x, x_true)
+        assert rel_err_snr(x_true, x_true.copy()) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.ones(2)])
+    def test_zero_truth_rejected_by_pair_and_solver(self, x, denoise4):
+        with pytest.raises(ValueError, match="x_true must be nonzero"):
+            rel_err_snr(x, np.zeros(2))
+        with pytest.raises(ValueError, match="x_true must be nonzero"):
+            pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi,
+                   stop=StoppingRule(tol=0.0, max_iter=2), x_true=np.zeros(16))
 
     def test_snr_relerr_consistency(self):
         rng = np.random.default_rng(4)
@@ -292,3 +312,24 @@ class TestTraceCsv:
         write_trace_csv(tr, path)
         body = path.read_text().splitlines()[1]
         assert ",nan,nan," in body
+
+
+class TestAtomicWrite:
+    def test_writer_raising_mid_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="disk full"):
+            with atomic_write(path) as fh:
+                fh.write(b"half of the new")
+                fh.flush()
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == b"previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
+
+    def test_replaces_whole_file_and_leaves_nothing_else(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"a much longer previous content\n")
+        with atomic_write(path) as fh:
+            fh.write(b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -525,3 +525,27 @@ def test_solver_trace_matches_reference_loop(builder, stop_name, name):
         assert tr.converged and tr.n_iter < EARLY.max_iter
     if stop_name == "empty":
         assert tr.n_iter == 0 and len(tr.wall_ms) == 0
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_cp_stop_test_divides_by_the_old_state(builder):
+    """``chambolle_pock`` stops on ``change / max(1, ||old state||)``. The
+    tolerance here falls between that ratio and the one over the new state
+    at the first step where the two straddle a value no earlier step
+    reaches, so the stop iteration tells which state the code divides by."""
+    p, _ = BUILDERS[builder]()
+    sigma, tau = 0.9 * p.lambda_hi / p.beta, p.beta
+    lam_ref = sigma * tau
+    rows = list(itertools.islice(cp_steps(p, sigma, tau, 1.0, lam_ref), 400))
+    old = [s.step / s.denom for s in rows]
+    new = [s.step / max(1.0, lnorm(s.v, s.x, lam_ref)) for s in rows]
+    n = next(k for k in range(1, len(rows))
+             if max(old[k], new[k]) < min(old[:k] + new[:k]) and old[k] != new[k])
+    tol = 0.5 * (old[n] + new[n])
+    stop = StoppingRule(tol=tol, max_iter=len(rows))
+    state, tr = chambolle_pock(p, sigma, tau, 1.0, stop=stop)
+    want = expected_trace(iter(rows), stop, lam_ref)
+    assert_trace_matches(tr, want)
+    assert_array_equal(state.x, rows[tr.n_iter - 1].x)
+    assert_array_equal(state.v, rows[tr.n_iter - 1].v)
+    assert (tr.n_iter == n + 1) == (old[n] < new[n])

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.linalg as la
 import pytest
+import scipy.sparse
 
 from pdfp import (
     PowerIterationError,
@@ -141,6 +142,19 @@ class TestSparseMatrix:
     def test_duplicate_triplets_are_summed(self):
         M = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 0, 2.5), (1, 1, 1.0)])
         np.testing.assert_allclose(M.to_dense(), [[3.5, 0.0], [0.0, 1.0]])
+
+    def test_duplicates_sum_as_a_coo_matrix_does(self):
+        # unsorted rows and columns, repeats of up to five entries per position
+        # and values of mixed magnitude, so the summation order shows in the bits
+        rng = np.random.default_rng(7)
+        i, j = rng.integers(0, 6, 300), rng.integers(0, 5, 300)
+        v = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 9, 300)
+        want = scipy.sparse.coo_matrix((v, (i, j)), shape=(7, 5)).tocsr()
+        want.sum_duplicates()
+        got = SparseMatrix(7, 5, (i, j, v))._csr
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from pdfp import (
     StoppingRule,
@@ -121,6 +123,115 @@ class TestProjectionMatrix:
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(c1, c2)
         np.testing.assert_array_equal(v1, v2)
+
+
+def ray_segments_reference(n, x0, y0, ux, uy):
+    """One ray's (rows, cols, lengths), traced alone: the former per-ray loop."""
+    half = n / 2.0
+    s_lo, s_hi = -np.inf, np.inf
+    for p0, d in ((x0, ux), (y0, uy)):
+        if d == 0.0:
+            if not (-half <= p0 <= half):
+                return None
+        else:
+            s1 = (-half - p0) / d
+            s2 = (half - p0) / d
+            s_lo = max(s_lo, min(s1, s2))
+            s_hi = min(s_hi, max(s1, s2))
+    if not (s_lo < s_hi):
+        return None
+    grid = np.arange(n + 1) - half
+    parts = [np.array([s_lo, s_hi])]
+    for p0, d in ((x0, ux), (y0, uy)):
+        if d != 0.0:
+            s = (grid - p0) / d
+            parts.append(s[(s > s_lo) & (s < s_hi)])
+    s = np.sort(np.concatenate(parts))
+    lengths = np.diff(s)
+    keep = lengths > 1e-12
+    if not keep.any():
+        return None
+    mids = 0.5 * (s[:-1] + s[1:])[keep]
+    lengths = lengths[keep]
+    cols = np.floor(x0 + mids * ux + half).astype(np.int64)
+    rows = np.floor(y0 + mids * uy + half).astype(np.int64)
+    ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
+    return rows[ok], cols[ok], lengths[ok]
+
+
+def projection_matrix_reference(g):
+    """The CSR the former assembly made: one ray at a time, int64 triplets,
+    through a COO matrix."""
+    n, p = g.image_side, g.rays_per_angle
+    ri, ci, vi = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for a, ang in enumerate(g.angles_deg):
+        t = math.radians(ang)
+        ux, uy = -math.sin(t), math.cos(t)
+        wx, wy = math.cos(t), math.sin(t)
+        for k in range(p):
+            off = (k - (p - 1) / 2.0) * g.detector_spacing
+            seg = ray_segments_reference(n, off * wx, off * wy, ux, uy)
+            if seg is None:
+                continue
+            rows, cols, lengths = seg
+            ri.append(np.full(rows.size, a * p + k, dtype=np.int64))
+            ci.append(rows * n + cols)
+            vi.append(lengths)
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate(vi), (np.concatenate(ri), np.concatenate(ci))), shape=(g.n_rows, g.n_cols)
+    )
+    csr = coo.tocsr()
+    csr.sum_duplicates()
+    return csr
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+ASSEMBLY_CASES = {
+    "paper16": paper_ct_geometry(16),
+    "paper64": paper_ct_geometry(64),
+    "paper256": paper_ct_geometry(256),
+    # 0 degrees is the one angle whose direction has an exact zero component
+    "angle0": TomoGeometry(image_side=12, angles_deg=(0.0,), rays_per_angle=19),
+    "angle90": TomoGeometry(image_side=12, angles_deg=(90.0,), rays_per_angle=19),
+    "angle179.5": TomoGeometry(image_side=12, angles_deg=(179.5,), rays_per_angle=19),
+    "spacing0.5": TomoGeometry(image_side=10, angles_deg=(0.0, 33.0, 90.0, 145.0),
+                               rays_per_angle=31, detector_spacing=0.5),
+    "spacing1.3": TomoGeometry(image_side=10, angles_deg=(0.0, 33.0, 90.0, 145.0),
+                               rays_per_angle=13, detector_spacing=1.3),
+    # offsets up to +-12 over a 6-pixel image: most rays miss it
+    "misses": TomoGeometry(image_side=6, angles_deg=(0.0, 45.0, 120.0), rays_per_angle=25),
+    "side2": TomoGeometry(image_side=2, angles_deg=(0.0, 45.0, 90.0, 135.0), rays_per_angle=5),
+}
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_CASES))
+    def test_csr_matches_per_ray_reference(self, name):
+        g = ASSEMBLY_CASES[name]
+        got = build_projection_matrix(g)._csr
+        want = projection_matrix_reference(g)
+        assert_same_csr(got, want)
+        if name == "misses":
+            empty = np.diff(want.indptr) == 0
+            assert empty[:25].any() and empty[25:].any() and not empty.all()
+
+    def test_peak_memory_within_two_and_a_half_csr_sizes(self):
+        g = paper_ct_geometry(256)
+        tracemalloc.start()
+        try:
+            A = build_projection_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr = A._csr
+        assert A.nnz == 1497424
+        assert peak <= 2.5 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 class TestMakeTomoProblem:
