@@ -96,11 +96,7 @@ CONFIG_KEYS = {
 }
 
 # Keys that must agree for two configs to target the same experiment.
-PROBLEM_IDENTITY_KEYS = (
-    "problem.kind", "problem.size", "problem.noise", "problem.reg_weight",
-    "problem.tv", "problem.angle_step", "problem.angle_count", "problem.rays",
-    "problem.blur_radius", "problem.blur_sigma", "run.seed",
-)
+PROBLEM_IDENTITY_KEYS = tuple(k for k in CONFIG_KEYS if k.startswith("problem.")) + ("run.seed",)
 
 
 def parse_config_text(text):

@@ -50,14 +50,7 @@ def snr(x, x_true):
 
     Returns ``inf`` when the two images agree exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_true = np.asarray(x_true, dtype=np.float64)
-    if x.shape != x_true.shape:
-        raise ValueError("images must have the same shape")
-    nd = float(np.linalg.norm(x - x_true))
-    if nd == 0.0:
-        return math.inf
-    return 20.0 * math.log10(float(np.linalg.norm(x_true)) / nd)
+    return rel_err_snr(x, x_true)[1]
 
 
 def rel_err(x, x_true):
@@ -144,52 +137,6 @@ def _dense_gram(D):
     return B
 
 
-def _lambda_min_inverse_power(B, tol=1e-10, max_iter=500, seed=0):
-    """Smallest eigenvalue of a dense symmetric PSD matrix by shifted inverse iteration."""
-    m = B.shape[0]
-    shift = -1e-10 * max(float(np.trace(B)) / m, 1.0)
-    try:
-        lu = scipy.linalg.lu_factor(B - shift * np.eye(m))
-    except scipy.linalg.LinAlgError:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(m)
-    z /= np.linalg.norm(z)
-    lam_prev = None
-    lam = 0.0
-    for _ in range(max_iter):
-        w = scipy.linalg.lu_solve(lu, z)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0 or not np.isfinite(nw):
-            return 0.0
-        z = w / nw
-        lam = float(z @ (B @ z))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            break
-        lam_prev = lam
-    return max(lam, 0.0)
-
-
-def _lambda_max_power(B, tol=1e-12, max_iter=5000, seed=0):
-    m = B.shape[0]
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(m)
-    z /= np.linalg.norm(z)
-    lam_prev = None
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ z
-        lam = float(z @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(abs(lam), 1e-300):
-            break
-        z = w / nw
-        lam_prev = lam
-    return lam
-
-
 def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=None):
     """Geometric-rate certificate for strongly convex data and full-row-rank ``D``.
 
@@ -201,8 +148,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
 
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
-    exceeds the desk-scale limit of 5000 (the smallest eigenvalue is found
-    by dense shifted inverse power iteration).
+    exceeds the desk-scale limit of 5000 (the extreme eigenvalues come
+    from a dense symmetric eigensolver).
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -211,9 +158,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     m = p.D.out_dim
     if m > 5000:
         return None
-    B = _dense_gram(p.D)
-    lam_min = _lambda_min_inverse_power(B)
-    lam_max = _lambda_max_power(B)
+    eigs = scipy.linalg.eigvalsh(_dense_gram(p.D))
+    lam_min, lam_max = max(float(eigs[0]), 0.0), float(eigs[-1])
     if not (0.0 < gamma < 2.0 * p.beta):
         raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
     lam_hi = math.inf if lam_max == 0.0 else (1.0 + 1e-9) / lam_max
@@ -250,14 +196,17 @@ def _fmt(value):
 def atomic_write(path):
     """Open a temporary binary file beside ``path``; move it onto ``path`` when done.
 
-    Readers of ``path`` see the previous file or the whole new one. If the
-    body raises, the temporary file is removed and ``path`` is untouched.
+    Readers of ``path`` see the previous file or the whole new one, whose data
+    is synced to disk before the rename. If the body raises, the temporary
+    file is removed and ``path`` is untouched.
     """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

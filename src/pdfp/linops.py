@@ -7,6 +7,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 
+# Relative tolerance of the power-iteration spectral estimates that set the
+# stepsize bounds; each estimate is inflated by ``1 + POWER_TOL``.
+POWER_TOL = 1e-6
+
+
 class PowerIterationError(RuntimeError):
     """Power iteration failed to converge; ``best_estimate`` holds the last value."""
 
@@ -57,6 +62,8 @@ class SparseMatrix:
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         v = np.asarray(v, dtype=np.float64)
+        if not i.shape == j.shape == v.shape:
+            raise ValueError(f"triplet arrays differ in length: {i.size}, {j.size}, {v.size}")
         if i.size and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
             raise ValueError("triplet index out of range")
         # a stable sort keeps each row's triplets in input order, as coo.tocsr() does

@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable
 
-from .linops import op_norm_sq
+from .linops import POWER_TOL, op_norm_sq
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,11 @@ def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
     return True
 
 
-def quadratic_fn(A, b, power_tol=1e-6, power_seed=0):
+def quadratic_fn(A, b, power_seed=0):
     """Least-squares term ``0.5*||A x - b||^2`` as a :class:`SmoothFn`.
 
     The Lipschitz constant of the gradient is estimated by power iteration
-    and inflated by ``1 + power_tol`` so stepsize bounds derived from it stay
+    and inflated by ``1 + POWER_TOL`` so stepsize bounds derived from it stay
     on the safe side of estimation error.
     """
     b = np.asarray(b, dtype=np.float64)
@@ -207,7 +207,7 @@ def quadratic_fn(A, b, power_tol=1e-6, power_seed=0):
     if A.norm_sq_hint is not None:
         L = float(A.norm_sq_hint)
     else:
-        L = op_norm_sq(A, tol=power_tol, seed=power_seed) * (1.0 + power_tol)
+        L = op_norm_sq(A, tol=POWER_TOL, seed=power_seed) * (1.0 + POWER_TOL)
     if L <= 0:
         raise ValueError("A must be nonzero")
 

@@ -38,21 +38,20 @@ def constant_schedule(gamma, lam, alpha=0.0, problem=None):
     )
 
 
-def bb_gamma_raw(f2, x, half_numerator=False):
+def bb_gamma_raw(f2, x):
     """The adaptive stepsize quotient before clamping.
 
-    Returns ``||A x - b||^2 / ||grad f2(x)||^2`` for a quadratic data term
-    (``half_numerator=True`` uses ``0.5 ||A x - b||^2`` instead). The
-    special values: NaN when the gradient vanishes, 0.0 when only the
+    Returns ``||A x - b||^2 / ||grad f2(x)||^2`` for a quadratic data term.
+    The special values: NaN when the gradient vanishes, 0.0 when only the
     residual vanishes.
     """
     if not isinstance(f2, QuadraticFn):
         raise ValueError("the adaptive stepsize rule needs a quadratic data term")
-    return _bb_quotient(Iterate.at(f2, x), half_numerator)
+    return _bb_quotient(Iterate.at(f2, x))
 
 
-def _bb_quotient(it, half_numerator):
-    num = it.value if half_numerator else 2.0 * it.value
+def _bb_quotient(it):
+    num = 2.0 * it.value
     den = float(it.grad @ it.grad)
     if num == 0.0:
         return 0.0
@@ -84,7 +83,7 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     alpha = _clip(float(alpha0), a_lo, a_hi)
 
     def gamma(n, it):
-        raw = _bb_quotient(it, False)
+        raw = _bb_quotient(it)
         if math.isnan(raw):
             return g_hi
         return _clip(raw, g_lo, g_hi)

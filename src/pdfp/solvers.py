@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from . import diagnostics
-from .linops import LinearOp, op_norm_sq
+from .linops import POWER_TOL, LinearOp, op_norm_sq
 from .prox import QuadraticFn, conjugate_prox
 
 
@@ -66,11 +66,11 @@ class Problem:
         return 1.0 / self.lambda_max_ddt
 
 
-def make_problem(f1, f2, D, power_tol=1e-6, power_seed=0):
+def make_problem(f1, f2, D, power_seed=0):
     """Assemble a :class:`Problem`, caching the spectral bound of ``D D^T``.
 
     Operators carrying an exact spectral bound use it; otherwise the
-    power-iteration estimate is inflated by ``1 + power_tol`` so that
+    power-iteration estimate is inflated by ``1 + POWER_TOL`` so that
     stepsizes chosen as ``1 / lambda_max_ddt`` never exceed the theoretical
     bound through estimation error.
     """
@@ -83,7 +83,7 @@ def make_problem(f1, f2, D, power_tol=1e-6, power_seed=0):
     if D.norm_sq_hint is not None:
         lam_max = float(D.norm_sq_hint)
     else:
-        lam_max = op_norm_sq(D, tol=power_tol, seed=power_seed) * (1.0 + power_tol)
+        lam_max = op_norm_sq(D, tol=POWER_TOL, seed=power_seed) * (1.0 + POWER_TOL)
     return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz, lambda_max_ddt=lam_max)
 
 
@@ -117,7 +117,6 @@ class Schedule:
     gamma: Callable
     lam: Callable
     alpha: Callable
-    kappa: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -559,26 +558,6 @@ def _as_source(value):
     return lambda n: value
 
 
-def _cg(apply_A, rhs, x0, tol, max_iter=1000):
-    """Conjugate gradient for SPD systems, to a relative residual of ``tol``."""
-    x = x0.copy()
-    r = rhs - apply_A(x)
-    d = r.copy()
-    rs = float(r @ r)
-    target = tol * max(float(np.linalg.norm(rhs)), 1e-300)
-    for _ in range(max_iter):
-        if math.sqrt(rs) <= target:
-            break
-        Ad = apply_A(d)
-        alpha = rs / float(d @ Ad)
-        x += alpha * d
-        r -= alpha * Ad
-        rs_new = float(r @ r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    return x
-
-
 def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
     """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``."""
     if not isinstance(f2, QuadraticFn):
@@ -588,9 +567,13 @@ def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
     A, b = f2.A, f2.b
     if A.tag == "identity":
         return (w + tau * b) / (1.0 + tau)
+    # imported here: scipy.sparse.linalg adds about 2 MB to every process
+    from scipy.sparse.linalg import LinearOperator, cg
+
     rhs = w + tau * A.adjoint(b)
-    apply_M = lambda y: y + tau * A.adjoint(A.forward(y))
-    return _cg(apply_M, rhs, x0, tol)
+    M = LinearOperator((A.in_dim, A.in_dim), matvec=lambda y: y + tau * A.adjoint(A.forward(y)),
+                       dtype=np.float64)
+    return cg(M, rhs, x0=x0, rtol=tol, maxiter=1000)[0]
 
 
 def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,

@@ -167,7 +167,7 @@ def _trace_angle(n, offs, t):
 
 @dataclass(frozen=True)
 class TomoProblem:
-    """A measured imaging problem: system matrix, noisy data, ground truth."""
+    """A measured imaging problem: data operator (matrix or LinearOp), noisy data, ground truth."""
 
     A: object
     b: np.ndarray
@@ -190,13 +190,17 @@ def add_relative_noise(clean, noise_level, rng):
     return clean + e
 
 
+def _measure(clean, noise_level, seed):
+    """``clean`` plus relative noise drawn from the seed's noise stream."""
+    rng = np.random.default_rng(seed_stream(seed, NOISE_CHANNEL))
+    return add_relative_noise(clean, noise_level, rng)
+
+
 def make_tomo_problem(g, noise_level, seed):
     """Phantom + projection matrix + noisy sinogram for a scan geometry."""
     x_true = shepp_logan(g.image_side)
     A = build_projection_matrix(g)
-    clean = A.matvec(x_true.ravel())
-    rng = np.random.default_rng(seed_stream(seed, NOISE_CHANNEL))
-    b = add_relative_noise(clean, noise_level, rng)
+    b = _measure(A.matvec(x_true.ravel()), noise_level, seed)
     return TomoProblem(A=A, b=b, x_true=x_true, noise_level=noise_level)
 
 
@@ -212,7 +216,7 @@ def _tv_prox_fn(h, w, reg_weight, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def make_tv_problem(t, reg_weight, variant="anisotropic", power_tol=1e-6, power_seed=0):
+def make_tv_problem(t, reg_weight, variant="anisotropic", power_seed=0):
     """Assemble ``min 0.5 ||A x - b||^2 + reg_weight * TV(x)`` from a TomoProblem.
 
     ``variant`` selects the penalty paired with the stacked differences:
@@ -223,20 +227,17 @@ def make_tv_problem(t, reg_weight, variant="anisotropic", power_tol=1e-6, power_
     h, w = t.shape
     D = diff_op_2d(h, w, variant)
     A_op = matrix_op(t.A) if isinstance(t.A, SparseMatrix) else t.A
-    f2 = quadratic_fn(A_op, t.b, power_tol=power_tol, power_seed=power_seed)
+    f2 = quadratic_fn(A_op, t.b, power_seed=power_seed)
     f1 = _tv_prox_fn(h, w, reg_weight, variant)
-    return make_problem(f1, f2, D, power_tol=power_tol, power_seed=power_seed)
+    return make_problem(f1, f2, D, power_seed=power_seed)
 
 
 def make_denoise_problem(n, noise_level, seed, reg_weight, variant="anisotropic"):
     """TV denoising of a noisy phantom: identity data operator."""
     x_true = shepp_logan(n)
-    rng = np.random.default_rng(seed_stream(seed, NOISE_CHANNEL))
-    b = add_relative_noise(x_true.ravel(), noise_level, rng)
-    f2 = quadratic_fn(identity_op(n * n), b)
-    f1 = _tv_prox_fn(n, n, reg_weight, variant)
-    problem = make_problem(f1, f2, diff_op_2d(n, n, variant))
-    return problem, x_true
+    b = _measure(x_true.ravel(), noise_level, seed)
+    t = TomoProblem(A=identity_op(n * n), b=b, x_true=x_true, noise_level=noise_level)
+    return make_tv_problem(t, reg_weight, variant), x_true
 
 
 def make_deblur_problem(n, radius, sigma, noise_level, seed, reg_weight,
@@ -244,13 +245,9 @@ def make_deblur_problem(n, radius, sigma, noise_level, seed, reg_weight,
     """TV deblurring of a blurred, noisy phantom."""
     x_true = shepp_logan(n)
     A = gaussian_blur_op(n, n, radius, sigma)
-    clean = A.forward(x_true.ravel())
-    rng = np.random.default_rng(seed_stream(seed, NOISE_CHANNEL))
-    b = add_relative_noise(clean, noise_level, rng)
-    f2 = quadratic_fn(A, b, power_seed=power_seed)
-    f1 = _tv_prox_fn(n, n, reg_weight, variant)
-    problem = make_problem(f1, f2, diff_op_2d(n, n, variant), power_seed=power_seed)
-    return problem, x_true
+    b = _measure(A.forward(x_true.ravel()), noise_level, seed)
+    t = TomoProblem(A=A, b=b, x_true=x_true, noise_level=noise_level)
+    return make_tv_problem(t, reg_weight, variant, power_seed=power_seed), x_true
 
 
 def make_lasso_problem(n, noise_level, seed, reg_weight):
@@ -261,8 +258,7 @@ def make_lasso_problem(n, noise_level, seed, reg_weight):
     certificate applies to this problem (strong convexity 1, full row rank).
     """
     x_true = shepp_logan(n)
-    rng = np.random.default_rng(seed_stream(seed, NOISE_CHANNEL))
-    b = add_relative_noise(x_true.ravel(), noise_level, rng)
+    b = _measure(x_true.ravel(), noise_level, seed)
     f2 = quadratic_fn(identity_op(n * n), b)
     f1 = l1_norm_fn(n * n, weight=reg_weight)
     problem = make_problem(f1, f2, identity_op(n * n))
@@ -293,19 +289,3 @@ def read_pgm(path):
             raise ValueError("expected a 16-bit PGM (maxval 65535)")
         raw = np.frombuffer(fh.read(2 * w * h), dtype=">u2")
     return raw.reshape(h, w).astype(np.float64) / 65535.0
-
-
-def write_image_csv(path, image):
-    np.savetxt(path, np.asarray(image, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
-def read_image_csv(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def write_sinogram_csv(path, b, n_angles):
-    """Write a sinogram as CSV with one row per projection angle."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.size % n_angles:
-        raise ValueError("sinogram length is not a multiple of the angle count")
-    np.savetxt(path, b.reshape(n_angles, -1), delimiter=",", fmt="%.17g")

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 
 import numpy as np
@@ -333,3 +334,25 @@ class TestAtomicWrite:
             fh.write(b"new\n")
         assert path.read_bytes() == b"new\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_syncs_the_whole_temporary_file_before_the_rename(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", st.st_ino, st.st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        with atomic_write(tmp_path / "out.txt") as fh:
+            fh.write(b"new\n")
+        (synced, ino, size), (moved, moved_ino, dst) = events
+        assert (synced, moved) == ("fsync", "replace")
+        # the file synced holds all the data and is the one renamed
+        assert (size, moved_ino, dst) == (4, ino, "out.txt")

@@ -36,7 +36,6 @@ from pdfp import (
     quadratic_fn,
     siu,
 )
-from pdfp.solvers import _quadratic_resolvent
 from conftest import DENOISE4_DATA
 
 N_ITER = 20
@@ -348,13 +347,40 @@ def test_operators_returning_their_input_are_not_overwritten():
         assert_array_equal(got.objectives, want.objectives, err_msg=name)
 
 
+def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):
+    """The primal resolvent ``(I + tau A^T A)^{-1}(w + tau A^T b)`` by a
+    hand-written conjugate gradient from ``x0``; scipy's ``cg``, which
+    ``chambolle_pock`` calls, must agree with it bit for bit."""
+    A, b = f2.A, f2.b
+    if A.tag == "identity":
+        return (w + tau * b) / (1.0 + tau)
+    rhs = w + tau * A.adjoint(b)
+    apply_M = lambda y: y + tau * A.adjoint(A.forward(y))
+    x = x0.copy()
+    r = rhs - apply_M(x)
+    d = r.copy()
+    rs = float(r @ r)
+    target = tol * max(float(np.linalg.norm(rhs)), 1e-300)
+    for _ in range(max_iter):
+        if math.sqrt(rs) <= target:
+            break
+        Ad = apply_M(d)
+        alpha = rs / float(d @ Ad)
+        x += alpha * d
+        r -= alpha * Ad
+        rs_new = float(r @ r)
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    return x
+
+
 def cp_steps(p, sigma, tau, theta, lam_ref):
     """``chambolle_pock``'s loop at constant ``sigma`` and ``tau``."""
     vbar, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
     y = x.copy()
     while True:
         vbar_new = conjugate_prox(p.f1, sigma, vbar + sigma * p.D.forward(y))
-        x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
+        x_new = resolvent_reference(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
         step = lnorm(vbar_new - vbar, x_new - x, lam_ref)
         denom = max(1.0, lnorm(vbar, x, lam_ref))

@@ -162,6 +162,13 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, [(0, -1, 1.0)])
 
+    def test_triplet_arrays_of_different_lengths_rejected(self):
+        # a longer value array was cut short, a longer column array ignored
+        # and a longer row array failed with a bare IndexError
+        for trip in (([0], [0], [1.0, 2.0]), ([0], [0, 1], [1.0]), ([0, 1], [0], [1.0])):
+            with pytest.raises(ValueError, match="differ in length"):
+                SparseMatrix(2, 2, trip)
+
     def test_matvec_dimension_mismatch(self):
         M = SparseMatrix.identity(3)
         with pytest.raises(ValueError):

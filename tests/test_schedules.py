@@ -70,12 +70,6 @@ class TestAdaptiveGamma:
         raw = bb_gamma_raw(quad2.f2, np.array([1.0, 1.0]))
         assert raw == pytest.approx(5.0 / 17.0, rel=1e-14)
 
-    def test_half_numerator_switch(self, quad2):
-        x = np.array([1.0, 1.0])
-        assert bb_gamma_raw(quad2.f2, x, half_numerator=True) == pytest.approx(
-            2.5 / 17.0, rel=1e-14
-        )
-
     def test_zero_residual_clamps_low(self, quad2):
         sched = bb_dynamic_schedule(quad2)
         # at the exact solution the residual (and gradient) vanish; the

@@ -33,8 +33,12 @@ from pdfp import (
     zero_prox_fn,
     Schedule,
     SparseMatrix,
+    TomoGeometry,
+    make_tomo_problem,
+    make_tv_problem,
 )
-from conftest import DENOISE4_REF_OBJECTIVE, build_denoise4, build_lasso1d
+from pdfp.solvers import _quadratic_resolvent
+from conftest import DENOISE4_REF_OBJECTIVE, build_deblur8, build_denoise4, build_lasso1d
 
 TIGHT = StoppingRule(tol=1e-13, max_iter=200000)
 
@@ -324,6 +328,29 @@ class TestChambollePock:
             assert np.linalg.norm(x1 - u1.x) <= 1e-12
             y_next = u1.x - gamma * p.f2.grad(u1.x) - lam * p.D.adjoint(u1.v)
             assert np.linalg.norm(y1 - y_next) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["deblur8", "ct16"])
+    def test_primal_resolvent_solves_its_linear_system(self, name):
+        # the CG solve must meet its 1e-10 relative residual on the true
+        # residual, from a zero and from a warm start, without touching x0
+        if name == "deblur8":
+            p = build_deblur8()
+        else:
+            geom = TomoGeometry(image_side=16, angles_deg=(0.0, 30.0, 60.0, 90.0, 120.0, 150.0),
+                                rays_per_angle=23)
+            p = make_tv_problem(make_tomo_problem(geom, 0.01, seed=3), 0.05)
+        A, b = p.f2.A, p.f2.b
+        rng = np.random.default_rng(11)
+        n = A.in_dim
+        for tau in (0.1 * p.beta, p.beta, 10.0 * p.beta):
+            for x0 in (np.zeros(n), rng.standard_normal(n)):
+                w = rng.standard_normal(n)
+                x0_before = x0.copy()
+                x = _quadratic_resolvent(p.f2, tau, w, x0)
+                rhs = w + tau * A.adjoint(b)
+                res = x + tau * A.adjoint(A.forward(x)) - rhs
+                assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
+                np.testing.assert_array_equal(x0, x0_before)
 
     def test_unsupported_smooth_term_raises(self):
         from pdfp import SmoothFn, UnsupportedProblemError

@@ -21,7 +21,6 @@ from pdfp import (
     write_pgm,
     SparseMatrix,
 )
-from pdfp.tomo import read_image_csv, write_image_csv, write_sinogram_csv
 
 
 class TestSheppLogan:
@@ -338,17 +337,3 @@ class TestImageIO:
         raw = path.read_bytes()
         assert raw.endswith(b"\xff\xff")
 
-    def test_image_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        img = rng.uniform(0.0, 1.0, (4, 6))
-        path = tmp_path / "img.csv"
-        write_image_csv(path, img)
-        np.testing.assert_allclose(read_image_csv(path), img, rtol=1e-15)
-
-    def test_sinogram_csv_one_row_per_angle(self, tmp_path):
-        b = np.arange(12, dtype=float)
-        path = tmp_path / "sino.csv"
-        write_sinogram_csv(path, b, n_angles=3)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert [float(v) for v in lines[0].split(",")] == [0.0, 1.0, 2.0, 3.0]
