@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import atomic_write, rate_certificate, rel_err_snr, write_trace_csv
+from .diagnostics import CERTIFICATE_MAX_DUAL_DIM, atomic_write, rate_certificate, \
+    rel_err_snr, write_trace_csv
 from .linops import PowerIterationError
 from .schedules import ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
@@ -412,7 +413,10 @@ def certify(config_path, overrides=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if cert is None:
-        print("certificate not applicable: contraction factors reach 1", file=sys.stderr)
+        why = "contraction factors reach 1"
+        if problem.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
+            why = f"dual dimension {problem.D.out_dim} exceeds the limit of {CERTIFICATE_MAX_DUAL_DIM}"
+        print(f"certificate not applicable: {why}", file=sys.stderr)
         return 1
     out = _output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,9 @@ from . import solvers
 
 TRACE_CSV_HEADER = "iter,gamma,lambda,alpha,objective,residual,snr,relerr,wall_ms"
 
+# Largest dual dimension whose D D^T the rate certificate decomposes densely.
+CERTIFICATE_MAX_DUAL_DIM = 5000
+
 
 class InvariantViolationError(RuntimeError):
     """A quantity that should be nonnegative came out significantly negative."""
@@ -22,7 +25,7 @@ def lambda_norm(u, lam):
     """Product-space norm ``sqrt(||x||^2 + lam * ||v||^2)`` of a (v, x) state."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return math.sqrt(float(u.x @ u.x) + lam * float(u.v @ u.v))
+    return solvers._lnorm(u.v, u.x, lam)
 
 
 def m_seminorm(v, D, lam):
@@ -148,20 +151,19 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
 
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
-    exceeds the desk-scale limit of 5000 (the extreme eigenvalues come
-    from a dense symmetric eigensolver).
+    exceeds ``CERTIFICATE_MAX_DUAL_DIM`` (the extreme eigenvalues come from
+    a dense symmetric eigensolver). ``gamma`` is checked before the size.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if not (0.0 < alpha_lo <= alpha_hi < 1.0):
         raise ValueError("alpha clamp must satisfy 0 < alpha_lo <= alpha_hi < 1")
-    m = p.D.out_dim
-    if m > 5000:
+    if not (0.0 < gamma < 2.0 * p.beta):
+        raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
+    if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
         return None
     eigs = scipy.linalg.eigvalsh(_dense_gram(p.D))
     lam_min, lam_max = max(float(eigs[0]), 0.0), float(eigs[-1])
-    if not (0.0 < gamma < 2.0 * p.beta):
-        raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
     lam_hi = math.inf if lam_max == 0.0 else (1.0 + 1e-9) / lam_max
     if not (0.0 < lam <= lam_hi):
         raise ValueError(f"lam={lam} out of range (0, {lam_hi}]")
@@ -179,8 +181,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     a0 = alpha_lo if alpha0 is None else float(alpha0)
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
-    vt, xt, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x),
-                                   p.D.adjoint(u0.v))
+    vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x),
+                                      p.D.adjoint(u0.v))
     u1 = solvers.PDState(solvers.mann_combine(a0, u0.v, vt), solvers.mann_combine(a0, u0.x, xt))
     d = lambda_norm(solvers.PDState(u1.v - u0.v, u1.x - u0.x), lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)

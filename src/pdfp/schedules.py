@@ -99,10 +99,15 @@ def _resolve_clamp(p, clamp):
     a_lo, a_hi = ALPHA_CLAMP
     if clamp is not None:
         g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = (float(c) for c in clamp)
-    if not (0.0 < g_lo <= g_hi < 2.0 * p.beta):
-        raise ValueError("gamma clamp must sit strictly inside (0, 2 beta)")
-    if not (0.0 < l_lo <= l_hi <= p.lambda_hi):
-        raise ValueError("lambda clamp must sit inside (0, 1/lambda_max(D D^T)]")
+    if not g_lo <= g_hi:
+        raise ValueError("gamma clamp must have gamma_lo <= gamma_hi")
+    if not l_lo <= l_hi:
+        raise ValueError("lambda clamp must have lambda_lo <= lambda_hi")
+    # the ends must pass the checks the solver applies to every emitted step
+    for g in (g_lo, g_hi):
+        _check_gamma(g, p.beta, 0)
+    for l in (l_lo, l_hi):
+        _check_lambda(l, p.lambda_hi, 0)
     if not (0.0 < a_lo <= a_hi < 1.0):
         raise ValueError("alpha clamp must sit strictly inside (0, 1)")
     return g_lo, g_hi, l_lo, l_hi, a_lo, a_hi

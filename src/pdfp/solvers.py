@@ -2,10 +2,11 @@
 
 The family shares one iteration kernel: a forward step on the smooth term,
 a shrinkage step on the dual variable, and a dual correction of the primal,
-optionally relaxed by a convex combination with the previous state. The
-comparison solvers (an inner/outer splitting, an inverse-matrix fixed point
-scheme, a primal-dual hybrid gradient scheme, and a split inexact Uzawa
-scheme) expose the standard forms the kernel is equivalent to.
+optionally relaxed by a convex combination with the previous state; the
+inner/outer splitting runs the same kernel with an inner loop of dual
+steps. The comparison solvers (an inverse-matrix fixed point scheme, a
+primal-dual hybrid gradient scheme, and a split inexact Uzawa scheme)
+expose the standard forms the kernel is equivalent to.
 """
 
 import math
@@ -204,17 +205,37 @@ def _dual_step(f1, t, l, Dz, v, DDt_v):
     return w
 
 
-def _tentative(p, g, l, v, x, grad, Dt_v):
-    """One unrelaxed fixed-point step from (v, x) at stepsizes (g, l).
+def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0):
+    """A fixed-point step from (v, x) at stepsizes (g, l).
 
-    Takes ``Dt_v = D^T v`` and returns ``(v', x', D^T v')``, so a caller
-    stepping on from ``v'`` need not apply ``D^T`` to it again.
+    The dual update runs up to ``inner_stop.max_iter`` dual steps from
+    ``v``, each relaxed by ``kappa``, and ends early once a step's change
+    relative to ``max(1, ||v_i||)`` falls to ``inner_stop.tol``; with no
+    ``inner_stop`` it is one unrelaxed dual step, which makes this the
+    operator ``T``. Takes ``Dt_v = D^T v`` and returns ``(v', x', D^T v',
+    k)`` with ``k`` the number of dual steps taken, so a caller stepping on
+    from ``v'`` need not apply ``D^T`` to it again.
     """
+    budget, tol = (1, 0.0) if inner_stop is None else (inner_stop.max_iter, inner_stop.tol)
     z = x - g * grad
-    vt = _dual_step(p.f1, g / l, l, p.D.forward(z), v, p.D.forward(Dt_v))
-    Dt_vt = p.D.adjoint(vt)
-    z -= l * Dt_vt
-    return vt, z, Dt_vt
+    Dz = p.D.forward(z)
+    k = 0
+    for k in range(1, budget + 1):
+        Hv = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v))
+        v_new = Hv if kappa == 0.0 else mann_combine(kappa, v, Hv)
+        Dt_v = p.D.adjoint(v_new)
+        done = tol > 0.0 and (float(np.linalg.norm(v_new - v))
+                              / max(1.0, float(np.linalg.norm(v))) <= tol)
+        v = v_new
+        if done:
+            break
+    z -= l * Dt_v
+    return v, z, Dt_v, k
+
+
+def _const(value):
+    value = float(value)
+    return lambda n, it: value
 
 
 def apply_T(p, gamma, lam, u):
@@ -225,10 +246,7 @@ def apply_T(p, gamma, lam, u):
     by the adjoint of the new dual. Parameters outside the admissible
     ranges raise ``ValueError``.
     """
-    _check_gamma(gamma, p.beta, 0)
-    _check_lambda(lam, p.lambda_hi, 0)
-    vt, xt, _ = _tentative(p, gamma, lam, u.v, u.x, p.f2.grad(u.x), p.D.adjoint(u.v))
-    return PDState(vt, xt)
+    return apply_Tn(p, Schedule(_const(gamma), _const(lam), None), 0, u)
 
 
 def apply_Tn(p, sched, n, u):
@@ -238,7 +256,7 @@ def apply_Tn(p, sched, n, u):
     l = float(sched.lam(n, it))
     _check_gamma(g, p.beta, n)
     _check_lambda(l, p.lambda_hi, n)
-    vt, xt, _ = _tentative(p, g, l, u.v, u.x, it.grad, p.D.adjoint(u.v))
+    vt, xt, _, _ = _tentative(p, g, l, u.v, u.x, it.grad, p.D.adjoint(u.v))
     return PDState(vt, xt)
 
 
@@ -322,9 +340,9 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     )
 
 
-def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
-                ref=None, x_true=None, record_iterates=False):
-    """Shared step of the fixed-point family (plain, relaxed, dynamic).
+def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=None,
+                record_iterates=False, inner_stop=None, kappa=0.0, warm_start=True):
+    """Shared step of the fixed-point family (plain, relaxed, dynamic, inner loop).
 
     Each quantity is computed once: ``f2`` data of every iterate comes from
     one ``f2.value_and_grad`` call that feeds both the trace's objective
@@ -333,6 +351,13 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
     each (a relaxed step applies ``D^T`` a second time, to the relaxed
     dual), plus ``D`` three times. The residual column holds the unrelaxed
     step's change; the stop test reads the relaxed one.
+
+    With ``inner_stop`` (``pfbs_fp2o``), the dual update is the inner loop
+    of :func:`_tentative`, relaxed by ``kappa`` and started from ``v``
+    (``warm_start``) or from zero, and the trace records ``kappa`` as alpha
+    and the inner-iteration counts. A step with ``k`` inner steps applies
+    ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a cold start needs no
+    ``D^T v``.
     """
     u0 = p.zeros() if u0 is None else u0
     v = np.array(u0.v, dtype=np.float64)
@@ -349,9 +374,11 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
         _check_gamma(g, p.beta, n)
         _check_lambda(l, p.lambda_hi, n)
         _check_alpha(a, n)
-        if Dt_v is None:
+        if warm_start and Dt_v is None:
             Dt_v = p.D.adjoint(v)
-        vt, xt, Dt_vt = _tentative(p, g, l, v, x, it.grad, Dt_v)
+        # D^T 0 = 0, so the cold start needs no operator call
+        v0, Dt_v0 = (v, Dt_v) if warm_start else (np.zeros_like(v), np.zeros_like(x))
+        vt, xt, Dt_vt, k = _tentative(p, g, l, v0, x, it.grad, Dt_v0, inner_stop, kappa)
         res = _lnorm(vt - v, xt - x, lam_ref)
         if a == 0.0:
             v_new, x_new, Dt_v = vt, xt, Dt_vt
@@ -365,15 +392,12 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop,
         v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(p.D.forward(x_new)) + it.value
-        return _Row(v_new, x_new, obj, res, change, denom, g=g, l=l, a=a)
+        return _Row(v_new, x_new, obj, res, change, denom, g=g, l=l,
+                    a=a if inner_stop is None else kappa, inner=k)
 
-    trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates)
+    trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates,
+                   inner=inner_stop is not None)
     return PDState(v, it.x), trace
-
-
-def _const(value):
-    value = float(value)
-    return lambda n, it: value
 
 
 def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
@@ -452,47 +476,10 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     ``A^T`` once each, ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a
     warm-started run adds one ``D^T`` at its start.
     """
-    _check_gamma(gamma, p.beta, 0)
-    _check_lambda(lam, p.lambda_hi, 0)
     _check_alpha(kappa, 0)
-    u0 = p.zeros() if u0 is None else u0
-    v = np.array(u0.v, dtype=np.float64)
-    it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
-    # D^T v of the outer iterate, carried from step to step
-    Dt_v = p.D.adjoint(v) if warm_start else None
-
-    def step(n):
-        nonlocal v, it, Dt_v
-        x = it.x
-        z = x - gamma * it.grad
-        Dz = p.D.forward(z)
-        if warm_start:
-            vi, Dt_vi = v, Dt_v
-        else:
-            # D^T 0 = 0, so the cold start needs no operator call
-            vi, Dt_vi = np.zeros_like(v), np.zeros_like(x)
-        inner = 0
-        for _ in range(inner_stop.max_iter):
-            Hv = _dual_step(p.f1, gamma / lam, lam, Dz, vi, p.D.forward(Dt_vi))
-            vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
-            Dt_vi = p.D.adjoint(vi_new)
-            inner += 1
-            dv = float(np.linalg.norm(vi_new - vi))
-            ref_v = max(1.0, float(np.linalg.norm(vi)))
-            vi = vi_new
-            if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
-                break
-        z -= lam * Dt_vi
-        change = _lnorm(vi - v, z - x, lam)
-        denom = max(1.0, _lnorm(v, x, lam))
-        v, Dt_v, it = vi, Dt_vi, Iterate.at(p.f2, z)
-        # summed in the order of Problem.objective, so the rounding matches
-        obj = p.f1.value(p.D.forward(z)) + it.value
-        return _Row(vi, z, obj, change, change, denom, g=gamma, l=lam, a=kappa, inner=inner)
-
-    trace = _drive(step, stop, lam, PDState(v, it.x), x_true, ref, record_iterates,
-                   inner=True)
-    return PDState(v, it.x), trace
+    return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop, ref=ref, x_true=x_true,
+                       record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
+                       warm_start=warm_start)
 
 
 def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):

@@ -3,11 +3,14 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdfp.prox
-from pdfp import PowerIterationError
-from pdfp.cli import ExperimentConfig, ConfigError, certify, compare, main, \
+from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
+    make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu, \
+    write_trace_csv
+from pdfp.cli import SOLVER_NAMES, ExperimentConfig, ConfigError, certify, compare, main, \
     parse_config_text, run_experiment
 
 
@@ -119,6 +122,30 @@ class TestSolve:
         cfg = write_cfg(tmp_path / f"{solver}.cfg", **extra)
         assert run_experiment(cfg) == 2  # fixed budget, tolerance disabled
 
+    @pytest.mark.parametrize("solver", SOLVER_NAMES)
+    def test_solver_defaults_match_library_call(self, tmp_path, solver):
+        # the documented per-solver defaults, spelled out against the library
+        cfg = write_cfg(tmp_path / "c.cfg", **{"solver.name": solver, "run.max_iter": "30",
+                                               "run.tol": "0"})
+        assert run_experiment(cfg) == 2
+        p, x_true = make_denoise_problem(16, 0.05, 3, 0.1)
+        g, l, xt = 1.99 * p.beta, p.lambda_hi, x_true.ravel()
+        kw = dict(stop=StoppingRule(tol=0.0, max_iter=30), x_true=xt)
+        runs = {
+            "pdfp2o": lambda: pdfp2o(p, g, l, **kw),
+            "pdfp2o_kappa": lambda: pdfp2o_kappa(p, g, l, 0.5, **kw),
+            "pdfp2o_ds": lambda: pdfp2o_ds(p, constant_schedule(g, l, problem=p), **kw),
+            "pdfp2o_dsn": lambda: pdfp2o_dsn(p, constant_schedule(g, l, 0.5, problem=p), **kw),
+            "pfbs_fp2o": lambda: pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-10, 200), **kw),
+            "ifp2o": lambda: ifp2o(np.eye(256), p.f2.b, p.f1, p.D, l, 0.5, stop=kw["stop"]),
+            "cp": lambda: chambolle_pock(p, min(l, 0.99 * p.lambda_hi) / g, g, 1.0, **kw),
+            "siu": lambda: siu(p, 0.9 / (p.f2.lipschitz + l / g * p.lambda_max_ddt), l / g,
+                               **kw),
+        }
+        write_trace_csv(runs[solver]()[1], tmp_path / "lib.csv")
+        assert (read_trace_without_wall(tmp_path / "out" / "trace.csv")
+                == read_trace_without_wall(tmp_path / "lib.csv"))
+
     def test_siu_default_steps_converge(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", **{"solver.name": "siu", "run.max_iter": "200",
                                                "run.tol": "0"})
@@ -202,11 +229,19 @@ class TestCertify:
         mu, nu, eta, theta, d = (float(v) for v in text[1].split(","))
         assert 0.0 <= eta < 1.0 and 0.0 < theta < 1.0 and d > 0.0
 
-    def test_tv_problem_not_certifiable(self, tmp_path):
+    def test_tv_problem_not_certifiable(self, tmp_path, capsys):
         # the stacked difference operator is rank deficient, so the
         # strong-convexity route does not apply
         cfg = write_cfg(tmp_path / "d.cfg", **{"solver.sigma_strong": "1.0"})
         assert certify(cfg) == 1
+        assert "contraction factors reach 1" in capsys.readouterr().err
+
+    def test_size_limit_named_as_the_reason(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "d.cfg", **{"problem.size": "64"})
+        assert certify(cfg) == 1
+        err = capsys.readouterr().err
+        assert "dual dimension 8192 exceeds" in err and "limit of 5000" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestAtomicArtifacts:

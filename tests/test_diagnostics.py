@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import pdfp.diagnostics
 from pdfp import (
     InvariantViolationError,
     PDState,
@@ -20,6 +21,7 @@ from pdfp import (
     l1_norm_fn,
     lambda_norm,
     m_seminorm,
+    make_denoise_problem,
     make_problem,
     matrix_op,
     pdfp2o,
@@ -186,7 +188,7 @@ class TestFejerCheck:
         x = np.array([5.0])
         iterates = [PDState(v.copy(), x.copy())]
         for _ in range(25):
-            v, x, _ = _tentative(p, gamma, 1.0, v, x, p.f2.grad(x), p.D.adjoint(v))
+            v, x, _, _ = _tentative(p, gamma, 1.0, v, x, p.f2.grad(x), p.D.adjoint(v))
             iterates.append(PDState(v.copy(), x.copy()))
         trace = _trace_with_iterates(iterates)
         u_hat = PDState(np.array([0.1]), np.array([0.9]))
@@ -287,6 +289,18 @@ class TestRateCertificate:
         p = synthetic_certifiable_problem()
         with pytest.raises(ValueError):
             rate_certificate(p, p.beta, 1.0, 0.1, 0.9, sigma=0.0)
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_gamma_checked_before_size_limit_and_gram(self, side, monkeypatch):
+        # the dual dimension 2 side^2 is 512 (under the dense limit) or 8192 (over it)
+        p, _ = make_denoise_problem(side, 0.05, 1, 0.1)
+
+        def no_gram(D):
+            raise AssertionError("D D^T was assembled for an invalid gamma")
+
+        monkeypatch.setattr(pdfp.diagnostics, "_dense_gram", no_gram)
+        with pytest.raises(ValueError, match="gamma="):
+            rate_certificate(p, 10.0 * p.beta, p.lambda_hi, 0.1, 0.9, sigma=1.0)
 
 
 class TestTraceCsv:

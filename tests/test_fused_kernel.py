@@ -310,6 +310,35 @@ def test_pfbs_fp2o_matches_unfused_reference(builder, warm, kappa):
     assert_array_equal(tr.inner_iters, inners)
 
 
+# Inner rules at the edges of the inner loop: no dual step at all, exactly
+# one, and the full budget with the inner tolerance test switched off.
+INNER_EDGES = {"budget0": StoppingRule(tol=1e-2, max_iter=0),
+               "budget1": StoppingRule(tol=1e-2, max_iter=1),
+               "tol0": StoppingRule(tol=0.0, max_iter=5)}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("warm,kappa", PFBS_CASES)
+@pytest.mark.parametrize("inner", sorted(INNER_EDGES))
+def test_pfbs_fp2o_inner_edges_match_unfused_reference(builder, warm, kappa, inner):
+    p, _ = BUILDERS[builder]()
+    g, l, rule = 1.99 * p.beta, p.lambda_hi, INNER_EDGES[inner]
+    xt, ref = x_true_for(p), ref_state_for(p)
+    state, tr = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
+                          record_iterates=True, warm_start=warm)
+    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
+                          inner=True)
+    assert_trace_matches(tr, want)
+    assert_array_equal(state.x, want["iterates"][-1].x)
+    assert_array_equal(state.v, want["iterates"][-1].v)
+    assert np.all(tr.inner_iters == rule.max_iter)
+    if (inner, warm, kappa) == ("budget1", True, 0.0):
+        # one warm-started unrelaxed inner step is pdfp2o, field for field
+        _, tr_p = pdfp2o(p, g, l, stop=STOP, ref=ref, x_true=xt, record_iterates=True)
+        assert_trace_matches(tr, {name: getattr(tr_p, name) for name in want
+                                  if name != "inner_iters"})
+
+
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_siu_matches_unfused_reference(builder):
     p, _ = BUILDERS[builder]()

@@ -48,7 +48,14 @@ class TestConstantSchedule:
             constant_schedule(lasso1d.beta, lasso1d.lambda_hi, alpha=1.0, problem=lasso1d)
 
 
-@pytest.mark.parametrize("build", [constant_schedule, convergent_perturbation_schedule])
+def bb_dynamic_clamped_at(gamma, lam, problem):
+    """``bb_dynamic_schedule`` whose clamp tops out at ``gamma`` and ``lam``."""
+    clamp = (0.01 * problem.beta, gamma, 1e-6 * lam, lam, 0.1, 0.9)
+    return bb_dynamic_schedule(problem, clamp=clamp)
+
+
+@pytest.mark.parametrize(
+    "build", [constant_schedule, convergent_perturbation_schedule, bb_dynamic_clamped_at])
 def test_gamma_within_solver_margin_of_two_beta_rejected(lasso1d, build):
     # the solvers reject gamma within 1e-12 beta of 2 beta; so do the
     # schedules, at construction rather than at iteration 0
