@@ -152,7 +152,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
     exceeds ``CERTIFICATE_MAX_DUAL_DIM`` (the extreme eigenvalues come from
-    a dense symmetric eigensolver). ``gamma`` is checked before the size.
+    a dense symmetric eigensolver). ``gamma``, and that ``lam`` is positive
+    and finite, are checked before the size; ``lam``'s upper end after it.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -160,6 +161,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
         raise ValueError("alpha clamp must satisfy 0 < alpha_lo <= alpha_hi < 1")
     if not (0.0 < gamma < 2.0 * p.beta):
         raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"lam={lam} must be positive and finite")
     if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
         return None
     eigs = scipy.linalg.eigvalsh(_dense_gram(p.D))

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .linops import POWER_TOL, op_norm_sq
 
@@ -16,11 +16,18 @@ class ProxFn:
     ``prox(t, z)`` returns ``argmin_y t*f(y) + 0.5*||y - z||^2`` for ``t > 0``.
     The scale is taken at call time because solvers with dynamic stepsizes
     change it every iteration.
+
+    ``conj_proj(t, w)``, optional, overwrites the float64 array ``w`` with
+    ``w - prox(t, w)`` and returns it. For a norm this is, by Moreau's
+    identity, the projection of ``w`` onto ``t * dom f*``; it agrees with
+    ``w - prox(t, w)`` up to rounding. The solvers' dual step uses it when
+    it is given and ``w - prox(t, w)`` otherwise.
     """
 
     dim: int
     value: Callable
     prox: Callable
+    conj_proj: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -48,10 +55,16 @@ class QuadraticFn(SmoothFn):
         return 0.5 * float(r @ r), self.A.adjoint(r)
 
 
-def l1_prox(t, z):
-    """Componentwise soft threshold ``sign(z) * max(|z| - t, 0)``."""
+def _positive(t):
+    """``t``, once checked to be positive."""
     if t <= 0:
         raise ValueError("t must be positive")
+    return t
+
+
+def l1_prox(t, z):
+    """Componentwise soft threshold ``sign(z) * max(|z| - t, 0)``."""
+    _positive(t)
     z = np.asarray(z, dtype=np.float64)
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
@@ -90,9 +103,10 @@ class _Partition:
 
     When group ``g`` is ``{g, g + G, g + 2G, ...}`` for ``G`` groups of one
     size (the layout of the isotropic TV penalty on stacked differences),
-    both work on a ``(size, G)`` view of the vector and add its rows in
-    index order, the order ``np.bincount`` adds in, so either layout gives
-    the same bits. Other partitions go through ``np.bincount``.
+    norms and scaling work on the vector's ``G``-long slices, the rows of
+    a ``(size, G)`` view; the norms add the rows' squares in index order,
+    the order ``np.bincount`` adds in, so either layout gives the same
+    bits. Other partitions go through ``np.bincount``.
     """
 
     def __init__(self, dim, groups):
@@ -101,43 +115,52 @@ class _Partition:
         strided = n > 0 and dim % n == 0 and np.array_equal(self.gid, np.arange(dim) % n)
         self.rows = dim // n if strided else None
 
-    def _norms(self, z):
-        """Group norms and, for the strided layout, the ``(size, G)`` array of
-        squares whose row 0 they overwrite (None otherwise)."""
-        if self.rows is None:
-            return np.sqrt(np.bincount(self.gid, weights=z * z, minlength=self.n_groups)), None
-        sq = (z * z).reshape(self.rows, self.n_groups)
-        norms = sq[0]
-        for row in sq[1:]:
-            norms += row
-        return np.sqrt(norms, out=norms), sq
+    def _rows(self, z):
+        """The strided layout's ``G``-long slices ``z[r*G:(r+1)*G]``, views of ``z``."""
+        G = self.n_groups
+        return [z[r * G:(r + 1) * G] for r in range(self.rows)]
 
     def norms(self, z):
-        return self._norms(z)[0]
+        """Group norms; the strided layout adds the squares row by row into
+        ``G``-sized buffers, never into a ``(size, G)`` array of squares."""
+        if self.rows is None:
+            return np.sqrt(np.bincount(self.gid, weights=z * z, minlength=self.n_groups))
+        first, *rest = self._rows(z)
+        norms = np.multiply(first, first)
+        sq = np.empty_like(norms)
+        for row in rest:
+            norms += np.multiply(row, row, out=sq)
+        return np.sqrt(norms, out=norms)
+
+    def _scaled(self, z, scale, out):
+        """``out_g = z_g * scale_g`` for every group; returns ``out``."""
+        if self.rows is None:
+            return np.multiply(z, scale[self.gid], out=out)
+        for zr, o in zip(self._rows(z), self._rows(out)):
+            np.multiply(zr, scale, out=o)
+        return out
 
     def shrink(self, t, z):
-        """``z_g * max(1 - t/||z_g||, 0)`` per group; zero where ``||z_g||`` is 0 or NaN.
-
-        The strided layout computes in the one buffer it returns.
-        """
-        norms, sq = self._norms(z)
+        """``z_g * max(1 - t/||z_g||, 0)`` per group; zero where ``||z_g||`` is 0 or NaN."""
+        norms = self.norms(z)
         nz = norms > 0.0
         scale = np.divide(t, norms, out=norms, where=nz)
         np.subtract(1.0, scale, out=scale)
         np.maximum(scale, 0.0, out=scale)
         scale[~nz] = 0.0
-        if sq is None:
-            return z * scale[self.gid]
-        zr = z.reshape(sq.shape)
-        np.multiply(zr[1:], scale, out=sq[1:])
-        np.multiply(zr[0], scale, out=sq[0])  # last: sq[0] holds the scale
-        return sq.ravel()
+        return self._scaled(z, scale, np.empty_like(z))
+
+    def project(self, t, w):
+        """Overwrite ``w`` with ``w_g * t / max(||w_g||, t)`` per group, its
+        projection onto the product of balls ``||w_g|| <= t``, and return it."""
+        norms = self.norms(w)
+        scale = np.divide(t, np.maximum(norms, t, out=norms), out=norms)
+        return self._scaled(w, scale, w)
 
 
 def group_l2_prox(t, z, groups):
     """Blockwise shrinkage ``z_g * max(1 - t/||z_g||, 0)`` over a partition."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _positive(t)
     z = np.asarray(z, dtype=np.float64)
     return _Partition(z.size, groups).shrink(t, z)
 
@@ -148,8 +171,7 @@ def conjugate_prox(f, t, z):
     This realizes the Moreau decomposition: for any ``z`` and ``t > 0``,
     ``z = prox_{t f}(z) + t * prox_{(1/t) f*}(z / t)`` holds up to rounding.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _positive(t)
     z = np.asarray(z, dtype=np.float64)
     return z - t * f.prox(1.0 / t, z / t)
 
@@ -176,8 +198,7 @@ def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
     ``w``. Passing ``x`` overrides the prox output (useful to confirm that
     perturbed points fail the test).
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _positive(t)
     z = np.asarray(z, dtype=np.float64)
     if x is None:
         x = f.prox(t, z)
@@ -222,35 +243,40 @@ def quadratic_fn(A, b, power_seed=0):
 
 
 def zero_prox_fn(dim):
-    """The zero function; its prox is the identity."""
-    return ProxFn(dim=dim, value=lambda z: 0.0, prox=lambda t, z: np.asarray(z, dtype=np.float64).copy())
+    """The zero function; its prox is the identity, and ``w - prox(t, w)``
+    is zero (NaN where ``w`` is not finite)."""
+    return ProxFn(dim=dim, value=lambda z: 0.0,
+                  prox=lambda t, z: np.asarray(z, dtype=np.float64).copy(),
+                  conj_proj=lambda t, w: np.subtract(w, w, out=w))
 
 
 def l1_norm_fn(dim, weight=1.0):
-    """Weighted l1 norm ``weight * ||z||_1``."""
+    """Weighted l1 norm ``weight * ||z||_1``; ``conj_proj`` clips to
+    ``[-t*weight, t*weight]``."""
     if weight <= 0:
         raise ValueError("weight must be positive")
+
+    def conj_proj(t, w):
+        c = _positive(t) * weight
+        return np.clip(w, -c, c, out=w)
+
     return ProxFn(
         dim=dim,
         value=lambda z: weight * float(np.sum(np.abs(z))),
         prox=lambda t, z: l1_prox(t * weight, z),
+        conj_proj=conj_proj,
     )
 
 
 def group_l2_norm_fn(dim, groups, weight=1.0):
-    """Weighted mixed l1-l2 norm ``weight * sum_g ||z_g||_2`` over a partition."""
+    """Weighted mixed l1-l2 norm ``weight * sum_g ||z_g||_2`` over a partition;
+    ``conj_proj`` scales each group into the ball of radius ``t*weight``."""
     if weight <= 0:
         raise ValueError("weight must be positive")
     part = _Partition(dim, groups)
-
-    def value(z):
-        z = np.asarray(z, dtype=np.float64)
-        return weight * float(part.norms(z).sum())
-
-    def prox(t, z):
-        if t <= 0:
-            raise ValueError("t must be positive")
-        z = np.asarray(z, dtype=np.float64)
-        return part.shrink(t * weight, z)
-
-    return ProxFn(dim=dim, value=value, prox=prox)
+    return ProxFn(
+        dim=dim,
+        value=lambda z: weight * float(part.norms(np.asarray(z, dtype=np.float64)).sum()),
+        prox=lambda t, z: part.shrink(_positive(t) * weight, np.asarray(z, dtype=np.float64)),
+        conj_proj=lambda t, w: part.project(_positive(t) * weight, w),
+    )

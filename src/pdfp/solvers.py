@@ -196,11 +196,15 @@ def _dual_step(f1, t, l, Dz, v, DDt_v):
 
     Takes ``Dz = D z`` and ``DDt_v = D D^T v`` (for ``ifp2o``, the product
     with its ``D Q^{-1} D^T``) and works in one new array, which it returns;
-    every sum rounds as the expression above does.
+    every sum rounds as the expression above does. ``I - prox_{t f1}`` is
+    ``f1.conj_proj``, the projection onto ``t * dom f1*`` done in place,
+    when ``f1`` has one, and ``w - f1.prox(t, w)`` otherwise.
     """
     w = np.multiply(DDt_v, l)
     np.subtract(v, w, out=w)
     np.add(Dz, w, out=w)
+    if f1.conj_proj is not None:
+        return f1.conj_proj(t, w)
     w -= f1.prox(t, w)
     return w
 

@@ -302,6 +302,18 @@ class TestRateCertificate:
         with pytest.raises(ValueError, match="gamma="):
             rate_certificate(p, 10.0 * p.beta, p.lambda_hi, 0.1, 0.9, sigma=1.0)
 
+    @pytest.mark.parametrize("side", [16, 64])
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_lam_rejected_before_size_limit_and_gram(self, side, lam, monkeypatch):
+        p, _ = make_denoise_problem(side, 0.05, 1, 0.1)
+
+        def no_gram(D):
+            raise AssertionError("D D^T was assembled for an invalid lam")
+
+        monkeypatch.setattr(pdfp.diagnostics, "_dense_gram", no_gram)
+        with pytest.raises(ValueError, match="lam="):
+            rate_certificate(p, p.beta, lam, 0.1, 0.9, sigma=1.0)
+
 
 class TestTraceCsv:
     CELL = re.compile(r"^-?(?:\d+(?:\.\d+)?(?:e[+-]?\d+)?|inf|nan)$")

@@ -123,6 +123,12 @@ class Step(NamedTuple):
     inner: Optional[int] = None
 
 
+def dual_proj(f1, t, w):
+    """``(I - prox_{t f1})(w)`` as the solvers' dual step takes it: the
+    in-place ``f1.conj_proj`` when ``f1`` has one, ``w - prox`` otherwise."""
+    return w - f1.prox(t, w) if f1.conj_proj is None else f1.conj_proj(t, w)
+
+
 def unfused_steps(p, sched, relaxed, lam_ref):
     """The driver before fusion: every step evaluates ``grad f2`` and
     ``D^T v`` afresh, the schedule reads a fresh ``f2`` evaluation, and the
@@ -134,7 +140,7 @@ def unfused_steps(p, sched, relaxed, lam_ref):
         a = float(sched.alpha(n, None)) if relaxed else 0.0
         z = x - g * p.f2.grad(x)
         w = p.D.forward(z) + (v - l * p.D.forward(p.D.adjoint(v)))
-        vt = w - p.f1.prox(g / l, w)
+        vt = dual_proj(p.f1, g / l, w)
         xt = z - l * p.D.adjoint(vt)
         res = math.sqrt(float((xt - x) @ (xt - x)) + lam_ref * float((vt - v) @ (vt - v)))
         v_new, x_new = (vt, xt) if a == 0.0 else (mann_combine(a, v, vt), mann_combine(a, x, xt))
@@ -191,6 +197,20 @@ def test_fused_driver_matches_unfused_reference(builder, kind):
     assert_array_equal(tr.gammas, gammas)
 
 
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_prox_fallback_matches_unfused_reference(builder):
+    # an f1 without conj_proj takes the dual step as w - prox(t, w)
+    p, _ = BUILDERS[builder]()
+    p = dataclasses.replace(p, f1=dataclasses.replace(p.f1, conj_proj=None))
+    sched = _schedule("pdfp2o", p)
+    xs, vs, objs, _, _ = unfused_reference(p, sched, N_ITER, relaxed=False)
+    _, tr = _run("pdfp2o", p)
+    for u, x, v in zip(tr.iterates, xs, vs):
+        assert_array_equal(u.x, x)
+        assert_array_equal(u.v, v)
+    assert_array_equal(tr.objectives, objs)
+
+
 def lnorm(v, x, lam):
     return math.sqrt(float(x @ x) + lam * float(v @ v))
 
@@ -217,7 +237,7 @@ def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
         inner = 0
         for _ in range(inner_stop.max_iter):
             w = Dz + (vi - lam * p.D.forward(p.D.adjoint(vi)))
-            Hv = w - p.f1.prox(gamma / lam, w)
+            Hv = dual_proj(p.f1, gamma / lam, w)
             vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
             inner += 1
             dv = float(np.linalg.norm(vi_new - vi))
@@ -426,7 +446,7 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
     v = np.zeros(D.out_dim)
     while True:
         w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
-        Hv = w - f1.prox(1.0 / lam, w)
+        Hv = dual_proj(f1, 1.0 / lam, w)
         v_new = mann_combine(kappa, v, Hv)
         res = float(np.linalg.norm(Hv - v))
         step, denom = float(np.linalg.norm(v_new - v)), max(1.0, float(np.linalg.norm(v)))

@@ -1,5 +1,6 @@
 """Randomized property tests; skipped where ``hypothesis`` is not installed."""
 
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from pdfp import (  # noqa: E402
     Problem,
@@ -17,13 +19,16 @@ from pdfp import (  # noqa: E402
     build_projection_matrix,
     diff_op_2d,
     gaussian_blur_op,
+    group_l2_norm_fn,
     identity_op,
     l1_norm_fn,
     matrix_op,
     quadratic_fn,
     rate_certificate,
+    zero_prox_fn,
 )
-from pdfp.prox import _group_ids  # noqa: E402
+from pdfp.prox import _group_ids, _Partition  # noqa: E402
+from pdfp.solvers import _dual_step  # noqa: E402
 from test_linops import (  # noqa: E402
     diff_adjoint_reference,
     diff_forward_reference,
@@ -146,3 +151,115 @@ def test_projection_matrix_matches_per_ray_reference(n, angles, rays, spacing):
     g = TomoGeometry(image_side=n, angles_deg=tuple(angles), rays_per_angle=rays,
                      detector_spacing=spacing)
     assert_same_csr(build_projection_matrix(g)._csr, projection_matrix_reference(g))
+
+
+# conj_proj, the in-place ``w - prox(t, w)``, for the three norms that
+# provide it; the group-l2 norm in its strided layout (group g is
+# {g, g + G, ...}) and on partitions only np.bincount serves.
+CONJ_KINDS = ["zero", "l1", "group-strided", "group-bincount"]
+EPS = np.finfo(np.float64).eps
+entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+steps = st.floats(1e-3, 1e3)
+weights = st.floats(1e-2, 1e2)
+
+
+def draw_groups(data, kind):
+    """``(dim, groups)`` for a group-l2 kind, or ``(dim, None)``."""
+    if kind == "group-strided":
+        G, size = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        return G * size, [tuple(range(k, G * size, G)) for k in range(G)]
+    dim = data.draw(st.integers(1, 24))
+    if kind != "group-bincount":
+        return dim, None
+    perm = data.draw(st.permutations(range(dim)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, dim - 1), max_size=dim - 1))) if dim > 1 else []
+    groups = [perm[a:b] for a, b in zip([0] + cuts, cuts + [dim])]
+    assume(_Partition(dim, groups).rows is None)
+    return dim, groups
+
+
+def draw_conj_case(data, kind):
+    """``(f, groups, weight, t, w)``: a norm with ``conj_proj``, its partition
+    (None for zero and l1), its weight, a step and a finite vector."""
+    dim, groups = draw_groups(data, kind)
+    weight = data.draw(weights)
+    if kind == "zero":
+        f = zero_prox_fn(dim)
+    elif kind == "l1":
+        f = l1_norm_fn(dim, weight=weight)
+    else:
+        f = group_l2_norm_fn(dim, groups, weight=weight)
+    w = data.draw(arrays(np.float64, dim, elements=entries))
+    return f, groups, weight, data.draw(steps), w
+
+
+@pytest.mark.parametrize("kind", CONJ_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_conj_proj_is_w_minus_prox_in_place(kind, data):
+    f, _, _, t, w = draw_conj_case(data, kind)
+    want = w - f.prox(t, w)
+    got = w.copy()
+    assert f.conj_proj(t, got) is got
+    tol = 4.0 * np.spacing(float(np.max(np.abs(w))))
+    assert np.all(np.abs(got - want) <= tol)
+    if kind == "zero":  # w - w: the bits of w - prox(t, w), signed zeros included
+        assert got.tobytes() == want.tobytes()
+    # into a strided view of a larger buffer, leaving the rest alone
+    buf = np.full(2 * w.size, 7.0)
+    view = buf[::2]
+    view[:] = w
+    assert f.conj_proj(t, view) is view
+    assert buf[::2].tobytes() == got.tobytes()
+    assert np.all(buf[1::2] == 7.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_l1_conj_proj_lies_in_the_box_exactly(data):
+    f, _, weight, t, w = draw_conj_case(data, "l1")
+    assert np.all(np.abs(f.conj_proj(t, w)) <= t * weight)
+
+
+@pytest.mark.parametrize("kind", ["group-strided", "group-bincount"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_conj_proj_lies_in_the_balls(kind, data):
+    f, groups, weight, t, w = draw_conj_case(data, kind)
+    r = f.conj_proj(t, w)
+    for g in groups:
+        assert la.norm(r[list(g)]) <= t * weight * (1.0 + 4.0 * EPS)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", CONJ_KINDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conj_proj_keeps_non_finite_entries_non_finite(kind, bad, data):
+    f, _, weight, t, w = draw_conj_case(data, kind)
+    i = data.draw(st.integers(0, w.size - 1))
+    w[i] = bad
+    r = f.conj_proj(t, w)
+    if kind == "l1" and not math.isnan(bad):
+        # the projection of +-inf onto [-c, c] is +-c; the next primal
+        # x' = z - l D^T v' keeps the inf that made it, so a run still
+        # stops as diverged (tests/test_solvers.py)
+        assert r[i] == math.copysign(t * weight, bad)
+    else:
+        assert np.isnan(r[i])
+
+
+@pytest.mark.parametrize("kind", CONJ_KINDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), l=st.floats(0.01, 1.0))
+def test_dual_step_without_conj_proj_keeps_the_prox_bits(kind, data, l):
+    f, _, _, t, Dz = draw_conj_case(data, kind)
+    v, DDt_v = (data.draw(arrays(np.float64, Dz.size, elements=entries)) for _ in range(2))
+    inputs = [a.copy() for a in (Dz, v, DDt_v)]
+    plain = dataclasses.replace(f, conj_proj=None)
+    w = Dz + (v - l * DDt_v)
+    assert _dual_step(plain, t, l, Dz, v, DDt_v).tobytes() == (w - f.prox(t, w)).tobytes()
+    assert _dual_step(f, t, l, Dz, v, DDt_v).tobytes() == f.conj_proj(t, w.copy()).tobytes()
+    for a, b in zip((Dz, v, DDt_v), inputs):
+        assert a.tobytes() == b.tobytes()

@@ -465,16 +465,16 @@ class TestOptimality:
 
 
 class TestDivergence:
-    """A NaN in the data ends the run at its first step with reason
+    """A NaN or inf in the data ends the run at its first step with reason
     "diverged" instead of running out the budget."""
 
     BUDGET = StoppingRule(tol=0.0, max_iter=500)
 
     @staticmethod
-    def nan_problem():
+    def nan_problem(bad=np.nan):
         p = build_denoise4()
         b = p.f2.b.copy()
-        b[5] = np.nan
+        b[5] = bad
         return make_problem(p.f1, quadratic_fn(identity_op(16), b), p.D)
 
     @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o", "chambolle_pock", "siu"])
@@ -493,6 +493,20 @@ class TestDivergence:
         assert not tr.converged
         assert tr.n_iter == 1 and len(tr.residuals) == 1
         assert np.isnan(tr.residuals[0])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o"])
+    def test_inf_data_stops_as_diverged(self, solver):
+        # the l1 dual step clips the inf in D z to a finite bound; the
+        # primal correction keeps it, so the step is still not finite
+        p = self.nan_problem(np.inf)
+        g, l = p.beta, p.lambda_hi
+        if solver == "pdfp2o":
+            _, tr = pdfp2o(p, g, l, stop=self.BUDGET)
+        else:
+            _, tr = pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-8, 20), stop=self.BUDGET)
+        assert tr.stop_reason == "diverged" and tr.n_iter == 1
+        assert not np.isfinite(tr.residuals[0])
 
     def test_ifp2o_rejects_nan_data_in_its_solves(self):
         # every step solves with Q, and the Cholesky solve refuses NaN input
