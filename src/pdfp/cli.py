@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CERTIFICATE_MAX_DUAL_DIM, atomic_write, rate_certificate, \
-    rel_err_snr, write_trace_csv
+from .diagnostics import CERTIFICATE_MAX_DUAL_DIM, rate_certificate, rel_err_snr, \
+    write_csv, write_lines, write_trace_csv
 from .linops import PowerIterationError
 from .schedules import ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
@@ -54,10 +54,6 @@ _USER_ERRORS = (ValueError, PowerIterationError)
 _AUTO = "auto"
 
 
-def _num(text):
-    return float(text)
-
-
 def _auto_or_num(text):
     return _AUTO if text == _AUTO else float(text)
 
@@ -65,33 +61,33 @@ def _auto_or_num(text):
 CONFIG_KEYS = {
     "problem.kind": (str, "denoise"),
     "problem.size": (int, 32),
-    "problem.noise": (_num, 0.01),
+    "problem.noise": (float, 0.01),
     "problem.reg_weight": (_auto_or_num, _AUTO),
     "problem.tv": (str, "anisotropic"),
-    "problem.angle_step": (_num, 10.0),
+    "problem.angle_step": (float, 10.0),
     "problem.angle_count": (int, 18),
     "problem.rays": (_auto_or_num, _AUTO),
     "problem.blur_radius": (int, 2),
-    "problem.blur_sigma": (_num, 1.5),
+    "problem.blur_sigma": (float, 1.5),
     "solver.name": (str, "pdfp2o"),
     "solver.gamma": (_auto_or_num, _AUTO),
     "solver.lambda": (_auto_or_num, _AUTO),
     "solver.kappa": (_auto_or_num, _AUTO),
-    "solver.theta": (_num, 1.0),
-    "solver.inner_tol": (_num, 1e-10),
+    "solver.theta": (float, 1.0),
+    "solver.inner_tol": (float, 1e-10),
     "solver.inner_max_iter": (int, 200),
     "solver.sigma_strong": (_auto_or_num, _AUTO),
     "schedule.kind": (str, "constant"),
-    "schedule.alpha": (_num, 0.0),
-    "schedule.decay": (_num, 0.0),
+    "schedule.alpha": (float, 0.0),
+    "schedule.decay": (float, 0.0),
     "schedule.gamma_lo": (_auto_or_num, _AUTO),
     "schedule.gamma_hi": (_auto_or_num, _AUTO),
     "schedule.lambda_lo": (_auto_or_num, _AUTO),
     "schedule.lambda_hi": (_auto_or_num, _AUTO),
-    "schedule.alpha_lo": (_num, 0.1),
-    "schedule.alpha_hi": (_num, 0.9),
+    "schedule.alpha_lo": (float, 0.1),
+    "schedule.alpha_hi": (float, 0.9),
     "run.max_iter": (int, 2000),
-    "run.tol": (_num, 1e-8),
+    "run.tol": (float, 1e-8),
     "run.seed": (int, 0),
     "run.output_dir": (str, "out"),
 }
@@ -166,8 +162,11 @@ class ExperimentConfig:
             raise ConfigError("problem.noise must be nonnegative")
         if v["run.max_iter"] < 1:
             raise ConfigError("run.max_iter must be positive")
-        if v["run.tol"] < 0:
-            raise ConfigError("run.tol must be nonnegative")
+        for prefix in ("run.", "solver.inner_"):
+            try:
+                StoppingRule(tol=v[prefix + "tol"], max_iter=v[prefix + "max_iter"])
+            except ValueError as exc:
+                raise ConfigError(f"bad {prefix}tol or {prefix}max_iter: {exc}") from exc
 
     @property
     def tv_variant(self):
@@ -278,14 +277,12 @@ def _run_solver(cfg, problem, x_true):
             problem, lam_cp / gamma, gamma, cfg["solver.theta"], stop=stop, x_true=xt
         )
         return u.x, tr
-    if name == "siu":
-        # gamma and lambda fix the penalty nu; the step delta sits inside
-        # the convergent range delta < 1 / (L + nu * lambda_max(D D^T)).
-        nu = lam / gamma
-        delta = 0.9 / (problem.f2.lipschitz + nu * problem.lambda_max_ddt)
-        state, tr = siu(problem, delta, nu, stop=stop, x_true=xt)
-        return state.x, tr
-    raise ConfigError(f"unknown solver: {name}")
+    # siu: gamma and lambda fix the penalty nu; the step delta sits inside
+    # the convergent range delta < 1 / (L + nu * lambda_max(D D^T)).
+    nu = lam / gamma
+    delta = 0.9 / (problem.f2.lipschitz + nu * problem.lambda_max_ddt)
+    state, tr = siu(problem, delta, nu, stop=stop, x_true=xt)
+    return state.x, tr
 
 
 def _output_dir(cfg):
@@ -294,7 +291,7 @@ def _output_dir(cfg):
 
 
 def _write_summary(path, cfg, trace, final_snr, final_rel):
-    lines = [
+    write_lines(path, [
         f"solver={cfg['solver.name']}",
         f"problem={cfg['problem.kind']}",
         f"iterations={trace.n_iter}",
@@ -304,9 +301,7 @@ def _write_summary(path, cfg, trace, final_snr, final_rel):
         f"snr_db={float(final_snr)!r}",
         f"relerr={float(final_rel)!r}",
         f"wall_ms={float(trace.wall_ms[-1])!r}",
-    ]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+    ])
 
 
 def run_experiment(config_path, overrides=None):
@@ -370,14 +365,9 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
         out[: len(arr)] = arr
         return out
 
-    table = np.column_stack(
-        [np.arange(1, rows + 1), col(tr_a.snrs), col(tr_a.relerrs), col(tr_b.snrs), col(tr_b.relerrs)]
-    )
-    lines = ["iter,snr_a,relerr_a,snr_b,relerr_b"]
-    for row in table:
-        lines.append(",".join([str(int(row[0]))] + [repr(float(c)) for c in row[1:]]))
-    with atomic_write(out_path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+    write_csv(out_path, "iter,snr_a,relerr_a,snr_b,relerr_b",
+              (np.arange(1, rows + 1), col(tr_a.snrs), col(tr_a.relerrs),
+               col(tr_b.snrs), col(tr_b.relerrs)))
     for label, tr in (("a", tr_a), ("b", tr_b)):
         for thr in SNR_THRESHOLDS:
             hit = _first_crossing(tr.snrs, thr)
@@ -420,9 +410,8 @@ def certify(config_path, overrides=None):
         return 1
     out = _output_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    row = ",".join(repr(float(v)) for v in (cert.mu, cert.nu, cert.eta, cert.theta, cert.d))
-    with atomic_write(out / "certificate.csv") as fh:
-        fh.write(f"mu,nu,eta,theta,d\n{row}\n".encode())
+    write_csv(out / "certificate.csv", "mu,nu,eta,theta,d",
+              [[cert.mu], [cert.nu], [cert.eta], [cert.theta], [cert.d]])
     print(f"mu={cert.mu!r} nu={cert.nu!r} theta={cert.theta!r} d={cert.d!r}")
     return 0
 

@@ -152,15 +152,14 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
     exceeds ``CERTIFICATE_MAX_DUAL_DIM`` (the extreme eigenvalues come from
-    a dense symmetric eigensolver). ``gamma``, and that ``lam`` is positive
-    and finite, are checked before the size; ``lam``'s upper end after it.
+    a dense symmetric eigensolver). ``gamma``, by the solvers' own range
+    check, and that ``lam`` is positive and finite, are checked before the
+    size; ``lam``'s upper end after it.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if not (0.0 < alpha_lo <= alpha_hi < 1.0):
-        raise ValueError("alpha clamp must satisfy 0 < alpha_lo <= alpha_hi < 1")
-    if not (0.0 < gamma < 2.0 * p.beta):
-        raise ValueError(f"gamma={gamma} out of range (0, {2.0 * p.beta})")
+    solvers._check_alpha_clamp(alpha_lo, alpha_hi)
+    solvers._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")
     if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
@@ -218,25 +217,21 @@ def atomic_write(path):
         raise
 
 
-def write_trace_csv(trace, path):
-    """Serialize a run trace to CSV (one row per iteration, '.' decimals)."""
-    lines = [TRACE_CSV_HEADER]
-    for k in range(len(trace.iters)):
-        lines.append(
-            ",".join(
-                _fmt(col[k])
-                for col in (
-                    trace.iters,
-                    trace.gammas,
-                    trace.lams,
-                    trace.alphas,
-                    trace.objectives,
-                    trace.residuals,
-                    trace.snrs,
-                    trace.relerrs,
-                    trace.wall_ms,
-                )
-            )
-        )
+def write_lines(path, lines):
+    """Write ``lines`` to ``path`` through :func:`atomic_write`, each ended by a newline."""
     with atomic_write(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
+
+
+def write_csv(path, header, columns):
+    """Write equal-length ``columns`` under ``header``, one row per index;
+    integers print as integers, other values as ``repr(float)``."""
+    write_lines(path, [header] + [",".join(map(_fmt, row)) for row in zip(*columns)])
+
+
+def write_trace_csv(trace, path):
+    """Serialize a run trace to CSV (one row per iteration)."""
+    write_csv(path, TRACE_CSV_HEADER, (
+        trace.iters, trace.gammas, trace.lams, trace.alphas, trace.objectives,
+        trace.residuals, trace.snrs, trace.relerrs, trace.wall_ms,
+    ))

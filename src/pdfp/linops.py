@@ -289,3 +289,11 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
         f"power iteration did not converge in {max_iter} iterations",
         best_estimate=lam if extrap_prev is None else extrap_prev,
     )
+
+
+def norm_sq_bound(op, power_seed=0):
+    """Safe bound on ``lambda_max(op op^T)``: the exact ``norm_sq_hint``, or
+    the power-iteration estimate inflated by ``1 + POWER_TOL``."""
+    if op.norm_sq_hint is not None:
+        return float(op.norm_sq_hint)
+    return op_norm_sq(op, tol=POWER_TOL, seed=power_seed) * (1.0 + POWER_TOL)

@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .linops import POWER_TOL, op_norm_sq
+from .linops import norm_sq_bound
 
 
 @dataclass(frozen=True)
@@ -218,17 +218,12 @@ def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
 def quadratic_fn(A, b, power_seed=0):
     """Least-squares term ``0.5*||A x - b||^2`` as a :class:`SmoothFn`.
 
-    The Lipschitz constant of the gradient is estimated by power iteration
-    and inflated by ``1 + POWER_TOL`` so stepsize bounds derived from it stay
-    on the safe side of estimation error.
+    The Lipschitz constant of the gradient is ``linops.norm_sq_bound(A)``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.out_dim,):
         raise ValueError(f"b must have length {A.out_dim}, got {b.shape}")
-    if A.norm_sq_hint is not None:
-        L = float(A.norm_sq_hint)
-    else:
-        L = op_norm_sq(A, tol=POWER_TOL, seed=power_seed) * (1.0 + POWER_TOL)
+    L = norm_sq_bound(A, power_seed)
     if L <= 0:
         raise ValueError("A must be nonzero")
 

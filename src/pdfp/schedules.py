@@ -4,8 +4,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .prox import QuadraticFn
-from .solvers import Iterate, Schedule, _check_alpha, _check_gamma, _check_lambda
+from .solvers import Iterate, Schedule, _check_alpha, _check_alpha_clamp, _check_gamma, \
+    _check_lambda, _quadratic
 
 # Default clamp intervals, expressed relative to the problem's admissible ranges:
 # gamma in [0.01, 1.99] * beta, alpha in [0.1, 0.9].
@@ -45,8 +45,7 @@ def bb_gamma_raw(f2, x):
     The special values: NaN when the gradient vanishes, 0.0 when only the
     residual vanishes.
     """
-    if not isinstance(f2, QuadraticFn):
-        raise ValueError("the adaptive stepsize rule needs a quadratic data term")
+    _quadratic(f2, "the adaptive stepsize rule")
     return _bb_quotient(Iterate.at(f2, x))
 
 
@@ -75,8 +74,7 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     alpha_hi)`` in absolute units; defaults derive from the problem's
     admissible ranges.
     """
-    if not isinstance(p.f2, QuadraticFn):
-        raise ValueError("the adaptive stepsize rule needs a quadratic data term")
+    _quadratic(p.f2, "the adaptive stepsize rule")
     g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = _resolve_clamp(p, clamp)
     lam = p.lambda_hi if lambda0 is None else min(float(lambda0), p.lambda_hi)
     lam = _clip(lam, l_lo, l_hi)
@@ -108,8 +106,7 @@ def _resolve_clamp(p, clamp):
         _check_gamma(g, p.beta, 0)
     for l in (l_lo, l_hi):
         _check_lambda(l, p.lambda_hi, 0)
-    if not (0.0 < a_lo <= a_hi < 1.0):
-        raise ValueError("alpha clamp must sit strictly inside (0, 1)")
+    _check_alpha_clamp(a_lo, a_hi)
     return g_lo, g_hi, l_lo, l_hi, a_lo, a_hi
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from . import diagnostics
-from .linops import POWER_TOL, LinearOp, op_norm_sq
+from .linops import POWER_TOL, LinearOp, norm_sq_bound, op_norm_sq
 from .prox import QuadraticFn, conjugate_prox
 
 
@@ -68,24 +68,16 @@ class Problem:
 
 
 def make_problem(f1, f2, D, power_seed=0):
-    """Assemble a :class:`Problem`, caching the spectral bound of ``D D^T``.
-
-    Operators carrying an exact spectral bound use it; otherwise the
-    power-iteration estimate is inflated by ``1 + POWER_TOL`` so that
-    stepsizes chosen as ``1 / lambda_max_ddt`` never exceed the theoretical
-    bound through estimation error.
-    """
+    """Assemble a :class:`Problem`, caching ``linops.norm_sq_bound(D)`` as the
+    spectral bound of ``D D^T``."""
     if f1.dim != D.out_dim:
         raise ValueError(f"f1 acts on R^{f1.dim} but D maps into R^{D.out_dim}")
     if f2.dim != D.in_dim:
         raise ValueError(f"f2 acts on R^{f2.dim} but D maps from R^{D.in_dim}")
     if f2.lipschitz <= 0:
         raise ValueError("f2 must have a positive Lipschitz constant")
-    if D.norm_sq_hint is not None:
-        lam_max = float(D.norm_sq_hint)
-    else:
-        lam_max = op_norm_sq(D, tol=POWER_TOL, seed=power_seed) * (1.0 + POWER_TOL)
-    return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz, lambda_max_ddt=lam_max)
+    return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz,
+                   lambda_max_ddt=norm_sq_bound(D, power_seed))
 
 
 @dataclass(frozen=True)
@@ -125,11 +117,18 @@ class StoppingRule:
     """Stop when the relative state change drops below ``tol`` or at ``max_iter``.
 
     ``tol = 0`` disables the tolerance test, running the budget in full
-    (useful for fixed-length traces).
+    (useful for fixed-length traces). A NaN or negative ``tol`` and a
+    negative ``max_iter`` raise ``ValueError``.
     """
 
     tol: float = 1e-8
     max_iter: int = 10000
+
+    def __post_init__(self):
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol={self.tol} must be a nonnegative number")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter={self.max_iter} must be nonnegative")
 
 
 @dataclass
@@ -189,6 +188,18 @@ def _check_lambda(l, lam_hi, n):
 def _check_alpha(a, n):
     if not (0.0 <= a < 1.0):
         raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
+
+
+def _check_alpha_clamp(a_lo, a_hi):
+    if not (0.0 < a_lo <= a_hi < 1.0):
+        raise ValueError(f"alpha clamp [{a_lo}, {a_hi}] must sit strictly inside (0, 1)")
+
+
+def _quadratic(f2, what):
+    """``(A, b)`` of a quadratic ``f2``; otherwise an error saying ``what`` needs one."""
+    if not isinstance(f2, QuadraticFn):
+        raise UnsupportedProblemError(f"{what} needs a quadratic data term")
+    return f2.A, f2.b
 
 
 def _dual_step(f1, t, l, Dz, v, DDt_v):
@@ -514,7 +525,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
         forward=lambda w: D.forward(solve(D.adjoint(w))),
         adjoint=lambda w: D.forward(solve(D.adjoint(w))),
     )
-    lam_max_K = math.sqrt(op_norm_sq(K)) * (1.0 + 1e-6)
+    lam_max_K = (1.0 + POWER_TOL) * math.sqrt(op_norm_sq(K))
     hi = math.inf if lam_max_K == 0.0 else 2.0 / lam_max_K
     if not (0.0 < lam <= hi):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
@@ -542,20 +553,9 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
     return x_of(v), trace
 
 
-def _as_source(value):
-    if callable(value):
-        return value
-    value = float(value)
-    return lambda n: value
-
-
 def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
     """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``."""
-    if not isinstance(f2, QuadraticFn):
-        raise UnsupportedProblemError(
-            "the primal resolvent is only available for quadratic data terms"
-        )
-    A, b = f2.A, f2.b
+    A, b = _quadratic(f2, "the primal resolvent")
     if A.tag == "identity":
         return (w + tau * b) / (1.0 + tau)
     # imported here: scipy.sparse.linalg adds about 2 MB to every process
@@ -567,14 +567,15 @@ def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
     return cg(M, rhs, x0=x0, rtol=tol, maxiter=1000)[0]
 
 
-def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,
+def chambolle_pock(p, sigma, tau, theta, state0=None, stop=None,
                    ref=None, x_true=None, record_iterates=False):
     """Primal-dual hybrid gradient scheme on the saddle form of the problem.
 
-    Updates, with ``sigma_n``/``tau_n`` drawn per iteration::
+    Updates, at constant steps with ``sigma, tau > 0`` and
+    ``sigma * tau < 1 / lambda_max(D D^T)``::
 
-        vbar' = prox_{sigma_n f1*}(vbar + sigma_n D y)
-        x'    = (I + tau_n grad f2)^{-1}(x - tau_n D^T vbar')
+        vbar' = prox_{sigma f1*}(vbar + sigma D y)
+        x'    = (I + tau grad f2)^{-1}(x - tau D^T vbar')
         y'    = x' + theta (x' - x)
 
     ``theta = 0`` degenerates the extrapolation (the classical
@@ -585,24 +586,19 @@ def chambolle_pock(p, sigma_sched, tau_sched, theta, state0=None, stop=None,
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
-    sigma_src = _as_source(sigma_sched)
-    tau_src = _as_source(tau_sched)
+    _quadratic(p.f2, "the primal resolvent")
+    sig, tau = float(sigma), float(tau)
+    lam_ref = sig * tau
+    if not (sig > 0.0 and tau > 0.0 and lam_ref < p.lambda_hi):
+        raise ValueError(f"sigma={sig} and tau={tau} must be positive with "
+                         f"sigma*tau < {p.lambda_hi}")
     state0 = p.zeros() if state0 is None else state0
     vbar = np.array(state0.v, dtype=np.float64)
     x = np.array(state0.x, dtype=np.float64)
     y = x.copy()
-    lam_ref = float(sigma_src(0)) * float(tau_src(0))
-    if lam_ref <= 0:
-        raise ValueError("sigma_0 * tau_0 must be positive")
 
     def step(n):
         nonlocal vbar, x, y
-        sig = float(sigma_src(n))
-        tau = float(tau_src(n))
-        prod = sig * tau
-        hi = p.lambda_hi
-        if not (0.0 < prod) or (not math.isinf(hi) and prod >= hi):
-            raise ValueError(f"sigma*tau={prod} out of range (0, {hi}) at iteration {n}")
         vbar_new = conjugate_prox(p.f1, sig, vbar + sig * p.D.forward(y))
         x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
@@ -623,15 +619,10 @@ class SIUState:
     d: np.ndarray
     v: np.ndarray
 
-    def copy(self):
-        return SIUState(self.x.copy(), self.d.copy(), self.v.copy())
-
 
 def siu_x_update(f2, D, delta, nu, x, d, v):
     """The x-step of the split inexact Uzawa scheme for quadratic data terms."""
-    if not isinstance(f2, QuadraticFn):
-        raise UnsupportedProblemError("the split scheme needs a quadratic data term")
-    A, b = f2.A, f2.b
+    A, b = _quadratic(f2, "the split scheme")
     return x - delta * A.adjoint(A.forward(x) - b) - delta * nu * D.adjoint(D.forward(x) - d + v)
 
 
@@ -641,21 +632,19 @@ def ds_split_x_update(f2, D, delta, nu, x, d, v):
     Differs from :func:`siu_x_update` exactly by the second-order coupling
     term ``- delta^2 nu A^T A D^T (d - D x)``.
     """
-    if not isinstance(f2, QuadraticFn):
-        raise UnsupportedProblemError("the split scheme needs a quadratic data term")
-    A, b = f2.A, f2.b
+    A, b = _quadratic(f2, "the split scheme")
     Dx = D.forward(x)
     base = x - delta * A.adjoint(A.forward(x) - b) - delta * nu * D.adjoint(Dx - d + v)
     return base - delta * delta * nu * A.adjoint(A.forward(D.adjoint(d - Dx)))
 
 
-def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
+def siu(p, delta, nu, state0=None, stop=None, x_true=None):
     """Split inexact Uzawa iteration over (x, d, v) for quadratic data terms.
 
-    Updates::
+    Updates, at constant steps ``delta, nu > 0``::
 
-        x' = x - delta_n A^T(A x - b) - delta_n nu_n D^T(D x - d + v)
-        d' = prox_{(1/nu_n) f1}(D x' + v)
+        x' = x - delta A^T(A x - b) - delta nu D^T(D x - d + v)
+        d' = prox_{(1/nu) f1}(D x' + v)
         v' = v - (d' - D x')
 
     As the iteration converges, ``d - D x`` tends to zero. ``D x'`` feeds
@@ -664,10 +653,10 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
     an iteration applies ``A``, ``A^T``, ``D`` and ``D^T`` once each; the
     run adds one ``A``, one ``A^T`` and one ``D`` at its start.
     """
-    if not isinstance(p.f2, QuadraticFn):
-        raise UnsupportedProblemError("this scheme needs a quadratic data term")
-    delta_src = _as_source(delta_sched)
-    nu_src = _as_source(nu_sched)
+    _quadratic(p.f2, "the split scheme")
+    delta, nu = float(delta), float(nu)
+    if not (delta > 0.0 and nu > 0.0):
+        raise ValueError(f"delta={delta} and nu={nu} must be positive")
     if state0 is None:
         state0 = SIUState(
             x=np.zeros(p.D.in_dim), d=np.zeros(p.D.out_dim), v=np.zeros(p.D.out_dim)
@@ -680,10 +669,6 @@ def siu(p, delta_sched, nu_sched, state0=None, stop=None, x_true=None):
 
     def step(n):
         nonlocal x, d, v, Dx, it
-        delta = float(delta_src(n))
-        nu = float(nu_src(n))
-        if delta <= 0 or nu <= 0:
-            raise ValueError(f"delta and nu must be positive at iteration {n}")
         x_new = x - delta * it.grad - delta * nu * p.D.adjoint(Dx - d + v)
         Dx_new = p.D.forward(x_new)
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)

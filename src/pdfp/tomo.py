@@ -93,7 +93,7 @@ class TomoGeometry:
 
 def paper_ct_geometry(n=256):
     """The reference CT scan: angles 0,10,...,170 and ~sqrt(2)*n rays per angle."""
-    rays = 362 if n == 256 else int(round(math.sqrt(2.0) * n))
+    rays = int(round(math.sqrt(2.0) * n))
     return TomoGeometry(image_side=n, angles_deg=tuple(range(0, 180, 10)), rays_per_angle=rays)
 
 

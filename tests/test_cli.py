@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import pdfp.prox
+import pdfp.linops
 from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu, \
     write_trace_csv
@@ -99,6 +99,16 @@ class TestSolve:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("problem.kind = warp\n" + f"run.output_dir = {tmp_path / 'out'}\n")
         assert run_experiment(cfg) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("run.tol", "nan"), ("solver.inner_tol", "nan"), ("solver.inner_max_iter", "-1")])
+    def test_bad_stopping_value_exits_before_solving(self, tmp_path, capsys, key, value):
+        # each once ran out the budget silently and exited 2
+        cfg = write_cfg(tmp_path / "c.cfg", **{"solver.name": "pfbs_fp2o", "run.max_iter": "5",
+                                               key: value})
+        assert run_experiment(cfg) == 1
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rerun_is_deterministic(self, tmp_path):
@@ -316,7 +326,7 @@ class TestErrors:
             raise PowerIterationError("power iteration did not converge", best_estimate=1.0)
 
         # the CT data operator carries no spectral hint, so assembly estimates it
-        monkeypatch.setattr(pdfp.prox, "op_norm_sq", failing_norm)
+        monkeypatch.setattr(pdfp.linops, "op_norm_sq", failing_norm)
         cfg = write_cfg(tmp_path / "c.cfg", **{"problem.kind": "ct", "run.max_iter": "5"})
         argv = [command, str(cfg)]
         if command == "compare":

@@ -14,6 +14,7 @@ from numpy.testing import assert_array_equal
 from pdfp import (
     Iterate,
     PDState,
+    SmoothFn,
     StoppingRule,
     TomoGeometry,
     bb_dynamic_schedule,
@@ -35,6 +36,7 @@ from pdfp import (
     pfbs_fp2o,
     quadratic_fn,
     siu,
+    UnsupportedProblemError,
 )
 from conftest import DENOISE4_DATA
 
@@ -312,6 +314,25 @@ class TestSplitSolverOperatorCounts:
         assert counter.counts == {
             "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1, "D_fwd": N_ITER + 1, "D_adj": N_ITER,
         }
+
+    def test_bad_steps_or_data_term_raise_before_any_operator_call(self, builder):
+        p, counter = BUILDERS[builder]()
+        delta, nu = siu_steps(p)
+        for bad in ((0.0, nu), (-delta, nu), (delta, 0.0), (math.nan, nu)):
+            with pytest.raises(ValueError, match="must be positive"):
+                siu(p, *bad, stop=STOP)
+        # the product range is open above; both steps must be positive
+        for sigma, tau in ((1.0, p.lambda_hi), (2.0, p.lambda_hi), (-1.0, -0.5 * p.lambda_hi)):
+            with pytest.raises(ValueError, match="sigma="):
+                chambolle_pock(p, sigma, tau, 1.0, stop=STOP)
+        quartic = SmoothFn(dim=p.D.in_dim, value=lambda x: float(np.sum(x ** 4)),
+                           grad=lambda x: 4.0 * x ** 3, lipschitz=12.0)
+        q = make_problem(p.f1, quartic, p.D)
+        with pytest.raises(UnsupportedProblemError):
+            siu(q, delta, nu, stop=STOP)
+        with pytest.raises(UnsupportedProblemError):
+            chambolle_pock(q, 1.0, 0.5 * q.lambda_hi, 1.0, stop=STOP)
+        assert counter.counts == {}
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))

@@ -14,6 +14,7 @@ from pdfp import (
     make_problem,
     matrix_op,
     quadratic_fn,
+    rate_certificate,
 )
 
 
@@ -54,11 +55,17 @@ def bb_dynamic_clamped_at(gamma, lam, problem):
     return bb_dynamic_schedule(problem, clamp=clamp)
 
 
+def certificate_at(gamma, lam, problem):
+    """``rate_certificate`` at ``gamma`` and ``lam``, alpha clamp (0.1, 0.9), sigma 1."""
+    return rate_certificate(problem, gamma, lam, 0.1, 0.9, 1.0)
+
+
 @pytest.mark.parametrize(
-    "build", [constant_schedule, convergent_perturbation_schedule, bb_dynamic_clamped_at])
+    "build",
+    [constant_schedule, convergent_perturbation_schedule, bb_dynamic_clamped_at, certificate_at])
 def test_gamma_within_solver_margin_of_two_beta_rejected(lasso1d, build):
     # the solvers reject gamma within 1e-12 beta of 2 beta; so do the
-    # schedules, at construction rather than at iteration 0
+    # schedules and the certificate, before any step is taken
     gamma = 2.0 * lasso1d.beta - 0.5e-12 * lasso1d.beta
     assert gamma < 2.0 * lasso1d.beta
     with pytest.raises(ValueError, match="iteration 0"):

@@ -464,6 +464,12 @@ class TestOptimality:
         assert optimality_residual(p, gamma, lam, u) <= 1e-6
 
 
+@pytest.mark.parametrize("tol,max_iter", [(np.nan, 10), (-1e-8, 10), (1e-8, -1)])
+def test_stopping_rule_rejects_bad_values(tol, max_iter):
+    with pytest.raises(ValueError):
+        StoppingRule(tol=tol, max_iter=max_iter)
+
+
 class TestDivergence:
     """A NaN or inf in the data ends the run at its first step with reason
     "diverged" instead of running out the budget."""
