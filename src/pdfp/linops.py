@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.ndimage
 import scipy.sparse
+from scipy.sparse import _sparsetools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -10,6 +11,11 @@ from typing import Callable, Optional
 # Relative tolerance of the power-iteration spectral estimates that set the
 # stepsize bounds; each estimate is inflated by ``1 + POWER_TOL``.
 POWER_TOL = 1e-6
+
+# SparseMatrix stores its entries in blocks of this many columns, so each
+# product works on a 32 KiB slice of the column-length vector at a time,
+# which stays in L1; one unblocked CSR read as CSC scatters across all of it.
+BLOCK_COLS = 4096
 
 
 class PowerIterationError(RuntimeError):
@@ -42,8 +48,11 @@ class LinearOp:
 class SparseMatrix:
     """Sparse matrix built from (row, col, value) triplets.
 
-    Duplicate triplets are summed at construction. Backed by a CSR matrix
-    for products; ``triplets`` returns the canonical (deduplicated) entries.
+    Duplicate triplets are summed at construction. The entries are held
+    once, as one CSR matrix per block of ``BLOCK_COLS`` columns: ``A x`` adds
+    up the blocks' CSR products and ``A^T v`` reads each block as CSC, so both
+    products return the bits of one CSR matrix and of its transposed copy.
+    ``triplets`` returns the canonical (deduplicated) entries.
     """
 
     def __init__(self, rows, cols, triplets):
@@ -82,9 +91,14 @@ class SparseMatrix:
     def _set_csr(self, data, indices, indptr):
         # sorts each row's indices and sums duplicates in the order coo.tocsr()
         # does, so both constructors give the same arrays bit for bit
-        self._csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=self.shape)
-        self._csr.sum_duplicates()
-        self._csr_t = None
+        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=self.shape)
+        csr.sum_duplicates()
+        self._blocks = [(c, csr[:, c:c + BLOCK_COLS]) for c in range(0, self.cols, BLOCK_COLS)]
+
+    @property
+    def _csr(self):
+        """The whole matrix as one CSR matrix, built afresh."""
+        return scipy.sparse.hstack([B for _, B in self._blocks], format="csr")
 
     @classmethod
     def identity(cls, n):
@@ -97,7 +111,7 @@ class SparseMatrix:
 
     @property
     def nnz(self):
-        return self._csr.nnz
+        return sum(B.nnz for _, B in self._blocks)
 
     @property
     def triplets(self):
@@ -108,15 +122,23 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cols,):
             raise ValueError(f"matvec expects a vector of length {self.cols}, got {x.shape}")
-        return self._csr @ x
+        y = np.zeros(self.rows)
+        # scipy's CSR kernel adds each block into y, so a row sums in increasing
+        # column order, as in one CSR
+        for c, B in self._blocks:
+            _sparsetools.csr_matvec(*B.shape, B.indptr, B.indices, B.data, x[c:c + B.shape[1]], y)
+        return y
 
     def rmatvec(self, v):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.rows}, got {v.shape}")
-        if self._csr_t is None:
-            self._csr_t = self._csr.T.tocsr()
-        return self._csr_t @ v
+        out = np.zeros(self.cols)
+        # read as CSC, a block sums each A^T entry in increasing row order, as a transposed CSR
+        for c, B in self._blocks:
+            _sparsetools.csc_matvec(B.shape[1], B.shape[0], B.indptr, B.indices, B.data, v,
+                                    out[c:c + B.shape[1]])
+        return out
 
     def to_dense(self):
         return self._csr.toarray()

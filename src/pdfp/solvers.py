@@ -641,7 +641,7 @@ def ds_split_x_update(f2, D, delta, nu, x, d, v):
 def siu(p, delta, nu, state0=None, stop=None, x_true=None):
     """Split inexact Uzawa iteration over (x, d, v) for quadratic data terms.
 
-    Updates, at constant steps ``delta, nu > 0``::
+    Updates, at constant steps ``nu > 0``, ``0 < delta < 1/(L + nu lambda_max(D D^T))``::
 
         x' = x - delta A^T(A x - b) - delta nu D^T(D x - d + v)
         d' = prox_{(1/nu) f1}(D x' + v)
@@ -657,6 +657,9 @@ def siu(p, delta, nu, state0=None, stop=None, x_true=None):
     delta, nu = float(delta), float(nu)
     if not (delta > 0.0 and nu > 0.0):
         raise ValueError(f"delta={delta} and nu={nu} must be positive")
+    bound = 1.0 / (p.f2.lipschitz + nu * p.lambda_max_ddt)
+    if not delta < bound:
+        raise ValueError(f"delta={delta} must be below 1/(L + nu*lambda_max(D D^T)) = {bound}")
     if state0 is None:
         state0 = SIUState(
             x=np.zeros(p.D.in_dim), d=np.zeros(p.D.out_dim), v=np.zeros(p.D.out_dim)

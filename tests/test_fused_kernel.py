@@ -321,6 +321,9 @@ class TestSplitSolverOperatorCounts:
         for bad in ((0.0, nu), (-delta, nu), (delta, 0.0), (math.nan, nu)):
             with pytest.raises(ValueError, match="must be positive"):
                 siu(p, *bad, stop=STOP)
+        # at 3x the proven bound the run would spend its budget without converging
+        with pytest.raises(ValueError, match=r"must be below 1/\(L \+ nu\*lambda_max"):
+            siu(p, 3.0 * delta / 0.9, nu, stop=STOP)
         # the product range is open above; both steps must be positive
         for sigma, tau in ((1.0, p.lambda_hi), (2.0, p.lambda_hi), (-1.0, -0.5 * p.lambda_hi)):
             with pytest.raises(ValueError, match="sigma="):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -6,11 +8,13 @@ import scipy.sparse
 from pdfp import (
     PowerIterationError,
     SparseMatrix,
+    build_projection_matrix,
     diff_op_2d,
     gaussian_blur_op,
     identity_op,
     matrix_op,
     op_norm_sq,
+    paper_ct_geometry,
 )
 
 
@@ -168,6 +172,21 @@ class TestSparseMatrix:
         for trip in (([0], [0], [1.0, 2.0]), ([0], [0, 1], [1.0]), ([0, 1], [0], [1.0])):
             with pytest.raises(ValueError, match="differ in length"):
                 SparseMatrix(2, 2, trip)
+
+    def test_adjoint_product_keeps_no_copy_of_the_matrix(self):
+        # A^T reads the arrays A reads; a cached transpose would hold
+        # 12 bytes per entry (a value and a column index) for good
+        M = build_projection_matrix(paper_ct_geometry(64))
+        assert M.nnz == 93472
+        v = np.random.default_rng(3).standard_normal(M.rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            M.rmatvec(v)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < M.nnz
 
     def test_matvec_dimension_mismatch(self):
         M = SparseMatrix.identity(3)

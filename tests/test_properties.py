@@ -3,10 +3,12 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import numpy.linalg as la
 import pytest
+import scipy.sparse
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -23,10 +25,12 @@ from pdfp import (  # noqa: E402
     identity_op,
     l1_norm_fn,
     matrix_op,
+    paper_ct_geometry,
     quadratic_fn,
     rate_certificate,
     zero_prox_fn,
 )
+from pdfp import linops  # noqa: E402
 from pdfp.prox import _group_ids, _Partition  # noqa: E402
 from pdfp.solvers import _dual_step  # noqa: E402
 from test_linops import (  # noqa: E402
@@ -80,6 +84,50 @@ def test_identity_op_adjoint_identity(n, seed):
 def test_matrix_op_adjoint_identity(rows, cols, density, seed):
     rng = np.random.default_rng(seed)
     assert_adjoint_identity(matrix_op(random_sparse(rng, rows, cols, density)), rng)
+
+
+def blocked(block_cols, build, *args):
+    """``build(*args)`` with SparseMatrix storing blocks of ``block_cols`` columns."""
+    with mock.patch.object(linops, "BLOCK_COLS", block_cols):
+        return build(*args)
+
+
+def assert_products_match_one_csr(M, csr, rng):
+    """``M``'s products carry the bits of ``csr @ x`` and of ``csr``'s transposed copy."""
+    x, v = with_signed_zeros(rng, M.cols), with_signed_zeros(rng, M.rows)
+    assert M.matvec(x).tobytes() == (csr @ x).tobytes()
+    assert M.rmatvec(v).tobytes() == (csr.T.tocsr() @ v).tobytes()
+
+
+# Entries fall in a random subset of the rows and of the columns, so some
+# rows, columns and whole blocks stay empty, and repeat positions; their
+# values span 16 orders of magnitude and include signed zeros, so any change
+# in the order of summation shows in the bits.
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 15), cols=st.integers(1, 15), k=st.integers(0, 60),
+       block_cols=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_products_match_one_csr_bit_for_bit(rows, cols, k, block_cols, seed):
+    rng = np.random.default_rng(seed)
+    used_rows = rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False)
+    used_cols = rng.choice(cols, int(rng.integers(1, cols + 1)), replace=False)
+    i, j = rng.choice(used_rows, k), rng.choice(used_cols, k)
+    vals = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k)
+    vals[rng.random(k) < 0.1] *= 0.0
+    M = blocked(block_cols, SparseMatrix, rows, cols, (i, j, vals))
+    assert len(M._blocks) == -(-cols // block_cols)
+    want = scipy.sparse.coo_matrix((vals, (i, j)), shape=(rows, cols)).tocsr()
+    want.sum_duplicates()
+    assert_same_csr(M._csr, want)
+    assert_products_match_one_csr(M, want, rng)
+
+
+@pytest.mark.parametrize("block_cols", [linops.BLOCK_COLS, 1000])
+def test_blocked_products_match_one_csr_on_the_ct_matrix(block_cols):
+    g = paper_ct_geometry(64)
+    M = blocked(block_cols, build_projection_matrix, g)
+    want = projection_matrix_reference(g)
+    assert_same_csr(M._csr, want)
+    assert_products_match_one_csr(M, want, np.random.default_rng(5))
 
 
 @settings(max_examples=40, deadline=None)
