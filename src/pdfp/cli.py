@@ -187,8 +187,8 @@ class ExperimentConfig:
         noise = self["problem.noise"]
         seed = self["run.seed"]
         w = self.reg_weight()
-        power_seed = seed_stream(seed, POWER_CHANNEL)
         if kind == "ct":
+            power_seed = seed_stream(seed, POWER_CHANNEL)
             rays = self["problem.rays"]
             rays = int(round(math.sqrt(2.0) * n)) if rays == _AUTO else int(rays)
             step = self["problem.angle_step"]
@@ -203,7 +203,7 @@ class ExperimentConfig:
         if kind == "deblur":
             problem, x_true = make_deblur_problem(
                 n, self["problem.blur_radius"], self["problem.blur_sigma"],
-                noise, seed, w, self.tv_variant, power_seed=power_seed,
+                noise, seed, w, self.tv_variant,
             )
             return problem, x_true, {}
         problem, x_true = make_lasso_problem(n, noise, seed, w)
@@ -217,17 +217,14 @@ class ExperimentConfig:
         return gamma, lam
 
     def schedule_spec(self, gamma, lam, alpha):
-        clamp_keys = ("schedule.gamma_lo", "schedule.gamma_hi",
-                      "schedule.lambda_lo", "schedule.lambda_hi")
-        clamp = None
-        if any(self[k] != _AUTO for k in clamp_keys):
-            if any(self[k] == _AUTO for k in clamp_keys):
-                raise ConfigError(
-                    "set all of schedule.gamma_lo/gamma_hi/lambda_lo/lambda_hi together"
-                )
-            clamp = tuple(self[k] for k in clamp_keys) + (
-                self["schedule.alpha_lo"], self["schedule.alpha_hi"],
-            )
+        ends = [self[k] for k in ("schedule.gamma_lo", "schedule.gamma_hi",
+                                  "schedule.lambda_lo", "schedule.lambda_hi")]
+        if _AUTO in ends and ends != [_AUTO] * 4:
+            raise ConfigError("set all of schedule.gamma_lo/gamma_hi/lambda_lo/lambda_hi together")
+        # ends left at auto take the schedule's defaults; the alpha ends always apply
+        clamp = tuple(None if e == _AUTO else e for e in ends) + (
+            self["schedule.alpha_lo"], self["schedule.alpha_hi"],
+        )
         return ScheduleSpec(
             kind=self["schedule.kind"], gamma0=gamma, lambda0=lam,
             alpha0=alpha, decay=self["schedule.decay"], clamp=clamp,
@@ -359,6 +356,7 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = max(len(tr_a.iters), len(tr_b.iters))
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
 
     def col(arr):
         out = np.full(rows, math.nan)

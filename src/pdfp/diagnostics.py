@@ -140,14 +140,14 @@ def _dense_gram(D):
     return B
 
 
-def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=None):
+def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     """Geometric-rate certificate for strongly convex data and full-row-rank ``D``.
 
     The contraction factors are ``mu^2 = 1 - lam * lambda_min(D D^T)`` and
     ``nu^2 = 1 - gamma sigma (2 beta - gamma) / beta`` where ``sigma`` is
     the strong-convexity modulus of ``f2`` (supplied by the caller, who
     asserts full row rank of ``D``). ``d`` is the length of the first step
-    taken from ``u0`` with relaxation ``alpha0``.
+    taken from zero with relaxation ``alpha0``.
 
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
@@ -179,7 +179,7 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, u0=None, alpha0=N
     theta = alpha_hi + (1.0 - alpha_lo) * eta
     if theta >= 1.0:
         return None
-    u0 = p.zeros() if u0 is None else u0
+    u0 = p.zeros()
     a0 = alpha_lo if alpha0 is None else float(alpha0)
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject

@@ -24,18 +24,10 @@ def constant_schedule(gamma, lam, alpha=0.0, problem=None):
     the checks the solvers apply at every iteration: ``gamma`` strictly
     inside ``(0, 2 beta)``, ``lam`` in ``(0, 1/lambda_max(D D^T)]`` (the
     upper end is admissible), both with a margin of ``1e-12`` times the
-    range at the open ends. ``alpha`` must lie in ``[0, 1)``.
+    range at the open ends. ``alpha`` must lie in ``[0, 1)``. This is the
+    decaying schedule at zero decay.
     """
-    gamma, lam, alpha = float(gamma), float(lam), float(alpha)
-    if problem is not None:
-        _check_gamma(gamma, problem.beta, 0)
-        _check_lambda(lam, problem.lambda_hi, 0)
-    _check_alpha(alpha, 0)
-    return Schedule(
-        gamma=lambda n, it: gamma,
-        lam=lambda n, it: lam,
-        alpha=lambda n, it: alpha,
-    )
+    return convergent_perturbation_schedule(gamma, lam, alpha, 0.0, problem)
 
 
 def bb_gamma_raw(f2, x):
@@ -65,19 +57,19 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     ``gamma_n`` is the clamped quotient of the (unhalved) residual norm
     squared over the squared gradient norm at the current iterate, read
     from the iterate's cached ``f2`` value and gradient;
-    ``lambda_n`` is held constant at ``min(lambda0, 1/lambda_max(D D^T))``
-    and ``alpha_n`` constant at ``alpha0`` clamped into the alpha interval.
+    ``lambda_n`` and ``alpha_n`` are held constant at ``lambda0`` (default
+    ``1/lambda_max(D D^T)``) and ``alpha0``, each clipped into its clamp.
     A vanishing residual emits the lower gamma clamp; a vanishing gradient
     (iterate already stationary for the data term) emits the upper clamp.
 
     ``clamp`` is ``(gamma_lo, gamma_hi, lambda_lo, lambda_hi, alpha_lo,
-    alpha_hi)`` in absolute units; defaults derive from the problem's
-    admissible ranges.
+    alpha_hi)`` in absolute units; an end given as ``None``, or every end
+    when ``clamp`` is ``None``, takes its default, derived from the
+    problem's admissible ranges.
     """
     _quadratic(p.f2, "the adaptive stepsize rule")
     g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = _resolve_clamp(p, clamp)
-    lam = p.lambda_hi if lambda0 is None else min(float(lambda0), p.lambda_hi)
-    lam = _clip(lam, l_lo, l_hi)
+    lam = _clip(p.lambda_hi if lambda0 is None else float(lambda0), l_lo, l_hi)
     alpha = _clip(float(alpha0), a_lo, a_hi)
 
     def gamma(n, it):
@@ -90,13 +82,12 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
 
 
 def _resolve_clamp(p, clamp):
-    g_lo = GAMMA_CLAMP_FRACTIONS[0] * p.beta
-    g_hi = GAMMA_CLAMP_FRACTIONS[1] * p.beta
     l_hi = p.lambda_hi
-    l_lo = 1e-12 if math.isinf(l_hi) else 1e-6 * l_hi
-    a_lo, a_hi = ALPHA_CLAMP
-    if clamp is not None:
-        g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = (float(c) for c in clamp)
+    defaults = (GAMMA_CLAMP_FRACTIONS[0] * p.beta, GAMMA_CLAMP_FRACTIONS[1] * p.beta,
+                1e-12 if math.isinf(l_hi) else 1e-6 * l_hi, l_hi) + ALPHA_CLAMP
+    clamp = (None,) * 6 if clamp is None else clamp
+    g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = (
+        d if c is None else float(c) for c, d in zip(clamp, defaults, strict=True))
     if not g_lo <= g_hi:
         raise ValueError("gamma clamp must have gamma_lo <= gamma_hi")
     if not l_lo <= l_hi:
@@ -113,9 +104,10 @@ def _resolve_clamp(p, clamp):
 def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=None):
     """Schedule with a vanishing perturbation: ``gamma_n = gamma + decay/(n+1)``.
 
-    ``lambda_n`` decays the same way toward ``lam``. Values are clamped to
-    the problem's admissible ranges when a problem is supplied. With
-    ``decay = 0`` this is a constant schedule.
+    ``lambda_n`` decays the same way toward ``lam``. Given a problem, the
+    schedule caps ``lambda_n`` at ``1/lambda_max(D D^T)`` and ``gamma_n`` at
+    ``max(gamma, 2 beta (1 - 1e-9))``, so ``decay = 0`` emits ``gamma`` and
+    ``lam`` exactly (the constant schedule).
     """
     gamma, lam, alpha, decay = float(gamma), float(lam), float(alpha), float(decay)
     if decay < 0:
@@ -124,7 +116,7 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
         _check_gamma(gamma, problem.beta, 0)
         _check_lambda(lam, problem.lambda_hi, 0)
     _check_alpha(alpha, 0)
-    g_hi = math.inf if problem is None else 2.0 * problem.beta * (1.0 - 1e-9)
+    g_hi = math.inf if problem is None else max(gamma, 2.0 * problem.beta * (1.0 - 1e-9))
     l_hi = math.inf if problem is None else problem.lambda_hi
 
     def gamma_src(n, it):

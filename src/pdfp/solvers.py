@@ -491,13 +491,15 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     ``A^T`` once each, ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a
     warm-started run adds one ``D^T`` at its start.
     """
+    if inner_stop is None:
+        raise ValueError("pfbs_fp2o needs an inner_stop rule for its inner loop")
     _check_alpha(kappa, 0)
     return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
                        warm_start=warm_start)
 
 
-def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
+def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
     """Fixed-point scheme for ``min f1(D x) + 0.5 x^T Q x - b^T x`` with dense SPD ``Q``.
 
     Iterates ``v_{n+1} = kappa v_n + (1 - kappa) H(v_n)`` with
@@ -531,7 +533,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
     c = solve(b)
     Dc = D.forward(c)
-    v = np.zeros(D.out_dim) if v0 is None else np.array(v0, dtype=np.float64)
+    v = np.zeros(D.out_dim)
 
     def x_of(vv):
         return solve(b - lam * D.adjoint(vv))
@@ -553,7 +555,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, v0=None):
     return x_of(v), trace
 
 
-def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
+def _quadratic_resolvent(f2, tau, w, x0):
     """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``."""
     A, b = _quadratic(f2, "the primal resolvent")
     if A.tag == "identity":
@@ -564,11 +566,11 @@ def _quadratic_resolvent(f2, tau, w, x0, tol=1e-10):
     rhs = w + tau * A.adjoint(b)
     M = LinearOperator((A.in_dim, A.in_dim), matvec=lambda y: y + tau * A.adjoint(A.forward(y)),
                        dtype=np.float64)
-    return cg(M, rhs, x0=x0, rtol=tol, maxiter=1000)[0]
+    return cg(M, rhs, x0=x0, rtol=1e-10, maxiter=1000)[0]
 
 
-def chambolle_pock(p, sigma, tau, theta, state0=None, stop=None,
-                   ref=None, x_true=None, record_iterates=False):
+def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
+                   record_iterates=False):
     """Primal-dual hybrid gradient scheme on the saddle form of the problem.
 
     Updates, at constant steps with ``sigma, tau > 0`` and
@@ -592,9 +594,7 @@ def chambolle_pock(p, sigma, tau, theta, state0=None, stop=None,
     if not (sig > 0.0 and tau > 0.0 and lam_ref < p.lambda_hi):
         raise ValueError(f"sigma={sig} and tau={tau} must be positive with "
                          f"sigma*tau < {p.lambda_hi}")
-    state0 = p.zeros() if state0 is None else state0
-    vbar = np.array(state0.v, dtype=np.float64)
-    x = np.array(state0.x, dtype=np.float64)
+    vbar, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
     y = x.copy()
 
     def step(n):
@@ -638,7 +638,11 @@ def ds_split_x_update(f2, D, delta, nu, x, d, v):
     return base - delta * delta * nu * A.adjoint(A.forward(D.adjoint(d - Dx)))
 
 
-def siu(p, delta, nu, state0=None, stop=None, x_true=None):
+def _split_norm(x, d, v):
+    return math.sqrt(float(x @ x) + float(d @ d) + float(v @ v))
+
+
+def siu(p, delta, nu, stop=None, x_true=None):
     """Split inexact Uzawa iteration over (x, d, v) for quadratic data terms.
 
     Updates, at constant steps ``nu > 0``, ``0 < delta < 1/(L + nu lambda_max(D D^T))``::
@@ -660,13 +664,7 @@ def siu(p, delta, nu, state0=None, stop=None, x_true=None):
     bound = 1.0 / (p.f2.lipschitz + nu * p.lambda_max_ddt)
     if not delta < bound:
         raise ValueError(f"delta={delta} must be below 1/(L + nu*lambda_max(D D^T)) = {bound}")
-    if state0 is None:
-        state0 = SIUState(
-            x=np.zeros(p.D.in_dim), d=np.zeros(p.D.out_dim), v=np.zeros(p.D.out_dim)
-        )
-    x = np.array(state0.x, dtype=np.float64)
-    d = np.array(state0.d, dtype=np.float64)
-    v = np.array(state0.v, dtype=np.float64)
+    x, d, v = np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)
     it = Iterate.at(p.f2, x)
     Dx = p.D.forward(x)
 
@@ -677,12 +675,8 @@ def siu(p, delta, nu, state0=None, stop=None, x_true=None):
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
         it = Iterate.at(p.f2, x_new)
-        change = math.sqrt(
-            float((x_new - x) @ (x_new - x))
-            + float((d_new - d) @ (d_new - d))
-            + float((v_new - v) @ (v_new - v))
-        )
-        denom = max(1.0, math.sqrt(float(x @ x) + float(d @ d) + float(v @ v)))
+        change = _split_norm(x_new - x, d_new - d, v_new - v)
+        denom = max(1.0, _split_norm(x, d, v))
         x, d, v, Dx = x_new, d_new, v_new, Dx_new
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(Dx) + it.value

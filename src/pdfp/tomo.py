@@ -240,14 +240,13 @@ def make_denoise_problem(n, noise_level, seed, reg_weight, variant="anisotropic"
     return make_tv_problem(t, reg_weight, variant), x_true
 
 
-def make_deblur_problem(n, radius, sigma, noise_level, seed, reg_weight,
-                        variant="anisotropic", power_seed=0):
-    """TV deblurring of a blurred, noisy phantom."""
+def make_deblur_problem(n, radius, sigma, noise_level, seed, reg_weight, variant="anisotropic"):
+    """TV deblurring of a blurred, noisy phantom; both operators carry exact norm hints."""
     x_true = shepp_logan(n)
     A = gaussian_blur_op(n, n, radius, sigma)
     b = _measure(A.forward(x_true.ravel()), noise_level, seed)
     t = TomoProblem(A=A, b=b, x_true=x_true, noise_level=noise_level)
-    return make_tv_problem(t, reg_weight, variant, power_seed=power_seed), x_true
+    return make_tv_problem(t, reg_weight, variant), x_true
 
 
 def make_lasso_problem(n, noise_level, seed, reg_weight):

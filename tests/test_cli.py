@@ -10,8 +10,8 @@ import pdfp.linops
 from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu, \
     write_trace_csv
-from pdfp.cli import SOLVER_NAMES, ExperimentConfig, ConfigError, certify, compare, main, \
-    parse_config_text, run_experiment
+from pdfp.cli import CONFIG_KEYS, SOLVER_NAMES, ExperimentConfig, ConfigError, certify, \
+    compare, main, parse_config_text, run_experiment
 
 
 def write_cfg(path, **overrides):
@@ -226,6 +226,12 @@ class TestCompare:
         b = write_cfg(tmp_path / "b.cfg", **{"problem.size": "24"})
         assert compare(a, b, tmp_path / "m.csv") == 1
 
+    def test_missing_output_directory_is_created(self, tmp_path):
+        cfg = write_cfg(tmp_path / "a.cfg", **{"run.max_iter": "5", "run.tol": "0"})
+        out = tmp_path / "new" / "compare" / "merged.csv"
+        assert main(["compare", str(cfg), str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().startswith("iter,snr_a,relerr_a,snr_b,relerr_b\n")
+
 
 class TestCertify:
     def test_lasso_certificate_written(self, tmp_path, capsys):
@@ -317,6 +323,103 @@ class TestScheduleClamp:
                "schedule.gamma_lo": "0.1"},
         )
         assert run_experiment(cfg) == 1
+
+
+# One row per config key: the key's non-default value and the context in
+# which it acts. Each run is 16x16 with 20 iterations.
+_CLAMP = {"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",
+          "schedule.gamma_lo": "0.01", "schedule.gamma_hi": "1.99",
+          "schedule.lambda_lo": "0.001", "schedule.lambda_hi": "0.1"}
+_CT = {"problem.kind": "ct"}
+_DEBLUR = {"problem.kind": "deblur"}
+_PFBS = {"solver.name": "pfbs_fp2o"}
+_DSN_BB = {"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic"}
+KEY_EFFECTS = {
+    "problem.kind": ("deblur", {}),
+    "problem.size": ("16", {}),
+    "problem.noise": ("0.05", {}),
+    "problem.reg_weight": ("0.3", {}),
+    "problem.tv": ("isotropic", {}),
+    "problem.angle_step": ("5", _CT),
+    "problem.angle_count": ("6", _CT),
+    "problem.rays": ("15", _CT),
+    "problem.blur_radius": ("1", _DEBLUR),
+    "problem.blur_sigma": ("0.8", _DEBLUR),
+    "solver.name": ("siu", {}),
+    "solver.gamma": ("1.0", {}),
+    "solver.lambda": ("0.05", {}),
+    "solver.kappa": ("0.3", {"solver.name": "pdfp2o_kappa"}),
+    "solver.theta": ("0.5", {"solver.name": "cp"}),
+    "solver.inner_tol": ("1e-2", _PFBS),
+    "solver.inner_max_iter": ("3", _PFBS),
+    # certify, on a problem the certificate covers
+    "solver.sigma_strong": ("0.99", {"problem.kind": "lasso", "solver.gamma": "1.0"}),
+    "schedule.kind": ("bb_dynamic", {"solver.name": "pdfp2o_ds"}),
+    "schedule.alpha": ("0.3", {"solver.name": "pdfp2o_dsn"}),
+    "schedule.decay": ("0.5", {"solver.name": "pdfp2o_ds",
+                               "schedule.kind": "convergent_perturbation"}),
+    # the four clamp ends are set together, so each is compared with the
+    # context's value rather than with auto
+    "schedule.gamma_lo": ("1.5", _CLAMP),
+    "schedule.gamma_hi": ("0.5", _CLAMP),
+    "schedule.lambda_lo": ("0.05", dict(_CLAMP, **{"solver.lambda": "0.01"})),
+    "schedule.lambda_hi": ("0.05", _CLAMP),
+    "schedule.alpha_lo": ("0.6", _DSN_BB),
+    "schedule.alpha_hi": ("0.4", _DSN_BB),
+    "run.max_iter": ("10", {}),
+    "run.tol": ("0.1", {"solver.gamma": "1.0"}),
+    "run.seed": ("3", {}),
+    "run.output_dir": ("chosen", {}),
+}
+
+
+def _artifacts(out):
+    """The files in ``out`` by name, without the wall-clock fields."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "trace.csv":
+            files[path.name] = read_trace_without_wall(path)
+        elif path.name == "summary.txt":
+            files[path.name] = [line for line in path.read_text().splitlines()
+                                if not line.startswith("wall_ms=")]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_key_table_has_one_row_per_config_key():
+    assert list(KEY_EFFECTS) == list(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("key", list(KEY_EFFECTS))
+def test_every_config_key_has_an_effect(tmp_path, monkeypatch, key):
+    value, context = KEY_EFFECTS[key]
+    command = "certify" if key == "solver.sigma_strong" else "solve"
+    base = dict({"problem.size": "16", "run.max_iter": "20"}, **context)
+    with_key = dict(base, **{key: value})
+    # a key the context sets (a clamp end) keeps the context's value
+    without_key = {k: v for k, v in base.items() if k != key or k in context}
+
+    def run(name, values):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main([command, str(cfg)]) in ((0,) if command == "certify" else (0, 2))
+
+    if key == "run.output_dir":
+        monkeypatch.delenv("PDFP_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        run("with", with_key)
+        run("without", without_key)
+        chosen = _artifacts(tmp_path / value)
+        assert sorted(chosen) == ["recon.pgm", "summary.txt", "trace.csv"]
+        assert chosen == _artifacts(tmp_path / "out")
+        return
+    for name, values in (("with", with_key), ("without", without_key)):
+        monkeypatch.setenv("PDFP_OUTPUT_DIR", str(tmp_path / name))
+        run(name, values)
+    with_files, without_files = _artifacts(tmp_path / "with"), _artifacts(tmp_path / "without")
+    assert sorted(with_files) == sorted(without_files) != []
+    assert with_files != without_files
 
 
 class TestErrors:

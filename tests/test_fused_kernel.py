@@ -335,6 +335,12 @@ class TestSplitSolverOperatorCounts:
             siu(q, delta, nu, stop=STOP)
         with pytest.raises(UnsupportedProblemError):
             chambolle_pock(q, 1.0, 0.5 * q.lambda_hi, 1.0, stop=STOP)
+        # with no inner rule the kernel would take one kappa-relaxed dual
+        # step, a method outside the family, and record kappa nowhere
+        for warm, kappa in PFBS_CASES:
+            with pytest.raises(ValueError, match="inner_stop"):
+                pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, kappa, None, stop=STOP,
+                          warm_start=warm)
         assert counter.counts == {}
 
 

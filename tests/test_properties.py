@@ -17,15 +17,22 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from pdfp import (  # noqa: E402
     Problem,
     SparseMatrix,
+    StoppingRule,
     TomoGeometry,
     build_projection_matrix,
+    constant_schedule,
     diff_op_2d,
     gaussian_blur_op,
     group_l2_norm_fn,
     identity_op,
     l1_norm_fn,
+    make_problem,
     matrix_op,
     paper_ct_geometry,
+    pdfp2o,
+    pdfp2o_ds,
+    pdfp2o_dsn,
+    pfbs_fp2o,
     quadratic_fn,
     rate_certificate,
     zero_prox_fn,
@@ -311,3 +318,49 @@ def test_dual_step_without_conj_proj_keeps_the_prox_bits(kind, data, l):
     assert _dual_step(f, t, l, Dz, v, DDt_v).tobytes() == f.conj_proj(t, w.copy()).tobytes()
     for a, b in zip((Dz, v, DDt_v), inputs):
         assert a.tobytes() == b.tobytes()
+
+
+def assert_same_run(a, b, skip=()):
+    """Same final state and every ``RunTrace`` field but ``wall_ms``, bit for bit."""
+    (ua, ta), (ub, tb) = a, b
+    assert ua.x.tobytes() == ub.x.tobytes() and ua.v.tobytes() == ub.v.tobytes()
+    for f in dataclasses.fields(ta):
+        if f.name == "wall_ms" or f.name in skip:
+            continue
+        x, y = getattr(ta, f.name), getattr(tb, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+# gamma / (2 beta): the bulk of the range, and the top window above the
+# 2 beta (1 - 1e-9) cap of a decaying schedule
+GAMMA_FRACTIONS = st.one_of(
+    st.floats(1e-6, 1.0 - 1e-9),
+    st.floats(1.0 - 1e-9, 1.0 - 1e-12, exclude_min=True, exclude_max=True),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(h=st.integers(2, 10), w=st.integers(2, 10), isotropic=st.booleans(),
+       weight=st.floats(1e-3, 1.0), gamma_frac=GAMMA_FRACTIONS,
+       lam_frac=st.floats(1e-6, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+def test_collapse_identities_at_random_sizes_and_steps(h, w, isotropic, weight, gamma_frac,
+                                                       lam_frac, seed):
+    rng = np.random.default_rng(seed)
+    hw = h * w
+    f1 = (group_l2_norm_fn(2 * hw, [(k, hw + k) for k in range(hw)], weight=weight)
+          if isotropic else l1_norm_fn(2 * hw, weight=weight))
+    variant = "isotropic-pair" if isotropic else "anisotropic"
+    p = make_problem(f1, quadratic_fn(identity_op(hw), rng.random(hw)), diff_op_2d(h, w, variant))
+    gamma, lam = 2.0 * p.beta * gamma_frac, p.lambda_hi * lam_frac
+    kw = dict(stop=StoppingRule(tol=0.0, max_iter=12), x_true=rng.random(hw))
+    plain = pdfp2o(p, gamma, lam, **kw)
+    ds = pdfp2o_ds(p, constant_schedule(gamma, lam, problem=p), **kw)
+    assert_same_run(ds, plain)
+    assert_same_run(pdfp2o_dsn(p, constant_schedule(gamma, lam, 0.0, problem=p), **kw), ds)
+    # one warm inner step at kappa 0 is pdfp2o's step; only the inner count is extra
+    one_step = pfbs_fp2o(p, gamma, lam, 0.0, StoppingRule(tol=0.0, max_iter=1), **kw)
+    assert_same_run(one_step, plain, skip=("inner_iters",))
+    assert one_step[1].inner_iters.tolist() == [1] * 12

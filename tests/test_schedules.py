@@ -133,6 +133,13 @@ class TestConvergentPerturbation:
         for n in (0, 10, 1000):
             assert a.gamma(n, None) == b.gamma(n, None)
             assert a.lam(n, None) == b.lam(n, None)
+        # above 2 beta (1 - 1e-9), yet inside the solvers' range: both emit it exactly
+        gamma = 2.0 * lasso1d.beta * (1.0 - 1e-10)
+        a = convergent_perturbation_schedule(gamma, 0.5, decay=0.0, problem=lasso1d)
+        b = constant_schedule(gamma, 0.5, problem=lasso1d)
+        for n in (0, 10, 1000):
+            assert a.gamma(n, None) == b.gamma(n, None) == gamma
+            assert a.lam(n, None) == b.lam(n, None) == 0.5
 
     def test_monotone_decay_to_limit(self, lasso1d):
         sched = convergent_perturbation_schedule(0.5, 0.5, decay=0.3, problem=lasso1d)
