@@ -92,6 +92,20 @@ CONFIG_KEYS = {
     "run.output_dir": (str, "out"),
 }
 
+# The solver and schedule keys each solver reads; a solver that reads
+# schedule.kind reads that kind's keys too, and the alpha clamp with alpha.
+_STEPS = ("solver.gamma", "solver.lambda")
+_SOLVER_READS = {
+    "pdfp2o": _STEPS, "pdfp2o_kappa": _STEPS + ("solver.kappa",),
+    "pdfp2o_ds": _STEPS + ("schedule.kind",),
+    "pdfp2o_dsn": _STEPS + ("schedule.kind", "schedule.alpha"),
+    "pfbs_fp2o": _STEPS + ("solver.kappa", "solver.inner_tol", "solver.inner_max_iter"),
+    "ifp2o": ("solver.lambda", "solver.kappa"), "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
+}
+_CLAMP = tuple(f"schedule.{k}_{e}" for k in ("gamma", "lambda", "alpha") for e in ("lo", "hi"))
+_SCHEDULE_READS = {"constant": (), "convergent_perturbation": ("schedule.decay",),
+                   "bb_dynamic": _CLAMP}
+
 # Keys that must agree for two configs to target the same experiment.
 PROBLEM_IDENTITY_KEYS = tuple(k for k in CONFIG_KEYS if k.startswith("problem.")) + ("run.seed",)
 
@@ -231,6 +245,20 @@ class ExperimentConfig:
         )
 
 
+def _keys_read(cfg):
+    """``cfg``; a ConfigError if it sets a solver or schedule key its run never reads."""
+    name, kind = cfg["solver.name"], cfg["schedule.kind"]
+    reads = {"solver.name", *_SOLVER_READS[name]}
+    if "schedule.kind" in reads:
+        reads.update(k for k in _SCHEDULE_READS[kind]
+                     if "alpha" not in k or "schedule.alpha" in reads)
+    unread = [k for k, (_, default) in CONFIG_KEYS.items()
+              if k.startswith(("solver.", "schedule.")) and k not in reads and cfg[k] != default]
+    if unread:
+        raise ConfigError(f"{name} (schedule.kind {kind}) never reads {', '.join(unread)}")
+    return cfg
+
+
 def _run_solver(cfg, problem, x_true):
     """Dispatch the configured solver; returns (x_final, trace)."""
     name = cfg["solver.name"]
@@ -308,7 +336,7 @@ def run_experiment(config_path, overrides=None):
     3 diverged, 1 configuration error (in which case nothing is written).
     """
     try:
-        cfg = ExperimentConfig.load(config_path, overrides)
+        cfg = _keys_read(ExperimentConfig.load(config_path, overrides))
         problem, x_true, _ = cfg.build_problem()
         x_final, trace = _run_solver(cfg, problem, x_true)
     except _USER_ERRORS as exc:
@@ -340,8 +368,8 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
     problem and seed.
     """
     try:
-        cfg_a = ExperimentConfig.load(config_path_a, overrides)
-        cfg_b = ExperimentConfig.load(config_path_b, overrides)
+        cfg_a, cfg_b = (_keys_read(ExperimentConfig.load(path, overrides))
+                        for path in (config_path_a, config_path_b))
         for key in PROBLEM_IDENTITY_KEYS:
             if cfg_a[key] != cfg_b[key]:
                 raise ConfigError(

@@ -63,16 +63,24 @@ def rel_err(x, x_true):
 
 def rel_err_snr(x, x_true):
     """``(rel_err(x, x_true), snr(x, x_true))`` from one difference and one norm each."""
-    x = np.asarray(x, dtype=np.float64)
+    return _quality(x_true)(x)
+
+
+def _quality(x_true):
+    """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here."""
     x_true = np.asarray(x_true, dtype=np.float64)
-    if x.shape != x_true.shape:
-        raise ValueError("images must have the same shape")
     nt = float(np.linalg.norm(x_true))
     if nt == 0.0:
         raise ValueError("x_true must be nonzero")
-    nd = float(np.linalg.norm(x - x_true))
-    snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
-    return (nd * nd) / (nt * nt), snr_db
+
+    def quality(x):
+        if np.shape(x) != x_true.shape:
+            raise ValueError("images must have the same shape")
+        nd = float(np.linalg.norm(np.subtract(x, x_true)))
+        snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
+        return (nd * nd) / (nt * nt), snr_db
+
+    return quality
 
 
 def fixed_point_residual(p, gamma, lam, u):

@@ -101,43 +101,35 @@ def _group_ids(dim, groups):
 class _Partition:
     """A validated partition of ``range(dim)`` with per-group norms and scaling.
 
-    When group ``g`` is ``{g, g + G, g + 2G, ...}`` for ``G`` groups of one
-    size (the layout of the isotropic TV penalty on stacked differences),
-    norms and scaling work on the vector's ``G``-long slices, the rows of
-    a ``(size, G)`` view; the norms add the rows' squares in index order,
-    the order ``np.bincount`` adds in, so either layout gives the same
-    bits. Other partitions go through ``np.bincount``.
+    When group ``g`` is ``{g, g + G, g + 2G, ...}`` for ``G > 1`` groups of
+    one size (the layout of the isotropic TV penalty on stacked
+    differences), norms and scaling work on the rows of the vector's
+    ``(size, G)`` view; the norms add the rows' squares in index order, the
+    order ``np.bincount`` adds in, so either layout gives the same bits. With
+    one group, ``np.einsum`` would add a contiguous column in another order,
+    so it and other partitions go through ``np.bincount``.
     """
 
     def __init__(self, dim, groups):
         self.gid = _group_ids(dim, groups)
         self.n_groups = n = len(groups)
-        strided = n > 0 and dim % n == 0 and np.array_equal(self.gid, np.arange(dim) % n)
+        strided = n > 1 and dim % n == 0 and np.array_equal(self.gid, np.arange(dim) % n)
         self.rows = dim // n if strided else None
 
-    def _rows(self, z):
-        """The strided layout's ``G``-long slices ``z[r*G:(r+1)*G]``, views of ``z``."""
-        G = self.n_groups
-        return [z[r * G:(r + 1) * G] for r in range(self.rows)]
-
     def norms(self, z):
-        """Group norms; the strided layout adds the squares row by row into
-        ``G``-sized buffers, never into a ``(size, G)`` array of squares."""
+        """Group norms; on the strided layout, one ``np.einsum`` over the rows."""
         if self.rows is None:
             return np.sqrt(np.bincount(self.gid, weights=z * z, minlength=self.n_groups))
-        first, *rest = self._rows(z)
-        norms = np.multiply(first, first)
-        sq = np.empty_like(norms)
-        for row in rest:
-            norms += np.multiply(row, row, out=sq)
+        Z = z.reshape(self.rows, -1)
+        norms = np.einsum("ij,ij->j", Z, Z)
         return np.sqrt(norms, out=norms)
 
     def _scaled(self, z, scale, out):
         """``out_g = z_g * scale_g`` for every group; returns ``out``."""
         if self.rows is None:
             return np.multiply(z, scale[self.gid], out=out)
-        for zr, o in zip(self._rows(z), self._rows(out)):
-            np.multiply(zr, scale, out=o)
+        # a 1-D array's (size, G) reshape is always a view, so this writes ``out``
+        np.multiply(z.reshape(self.rows, -1), scale, out=out.reshape(self.rows, -1))
         return out
 
     def shrink(self, t, z):

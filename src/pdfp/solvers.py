@@ -133,17 +133,11 @@ class StoppingRule:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a solver run.
-
-    For the fixed-point family, ``residuals[k]`` is the fixed-point
-    residual of the iterate the k-th step started from, measured in the
-    lambda-weighted product norm with weight ``lambda_ref``; the comparison
-    solvers record their per-step state change there instead. ``iterates``
-    (including the starting state) is populated only when requested.
-    ``snr``/``relerr`` hold NaN when no ground-truth image was supplied.
-    ``stop_reason`` is ``"converged"`` (the tolerance test passed),
-    ``"budget"`` (``max_iter`` steps ran) or ``"diverged"`` (a step's
-    change came out non-finite; that step is the last one recorded).
+    """Per-iteration record of a solver run; the README's "What a run
+    records" gives each column per solver. ``stop_reason`` is
+    ``"converged"`` (the tolerance test passed), ``"budget"`` (``max_iter``
+    steps ran) or ``"diverged"`` (a step's change came out non-finite; that
+    step is the last one recorded).
     """
 
     lambda_ref: float
@@ -169,8 +163,8 @@ def mann_combine(alpha, a, b):
     return alpha * a + (1.0 - alpha) * b
 
 
-def _lnorm(v, x, lam):
-    return math.sqrt(float(x @ x) + lam * float(v @ v))
+def _lnorm(v, x, lam, vv=None):
+    return math.sqrt(float(x @ x) + lam * (float(v @ v) if vv is None else vv))
 
 
 def _check_gamma(g, beta, n):
@@ -202,16 +196,16 @@ def _quadratic(f2, what):
     return f2.A, f2.b
 
 
-def _dual_step(f1, t, l, Dz, v, DDt_v):
+def _dual_step(f1, t, l, Dz, v, DDt_v, w=None):
     """The dual update ``v' = (I - prox_{t f1})(D z + (v - l D D^T v))``.
 
     Takes ``Dz = D z`` and ``DDt_v = D D^T v`` (for ``ifp2o``, the product
-    with its ``D Q^{-1} D^T``) and works in one new array, which it returns;
-    every sum rounds as the expression above does. ``I - prox_{t f1}`` is
-    ``f1.conj_proj``, the projection onto ``t * dom f1*`` done in place,
-    when ``f1`` has one, and ``w - f1.prox(t, w)`` otherwise.
+    with its ``D Q^{-1} D^T``) and works in ``w`` (a new array when None),
+    which it returns; every sum rounds as the expression above does.
+    ``I - prox_{t f1}`` is ``f1.conj_proj``, the projection onto
+    ``t * dom f1*`` in place, when ``f1`` has one, else ``w - f1.prox(t, w)``.
     """
-    w = np.multiply(DDt_v, l)
+    w = np.multiply(DDt_v, l, out=w)
     np.subtract(v, w, out=w)
     np.add(Dz, w, out=w)
     if f1.conj_proj is not None:
@@ -220,31 +214,61 @@ def _dual_step(f1, t, l, Dz, v, DDt_v):
     return w
 
 
-def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0):
+class _Workspace:
+    """The arrays one run of the fixed-point kernel computes into, each made
+    at first need: three "dual" buffers that dual steps fill in rotation,
+    never the current ``v`` or the outer state; two "primal" ones for ``z``,
+    which becomes ``x'``, never the current ``x``; one "diff" and one "tmp".
+    ``dots`` is the stop test's last ``(d @ d, v @ v)``."""
+
+    def __init__(self, p):
+        self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim)
+        self.pools, self.dots = {kind: [] for kind in self.dims}, None
+
+    def take(self, kind, *busy):
+        pool = self.pools[kind]
+        for a in pool:
+            if all(a is not b for b in busy):
+                return a
+        pool.append(np.empty(self.dims[kind]))
+        return pool[-1]
+
+
+def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True, ws=None):
     """A fixed-point step from (v, x) at stepsizes (g, l).
 
-    The dual update runs up to ``inner_stop.max_iter`` dual steps from
-    ``v``, each relaxed by ``kappa``, and ends early once a step's change
-    relative to ``max(1, ||v_i||)`` falls to ``inner_stop.tol``; with no
-    ``inner_stop`` it is one unrelaxed dual step, which makes this the
-    operator ``T``. Takes ``Dt_v = D^T v`` and returns ``(v', x', D^T v',
-    k)`` with ``k`` the number of dual steps taken, so a caller stepping on
-    from ``v'`` need not apply ``D^T`` to it again.
+    Up to ``inner_stop.max_iter`` dual steps from ``v`` (``warm``) or zero,
+    each relaxed by ``kappa``, stop once a step's change ``d`` has
+    ``sqrt(d @ d) / max(1, sqrt(v_i @ v_i)) <= inner_stop.tol``; with no
+    ``inner_stop``, one unrelaxed dual step makes this the operator ``T``.
+    Takes ``Dt_v = D^T v`` (read when ``warm``) and returns
+    ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``v'`` and ``x'``
+    are arrays of ``ws`` (a new workspace when None), whose ``dots`` the
+    stop test sets.
     """
+    ws = _Workspace(p) if ws is None else ws
     budget, tol = (1, 0.0) if inner_stop is None else (inner_stop.max_iter, inner_stop.tol)
-    z = x - g * grad
+    tmp = ws.take("tmp")
+    z = np.subtract(x, np.multiply(grad, g, out=tmp), out=ws.take("primal", x))
     Dz = p.D.forward(z)
-    k = 0
+    v_outer, k, ws.dots = v, 0, None
+    if not warm:
+        # D^T 0 = 0, so the cold start needs no operator call
+        v, Dt_v = np.zeros_like(v), np.zeros_like(x)
     for k in range(1, budget + 1):
-        Hv = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v))
-        v_new = Hv if kappa == 0.0 else mann_combine(kappa, v, Hv)
+        v_new = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v), ws.take("dual", v, v_outer))
+        if kappa != 0.0:
+            # mann_combine(kappa, v, v_new) in place, rounded the same way
+            kv = np.multiply(v, kappa, out=ws.take("diff"))
+            np.add(kv, np.multiply(v_new, 1.0 - kappa, out=v_new), out=v_new)
         Dt_v = p.D.adjoint(v_new)
-        done = tol > 0.0 and (float(np.linalg.norm(v_new - v))
-                              / max(1.0, float(np.linalg.norm(v))) <= tol)
+        if tol > 0.0:
+            d = np.subtract(v_new, v, out=ws.take("diff"))
+            ws.dots = dd, vv = float(d @ d), float(v @ v)
         v = v_new
-        if done:
+        if tol > 0.0 and math.sqrt(dd) / max(1.0, math.sqrt(vv)) <= tol:
             break
-    z -= l * Dt_v
+    z -= np.multiply(Dt_v, l, out=tmp)
     return v, z, Dt_v, k
 
 
@@ -277,13 +301,9 @@ def apply_Tn(p, sched, n, u):
 
 @dataclass
 class _Row:
-    """What one solver step hands the driver.
-
-    ``(v, x)`` is the new state: ``x`` feeds SNR/RelErr, and both feed
-    ``dist_ref`` and the stored iterates. ``obj`` and ``res`` fill the
-    objective and residual columns, ``step / denom`` is the relative change
-    the stop test reads, and ``g``, ``l``, ``a`` and ``inner`` fill the
-    gamma, lambda, alpha and inner-iteration columns.
+    """What one solver step hands the driver: the new state ``(v, x)``, the
+    objective and residual columns, the relative change ``step / denom``
+    the stop test reads, and the gamma, lambda, alpha and inner columns.
     """
 
     v: np.ndarray
@@ -309,6 +329,7 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     distance to ``ref``), and ``inner`` asks for the ``inner_iters`` column.
     """
     stop = StoppingRule() if stop is None else stop
+    quality = None if x_true is None else diagnostics._quality(x_true)
     cols = {k: [] for k in ("g", "l", "a", "obj", "res", "inner", "dref", "snr", "rel", "wall")}
     iterates = [u0.copy()] if record_iterates else None
     # the caller's starting arrays must not outlive its first step
@@ -322,7 +343,7 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
         cols["dref"].append(
             _lnorm(row.v - ref.v, row.x - ref.x, lam_ref) if ref is not None else math.nan
         )
-        rel, snr_db = (math.nan,) * 2 if x_true is None else diagnostics.rel_err_snr(row.x, x_true)
+        rel, snr_db = (math.nan,) * 2 if quality is None else quality(row.x)
         cols["rel"].append(rel)
         cols["snr"].append(snr_db)
         cols["wall"].append((time.perf_counter() - t0) * 1e3)
@@ -359,26 +380,25 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
                 record_iterates=False, inner_stop=None, kappa=0.0, warm_start=True):
     """Shared step of the fixed-point family (plain, relaxed, dynamic, inner loop).
 
-    Each quantity is computed once: ``f2`` data of every iterate comes from
-    one ``f2.value_and_grad`` call that feeds both the trace's objective
-    and the next step, and an unrelaxed step's ``D^T v'`` is the next
-    step's ``D^T v``. A step thus applies ``A``, ``A^T`` and ``D^T`` once
-    each (a relaxed step applies ``D^T`` a second time, to the relaxed
-    dual), plus ``D`` three times. The residual column holds the unrelaxed
-    step's change; the stop test reads the relaxed one.
+    Each quantity is computed once (the README's cost table counts the
+    operator calls): ``f2`` data of every iterate comes from one
+    ``f2.value_and_grad`` call that feeds both the trace's objective and the
+    next step, and an unrelaxed step's ``D^T v'`` is the next step's
+    ``D^T v``. The residual column holds the unrelaxed step's change; the
+    stop test reads the relaxed one. The run's arrays come from one
+    :class:`_Workspace`.
 
     With ``inner_stop`` (``pfbs_fp2o``), the dual update is the inner loop
     of :func:`_tentative`, relaxed by ``kappa`` and started from ``v``
     (``warm_start``) or from zero, and the trace records ``kappa`` as alpha
-    and the inner-iteration counts. A step with ``k`` inner steps applies
-    ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a cold start needs no
-    ``D^T v``.
+    and the inner-iteration counts.
     """
     u0 = p.zeros() if u0 is None else u0
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
     Dt_v = None
     lam_ref = float(lam_src(0, it))
+    ws = _Workspace(p)
 
     def step(n):
         nonlocal v, it, Dt_v
@@ -391,19 +411,18 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         _check_alpha(a, n)
         if warm_start and Dt_v is None:
             Dt_v = p.D.adjoint(v)
-        # D^T 0 = 0, so the cold start needs no operator call
-        v0, Dt_v0 = (v, Dt_v) if warm_start else (np.zeros_like(v), np.zeros_like(x))
-        vt, xt, Dt_vt, k = _tentative(p, g, l, v0, x, it.grad, Dt_v0, inner_stop, kappa)
-        res = _lnorm(vt - v, xt - x, lam_ref)
+        vt, xt, Dt_vt, k = _tentative(p, g, l, v, x, it.grad, Dt_v, inner_stop, kappa,
+                                      warm_start, ws)
+        # one warm-started inner step's test already took ||vt - v||^2 and ||v||^2
+        dd, vv = ws.dots if warm_start and k == 1 and ws.dots else (None, None)
+        dv = None if dd is not None else np.subtract(vt, v, out=ws.take("diff"))
+        res = _lnorm(dv, np.subtract(xt, x, out=ws.take("tmp")), lam_ref, dd)
         if a == 0.0:
-            v_new, x_new, Dt_v = vt, xt, Dt_vt
-            change = res
+            v_new, x_new, Dt_v, change = vt, xt, Dt_vt, res
         else:
-            v_new = mann_combine(a, v, vt)
-            x_new = mann_combine(a, x, xt)
-            Dt_v = None
+            v_new, x_new, Dt_v = mann_combine(a, v, vt), mann_combine(a, x, xt), None
             change = _lnorm(v_new - v, x_new - x, lam_ref)
-        denom = max(1.0, _lnorm(v, x, lam_ref))
+        denom = max(1.0, _lnorm(v, x, lam_ref, vv))
         v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(p.D.forward(x_new)) + it.value
@@ -483,13 +502,8 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     The trace records the inner-iteration count per outer step; with a
     single warm-started inner iteration and ``kappa = 0`` the method
     coincides with :func:`pdfp2o` step for step, since both take the same
-    dual step.
-
-    Each inner iterate's ``D^T v_i`` serves the next inner step, the primal
-    update and the next warm start, and ``f2`` is evaluated once per outer
-    step. An outer step with ``k`` inner steps thus applies ``A`` and
-    ``A^T`` once each, ``D`` ``k + 2`` times and ``D^T`` ``k`` times; a
-    warm-started run adds one ``D^T`` at its start.
+    dual step. Each inner iterate's ``D^T v_i`` serves the next inner step,
+    the primal update and the next warm start.
     """
     if inner_stop is None:
         raise ValueError("pfbs_fp2o needs an inner_stop rule for its inner loop")
@@ -653,9 +667,7 @@ def siu(p, delta, nu, stop=None, x_true=None):
 
     As the iteration converges, ``d - D x`` tends to zero. ``D x'`` feeds
     the d-update, the trace objective and the next x-update, and one
-    evaluation of ``f2`` at ``x'`` the objective and the next gradient, so
-    an iteration applies ``A``, ``A^T``, ``D`` and ``D^T`` once each; the
-    run adds one ``A``, one ``A^T`` and one ``D`` at its start.
+    evaluation of ``f2`` at ``x'`` the objective and the next gradient.
     """
     _quadratic(p.f2, "the split scheme")
     delta, nu = float(delta), float(nu)

@@ -325,6 +325,45 @@ class TestScheduleClamp:
         assert run_experiment(cfg) == 1
 
 
+# Keys that a solver or schedule never reads, each set away from its default:
+# the run would ignore them, so solve and compare reject them before the
+# problem is built.
+UNREAD_KEYS = {
+    "alpha-constant-ds": ({"solver.name": "pdfp2o_ds", "schedule.alpha": "0.7"},
+                          ["schedule.alpha"]),
+    "theta-ds": ({"solver.name": "pdfp2o_ds", "solver.theta": "0.2"}, ["solver.theta"]),
+    "decay-constant-ds": ({"solver.name": "pdfp2o_ds", "schedule.decay": "3"},
+                          ["schedule.decay"]),
+    "kappa-pdfp2o": ({"solver.kappa": "0.3"}, ["solver.kappa"]),
+    "inner-outside-pfbs": ({"solver.name": "pdfp2o_kappa", "solver.inner_tol": "1e-3",
+                            "solver.inner_max_iter": "7"},
+                           ["solver.inner_tol", "solver.inner_max_iter"]),
+    "clamp-outside-bb": ({"solver.name": "pdfp2o_dsn", "schedule.gamma_lo": "0.1",
+                          "schedule.gamma_hi": "1.5", "schedule.lambda_lo": "0.01",
+                          "schedule.lambda_hi": "0.1", "schedule.alpha_lo": "0.2"},
+                         ["schedule.gamma_lo", "schedule.gamma_hi", "schedule.lambda_lo",
+                          "schedule.lambda_hi", "schedule.alpha_lo"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_keys_the_run_never_reads_are_rejected(tmp_path, monkeypatch, capsys, case, command):
+    extra, unread = UNREAD_KEYS[case]
+    cfg = write_cfg(tmp_path / "c.cfg", **extra)
+    built = []
+    monkeypatch.setattr(ExperimentConfig, "build_problem",
+                        lambda self: built.append(1) or pytest.fail("problem built"))
+    argv = [command, str(cfg)]
+    if command == "compare":
+        argv += [str(write_cfg(tmp_path / "ok.cfg")), "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.split(" never reads ")[1].rstrip("\n").split(", ") == unread
+    assert not built and not (tmp_path / "out").exists() and not (tmp_path / "m.csv").exists()
+
+
 # One row per config key: the key's non-default value and the context in
 # which it acts. Each run is 16x16 with 20 iterations.
 _CLAMP = {"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",

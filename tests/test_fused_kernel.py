@@ -37,6 +37,7 @@ from pdfp import (
     quadratic_fn,
     siu,
     UnsupportedProblemError,
+    apply_T,
 )
 from conftest import DENOISE4_DATA
 
@@ -424,6 +425,65 @@ def test_operators_returning_their_input_are_not_overwritten():
             assert_array_equal(u.x, w.x, err_msg=name)
             assert_array_equal(u.v, w.v, err_msg=name)
         assert_array_equal(got.objectives, want.objectives, err_msg=name)
+
+
+# A tolerance under which some warm-started outer steps end after one inner
+# step and others later, for inner budgets of 1 to 4: both parities of the
+# workspace's rotation of dual buffers, and the outer step both reusing and
+# recomputing the inner stop test's dot products.
+ROTATION_TOL = 2e-2
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("warm,kappa", PFBS_CASES)
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+def test_pfbs_fp2o_workspace_matches_unfused_reference(builder, warm, kappa, budget):
+    p, _ = BUILDERS[builder]()
+    g, l, rule = 1.99 * p.beta, p.lambda_hi, StoppingRule(tol=ROTATION_TOL, max_iter=budget)
+    xt, ref = x_true_for(p), ref_state_for(p)
+    state, tr = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
+                          record_iterates=True, warm_start=warm)
+    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
+                          inner=True)
+    assert_trace_matches(tr, want)
+    assert_array_equal(state.x, want["iterates"][-1].x)
+    assert_array_equal(state.v, want["iterates"][-1].v)
+    if warm and budget > 1:
+        assert 1 in tr.inner_iters and tr.inner_iters.max() > 1
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_results_survive_a_later_call_or_run_on_the_same_problem(builder):
+    """Each ``apply_T`` call and each run computes into arrays of its own, so
+    a second call or run leaves what the first returned as it was."""
+    p, _ = BUILDERS[builder]()
+    g, l, u = 1.99 * p.beta, p.lambda_hi, ref_state_for(p)
+    first = apply_T(p, g, l, u)
+    kept = first.copy()
+    for again in (u, first):
+        apply_T(p, g, l, again)
+        assert_array_equal(first.x, kept.x)
+        assert_array_equal(first.v, kept.v)
+    runs = [lambda u0: pdfp2o(p, g, l, u0=u0, stop=STOP),
+            *(lambda u0, w=warm, k=kappa: pfbs_fp2o(p, g, l, k, INNER, u0=u0, stop=STOP,
+                                                    warm_start=w)
+              for warm, kappa in PFBS_CASES)]
+    for run in runs:
+        state, _ = run(None)
+        kept = state.copy()
+        for u0 in (None, state):
+            run(u0)
+            assert_array_equal(state.x, kept.x)
+            assert_array_equal(state.v, kept.v)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_zero_truth_is_rejected_before_the_first_step(builder):
+    # ||x_true|| is taken once per run, before any step applies D
+    p, counter = BUILDERS[builder]()
+    with pytest.raises(ValueError, match="x_true must be nonzero"):
+        pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, x_true=np.zeros(p.D.in_dim))
+    assert "D_fwd" not in counter.counts
 
 
 def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):

@@ -20,6 +20,7 @@ from pdfp import (  # noqa: E402
     StoppingRule,
     TomoGeometry,
     build_projection_matrix,
+    conjugate_prox,
     constant_schedule,
     diff_op_2d,
     gaussian_blur_op,
@@ -35,6 +36,7 @@ from pdfp import (  # noqa: E402
     pfbs_fp2o,
     quadratic_fn,
     rate_certificate,
+    subgradient_prox_check,
     zero_prox_fn,
 )
 from pdfp import linops  # noqa: E402
@@ -213,6 +215,7 @@ def test_projection_matrix_matches_per_ray_reference(n, angles, rays, spacing):
 # {g, g + G, ...}) and on partitions only np.bincount serves.
 CONJ_KINDS = ["zero", "l1", "group-strided", "group-bincount"]
 EPS = np.finfo(np.float64).eps
+SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 steps = st.floats(1e-3, 1e3)
 weights = st.floats(1e-2, 1e2)
@@ -318,6 +321,53 @@ def test_dual_step_without_conj_proj_keeps_the_prox_bits(kind, data, l):
     assert _dual_step(f, t, l, Dz, v, DDt_v).tobytes() == f.conj_proj(t, w.copy()).tobytes()
     for a, b in zip((Dz, v, DDt_v), inputs):
         assert a.tobytes() == b.tobytes()
+
+
+# Entries whose squares are signed zeros' +0.0 or overflow, alone or in a sum.
+NORM_ENTRIES = st.one_of(entries, st.sampled_from([0.0, -0.0, 1e154, -1.5e154, 1e200,
+                                                   np.finfo(np.float64).max]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), G=st.integers(1, 40), step=st.integers(1, 3))
+def test_strided_group_norms_match_bincount_bit_for_bit(data, rows, G, step):
+    dim = rows * G
+    part = _Partition(dim, [tuple(range(k, dim, G)) for k in range(G)])
+    # one group goes through np.bincount: np.einsum adds a contiguous
+    # column of 3 or more squares in another order
+    assert part.rows == (rows if G > 1 else None)
+    # step > 1 makes z a strided view of a larger buffer
+    z = data.draw(arrays(np.float64, dim * step, elements=NORM_ENTRIES))[::step]
+    with np.errstate(over="ignore"):
+        want = np.sqrt(np.bincount(part.gid, weights=z * z, minlength=G))
+    # np.einsum flags no overflow; the bincount path squares z as the reference does
+    with np.errstate(over="raise" if G > 1 else "ignore"):
+        got = part.norms(z)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", CONJ_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_moreau_decomposition_at_random_inputs(kind, data):
+    """``z = prox_{t f}(z) + t prox_{f*/t}(z/t)`` up to rounding; among
+    subnormals, up to a few of their spacings, scaled by ``t``."""
+    f, _, _, t, z = draw_conj_case(data, kind)
+    rebuilt = f.prox(t, z) + t * conjugate_prox(f, 1.0 / t, z / t)
+    slack = 16.0 * EPS * float(np.max(np.abs(z))) + 8.0 * max(t, 1.0) * SUBNORMAL
+    assert np.all(np.abs(rebuilt - z) <= slack)
+
+
+@pytest.mark.parametrize("kind", CONJ_KINDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_prox_satisfies_the_subgradient_inequality_at_random_inputs(kind, data, seed):
+    f, _, weight, t, z = draw_conj_case(data, kind)
+    # rounding slack: the probes reach about 6 (1 + max|z|) per entry, and
+    # y = (z - x)/t is within weight of zero, give or take eps |z| / t
+    scale = 1.0 + float(np.max(np.abs(z)))
+    slack = 1e-13 * z.size * scale * (weight + scale / t)
+    assert subgradient_prox_check(f, t, z, seed=seed, tol=slack)
 
 
 def assert_same_run(a, b, skip=()):
