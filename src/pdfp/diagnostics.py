@@ -7,7 +7,6 @@ import uuid
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import solvers
 
@@ -172,6 +171,7 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
         raise ValueError(f"lam={lam} must be positive and finite")
     if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
         return None
+    import scipy.linalg
     eigs = scipy.linalg.eigvalsh(_dense_gram(p.D))
     lam_min, lam_max = max(float(eigs[0]), 0.0), float(eigs[-1])
     lam_hi = math.inf if lam_max == 0.0 else (1.0 + 1e-9) / lam_max

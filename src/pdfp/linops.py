@@ -1,9 +1,6 @@
 """Linear operators: finite differences, sparse matrices, blur, spectral estimation."""
 
 import numpy as np
-import scipy.ndimage
-import scipy.sparse
-from scipy.sparse import _sparsetools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,14 +49,13 @@ class SparseMatrix:
     once, as one CSR matrix per block of ``BLOCK_COLS`` columns: ``A x`` adds
     up the blocks' CSR products and ``A^T v`` reads each block as CSC, so both
     products return the bits of one CSR matrix and of its transposed copy.
-    ``triplets`` returns the canonical (deduplicated) entries.
+    ``triplets`` returns the canonical (deduplicated) entries. scipy.sparse
+    loads with the first matrix.
     """
 
     def __init__(self, rows, cols, triplets):
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        self.rows = int(rows)
-        self.cols = int(cols)
         if isinstance(triplets, tuple) and len(triplets) == 3:
             i, j, v = triplets
         else:
@@ -77,27 +73,44 @@ class SparseMatrix:
             raise ValueError("triplet index out of range")
         # a stable sort keeps each row's triplets in input order, as coo.tocsr() does
         order = np.argsort(i, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=self.rows))))
-        self._set_csr(v[order], j[order], indptr)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=rows))))
+        M = self._from_row_chunks(rows, cols, [(v[order], j[order], indptr)])
+        self.rows, self.cols, self._blocks = M.rows, M.cols, M._blocks
 
     @classmethod
     def _from_csr(cls, rows, cols, data, indices, indptr):
         """Wrap CSR arrays whose rows need not be sorted or free of duplicates."""
+        return cls._from_row_chunks(rows, cols, [(data, indices, indptr)])
+
+    @classmethod
+    def _from_row_chunks(cls, rows, cols, chunks):
+        """Assemble from CSR pieces ``(data, indices, indptr)`` covering consecutive rows.
+
+        ``sum_duplicates`` sorts and sums row by row, so any split of the rows
+        gives the arrays of one whole CSR bit for bit. Each piece is cut into
+        the column blocks and dropped, so the whole matrix is never held twice.
+        """
+        import scipy.sparse
         M = cls.__new__(cls)
         M.rows, M.cols = int(rows), int(cols)
-        M._set_csr(data, indices, indptr)
+        starts = range(0, M.cols, BLOCK_COLS)
+        slices = [[] for _ in starts]
+        for data, indices, indptr in chunks:
+            piece = scipy.sparse.csr_matrix((data, indices, indptr),
+                                            shape=(len(indptr) - 1, M.cols))
+            piece.sum_duplicates()
+            for c, sl in zip(starts, slices):
+                sl.append(piece[:, c:c + BLOCK_COLS])
+        # each block's slices are dropped as soon as the block is stacked
+        M._blocks = [(c, scipy.sparse.vstack(slices.pop(0), format="csr")) for c in starts]
+        if M._blocks[0][1].shape[0] != M.rows:
+            raise ValueError(f"row chunks cover {M._blocks[0][1].shape[0]} rows, not {M.rows}")
         return M
-
-    def _set_csr(self, data, indices, indptr):
-        # sorts each row's indices and sums duplicates in the order coo.tocsr()
-        # does, so both constructors give the same arrays bit for bit
-        csr = scipy.sparse.csr_matrix((data, indices, indptr), shape=self.shape)
-        csr.sum_duplicates()
-        self._blocks = [(c, csr[:, c:c + BLOCK_COLS]) for c in range(0, self.cols, BLOCK_COLS)]
 
     @property
     def _csr(self):
         """The whole matrix as one CSR matrix, built afresh."""
+        import scipy.sparse
         return scipy.sparse.hstack([B for _, B in self._blocks], format="csr")
 
     @classmethod
@@ -122,6 +135,7 @@ class SparseMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.cols,):
             raise ValueError(f"matvec expects a vector of length {self.cols}, got {x.shape}")
+        from scipy.sparse import _sparsetools
         y = np.zeros(self.rows)
         # scipy's CSR kernel adds each block into y, so a row sums in increasing
         # column order, as in one CSR
@@ -133,6 +147,7 @@ class SparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.rows}, got {v.shape}")
+        from scipy.sparse import _sparsetools
         out = np.zeros(self.cols)
         # read as CSC, a block sums each A^T entry in increasing row order, as a transposed CSR
         for c, B in self._blocks:
@@ -235,6 +250,7 @@ def gaussian_blur_op(height, width, radius, sigma):
     h, w = int(height), int(width)
     if radius >= min(h, w):
         raise ValueError("radius must be smaller than both image dimensions")
+    import scipy.ndimage
     hw = h * w
     offs = np.arange(-radius, radius + 1, dtype=np.float64)
     k1 = np.exp(-(offs ** 2) / (2.0 * sigma ** 2))

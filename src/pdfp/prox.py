@@ -70,17 +70,21 @@ def l1_prox(t, z):
 
 
 def _group_ids(dim, groups):
-    """Validate that ``groups``, sequences of indices, partition ``range(dim)``;
-    return the id map.
+    """Validate that ``groups``, sequences of indices or an ``(n_groups, size)``
+    integer array, partition ``range(dim)``; return the id map.
 
     The check runs on all indices at once. Read group by group, it raises at
     the first group that is out of range or overlaps an earlier one, and
     only then checks that every index is covered.
     """
     n_groups = len(groups)
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n_groups)
-    idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
-                      count=int(sizes.sum()))
+    if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
+        # an array's rows are the groups, read without a Python object per group
+        sizes, idx = groups.shape[1], groups.ravel().astype(np.int64)
+    else:
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n_groups)
+        idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                          count=int(sizes.sum()))
     owner = np.repeat(np.arange(n_groups), sizes)
     bad = (idx < 0) | (idx >= dim)
     n_ok = int(owner[np.argmax(bad)]) if bad.any() else n_groups

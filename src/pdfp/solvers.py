@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import diagnostics
 from .linops import POWER_TOL, LinearOp, norm_sq_bound, op_norm_sq
@@ -394,6 +393,7 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
     and the inner-iteration counts.
     """
     u0 = p.zeros() if u0 is None else u0
+    stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
     Dt_v = None
@@ -422,7 +422,8 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         else:
             v_new, x_new, Dt_v = mann_combine(a, v, vt), mann_combine(a, x, xt), None
             change = _lnorm(v_new - v, x_new - x, lam_ref)
-        denom = max(1.0, _lnorm(v, x, lam_ref, vv))
+        # only the stop test reads the denominator, and only with a tolerance
+        denom = max(1.0, _lnorm(v, x, lam_ref, vv)) if stop.tol > 0.0 else math.nan
         v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(p.D.forward(x_new)) + it.value
@@ -528,6 +529,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         raise ValueError("Q must be square and b must match its size")
     if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12):
         raise ValueError("Q must be symmetric")
+    import scipy.linalg
     try:
         cho = scipy.linalg.cho_factor(Q)
     except np.linalg.LinAlgError as exc:

@@ -108,17 +108,15 @@ def build_projection_matrix(g):
     p = g.rays_per_angle
     offs = (np.arange(p) - (p - 1) / 2.0) * g.detector_spacing
     idx_dtype = np.int32 if g.n_cols <= np.iinfo(np.int32).max else np.int64
-    data, indices, counts = [], [], []
-    for ang in g.angles_deg:
-        lengths, cols, ray = _trace_angle(n, offs, math.radians(ang))
-        data.append(lengths)
-        indices.append(cols.astype(idx_dtype))
-        counts.append(np.bincount(ray, minlength=p))
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    # each list is dropped as soon as it is joined, which bounds the peak memory
-    data = np.concatenate(data)
-    indices = np.concatenate(indices)
-    return SparseMatrix._from_csr(g.n_rows, g.n_cols, data, indices, indptr)
+
+    def chunks():
+        # one CSR piece per angle, so the whole matrix is never held twice
+        for ang in g.angles_deg:
+            lengths, cols, ray = _trace_angle(n, offs, math.radians(ang))
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(ray, minlength=p))))
+            yield lengths, cols.astype(idx_dtype), indptr
+
+    return SparseMatrix._from_row_chunks(g.n_rows, g.n_cols, chunks())
 
 
 def _trace_angle(n, offs, t):
@@ -211,8 +209,8 @@ def _tv_prox_fn(h, w, reg_weight, variant):
     if variant == "anisotropic":
         return l1_norm_fn(2 * hw, weight=reg_weight)
     if variant == "isotropic-pair":
-        groups = [(k, hw + k) for k in range(hw)]
-        return group_l2_norm_fn(2 * hw, groups, weight=reg_weight)
+        k = np.arange(hw)
+        return group_l2_norm_fn(2 * hw, np.stack([k, hw + k], axis=1), weight=reg_weight)
     raise ValueError(f"unknown variant {variant!r}")
 
 

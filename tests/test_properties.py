@@ -39,7 +39,7 @@ from pdfp import (  # noqa: E402
     subgradient_prox_check,
     zero_prox_fn,
 )
-from pdfp import linops  # noqa: E402
+from pdfp import linops, tomo  # noqa: E402
 from pdfp.prox import _group_ids, _Partition  # noqa: E402
 from pdfp.solvers import _dual_step  # noqa: E402
 from test_linops import (  # noqa: E402
@@ -108,14 +108,32 @@ def assert_products_match_one_csr(M, csr, rng):
     assert M.rmatvec(v).tobytes() == (csr.T.tocsr() @ v).tobytes()
 
 
+def assert_same_blocks(got, want):
+    """Both matrices hold the same column blocks, array for array, byte for byte."""
+    assert [c for c, _ in got._blocks] == [c for c, _ in want._blocks]
+    for (_, B), (_, C) in zip(got._blocks, want._blocks):
+        assert B.shape == C.shape
+        assert_same_csr(B, C)
+
+
+def row_chunks(data, indices, indptr, cuts):
+    """The CSR arrays split into pieces of consecutive rows at the row numbers ``cuts``."""
+    bounds = [0, *cuts, indptr.size - 1]
+    for a, b in zip(bounds, bounds[1:]):
+        lo, hi = indptr[a], indptr[b]
+        yield data[lo:hi], indices[lo:hi], indptr[a:b + 1] - lo
+
+
 # Entries fall in a random subset of the rows and of the columns, so some
 # rows, columns and whole blocks stay empty, and repeat positions; their
 # values span 16 orders of magnitude and include signed zeros, so any change
-# in the order of summation shows in the bits.
+# in the order of summation shows in the bits. The rows are also split into
+# up to 5 chunks, some with no entries and some with no rows.
 @settings(max_examples=150, deadline=None)
 @given(rows=st.integers(1, 15), cols=st.integers(1, 15), k=st.integers(0, 60),
-       block_cols=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1))
-def test_blocked_products_match_one_csr_bit_for_bit(rows, cols, k, block_cols, seed):
+       block_cols=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+       cuts=st.lists(st.integers(0, 15), max_size=4))
+def test_blocked_products_match_one_csr_bit_for_bit(rows, cols, k, block_cols, seed, cuts):
     rng = np.random.default_rng(seed)
     used_rows = rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False)
     used_cols = rng.choice(cols, int(rng.integers(1, cols + 1)), replace=False)
@@ -128,6 +146,24 @@ def test_blocked_products_match_one_csr_bit_for_bit(rows, cols, k, block_cols, s
     want.sum_duplicates()
     assert_same_csr(M._csr, want)
     assert_products_match_one_csr(M, want, rng)
+    # the same entries, sorted by row as the constructor sorts them, in chunks
+    order = np.argsort(i, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=rows))))
+    pieces = row_chunks(vals[order], j[order], indptr, sorted(min(c, rows) for c in cuts))
+    chunked = blocked(block_cols, SparseMatrix._from_row_chunks, rows, cols, pieces)
+    assert_same_blocks(chunked, M)
+
+
+def concatenated_assembly(g):
+    """The projection matrix from all angles' arrays joined into one CSR
+    before it is split into blocks."""
+    p = g.rays_per_angle
+    offs = (np.arange(p) - (p - 1) / 2.0) * g.detector_spacing
+    traced = [tomo._trace_angle(g.image_side, offs, math.radians(a)) for a in g.angles_deg]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(
+        [np.bincount(ray, minlength=p) for _, _, ray in traced]))))
+    return SparseMatrix._from_csr(g.n_rows, g.n_cols, np.concatenate([t[0] for t in traced]),
+                                  np.concatenate([t[1] for t in traced]).astype(np.int32), indptr)
 
 
 @pytest.mark.parametrize("block_cols", [linops.BLOCK_COLS, 1000])
@@ -137,6 +173,7 @@ def test_blocked_products_match_one_csr_on_the_ct_matrix(block_cols):
     want = projection_matrix_reference(g)
     assert_same_csr(M._csr, want)
     assert_products_match_one_csr(M, want, np.random.default_rng(5))
+    assert_same_blocks(M, blocked(block_cols, concatenated_assembly, g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,13 +221,20 @@ def test_rate_certificate_mu_matches_dense_eigenvalues(m, extra, density, frac, 
        | st.permutations(range(6)).flatmap(
            lambda p: st.integers(0, 6).map(lambda k: [p[:k], p[k:]])))
 def test_group_ids_matches_loop(groups):
+    # a rectangular draw also goes in as an (n_groups, size) integer array
+    forms = [groups]
+    if len({len(g) for g in groups}) == 1:
+        forms += [np.array(groups, dtype=dt).reshape(len(groups), -1)
+                  for dt in (np.int64, np.int32)]
     try:
         want = group_ids_reference(6, groups)
     except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
-            _group_ids(6, groups)
+        for form in forms:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _group_ids(6, form)
     else:
-        np.testing.assert_array_equal(_group_ids(6, groups), want)
+        for form in forms:
+            np.testing.assert_array_equal(_group_ids(6, form), want)
 
 
 # Exact 0 and 90 degrees sit beside arbitrary angles; ray offsets of up to
@@ -249,6 +293,25 @@ def draw_conj_case(data, kind):
         f = group_l2_norm_fn(dim, groups, weight=weight)
     w = data.draw(arrays(np.float64, dim, elements=entries))
     return f, groups, weight, data.draw(steps), w
+
+
+# Rectangular partitions: the strided layout of the isotropic TV pairing
+# and shuffled ones that only np.bincount serves.
+@settings(max_examples=100, deadline=None)
+@given(G=st.integers(1, 8), size=st.integers(1, 4), strided=st.booleans(),
+       t=steps, weight=weights, seed=st.integers(0, 2 ** 32 - 1))
+def test_group_l2_norm_fn_from_an_array_matches_tuples_bit_for_bit(G, size, strided, t,
+                                                                   weight, seed):
+    rng = np.random.default_rng(seed)
+    dim = G * size
+    order = np.arange(dim) if strided else rng.permutation(dim)
+    arr = order.reshape(size, G).T
+    f_arr = group_l2_norm_fn(dim, arr, weight=weight)
+    f_tup = group_l2_norm_fn(dim, [tuple(int(k) for k in row) for row in arr], weight=weight)
+    z = with_signed_zeros(rng, dim)
+    assert f_arr.value(z) == f_tup.value(z)
+    assert f_arr.prox(t, z).tobytes() == f_tup.prox(t, z).tobytes()
+    assert f_arr.conj_proj(t, z.copy()).tobytes() == f_tup.conj_proj(t, z.copy()).tobytes()
 
 
 @pytest.mark.parametrize("kind", CONJ_KINDS)

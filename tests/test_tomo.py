@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+import pdfp
 from pdfp import (
     StoppingRule,
     TomoGeometry,
@@ -337,3 +342,35 @@ class TestImageIO:
         raw = path.read_bytes()
         assert raw.endswith(b"\xff\xff")
 
+
+SCIPY_SUBMODULES = ("scipy.sparse", "scipy.ndimage", "scipy.linalg")
+
+
+def scipy_submodules_loaded_after(code):
+    """The scipy submodules a fresh interpreter holds after ``import pdfp`` and ``code``."""
+    path = [str(Path(pdfp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = (f"import sys\nimport pdfp\n{code}\n"
+              f"print(*(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    return set(out.stdout.split())
+
+
+class TestModuleLoading:
+    """A run loads only the scipy submodules its problem uses."""
+
+    def test_import_loads_no_scipy_submodule(self):
+        assert scipy_submodules_loaded_after("") == set()
+
+    def test_denoise_run_loads_no_scipy_submodule(self):
+        code = ("p, x = pdfp.make_denoise_problem(32, 0.1, 1, 0.05, 'isotropic-pair')\n"
+                "pdfp.pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, 0.0, pdfp.StoppingRule(1e-4, 50),"
+                " stop=pdfp.StoppingRule(0.0, 5))")
+        assert scipy_submodules_loaded_after(code) == set()
+
+    def test_ct_problem_loads_scipy_sparse_only(self):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "ct_constant.cfg"
+        code = ("from pdfp.cli import ExperimentConfig\n"
+                f"ExperimentConfig.load({str(cfg)!r}, {{'problem.size': 32}}).build_problem()")
+        assert scipy_submodules_loaded_after(code) == {"scipy.sparse"}
