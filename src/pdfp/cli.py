@@ -174,9 +174,9 @@ class ExperimentConfig:
             raise ConfigError("problem.size must be at least 16")
         if v["problem.noise"] < 0:
             raise ConfigError("problem.noise must be nonnegative")
-        if v["run.max_iter"] < 1:
-            raise ConfigError("run.max_iter must be positive")
         for prefix in ("run.", "solver.inner_"):
+            if v[prefix + "max_iter"] < 1:
+                raise ConfigError(f"{prefix}max_iter must be positive")
             try:
                 StoppingRule(tol=v[prefix + "tol"], max_iter=v[prefix + "max_iter"])
             except ValueError as exc:

@@ -42,70 +42,68 @@ class LinearOp:
     norm_sq_hint: Optional[float] = None
 
 
-class SparseMatrix:
-    """Sparse matrix built from (row, col, value) triplets.
+def _vector(x, n):
+    """``x`` as a float64 vector, or a ValueError unless it has length ``n``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
+    return x
 
-    Duplicate triplets are summed at construction. The entries are held
-    once, as one CSR matrix per block of ``BLOCK_COLS`` columns: ``A x`` adds
-    up the blocks' CSR products and ``A^T v`` reads each block as CSC, so both
-    products return the bits of one CSR matrix and of its transposed copy.
-    ``triplets`` returns the canonical (deduplicated) entries. scipy.sparse
-    loads with the first matrix.
+
+class SparseMatrix:
+    """Sparse matrix built from three equal-length arrays ``(i, j, v)``.
+
+    ``i`` and ``j`` hold integer row and column indices; duplicate entries
+    are summed as ``scipy.sparse.coo_matrix((v, (i, j)), shape).tocsr()``
+    sums them. The entries are held once, as one CSR matrix per block of
+    ``BLOCK_COLS`` columns: ``A x`` adds up the blocks' CSR products and
+    ``A^T v`` reads each block as CSC, so both products return the bits of
+    one CSR matrix and of its transposed copy. ``triplets`` returns the
+    canonical (deduplicated) entries. scipy.sparse loads with the first matrix.
     """
 
     def __init__(self, rows, cols, triplets):
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if isinstance(triplets, tuple) and len(triplets) == 3:
-            i, j, v = triplets
-        else:
-            trip = list(triplets)
-            if trip:
-                i, j, v = zip(*trip)
-            else:
-                i, j, v = [], [], []
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        v = np.asarray(v, dtype=np.float64)
+        i, j, v = triplets
+        i, j, v = np.asarray(i), np.asarray(j), np.asarray(v, dtype=np.float64)
+        if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+            raise TypeError(f"triplet indices must be integer arrays, got {i.dtype} and {j.dtype}")
         if not i.shape == j.shape == v.shape:
             raise ValueError(f"triplet arrays differ in length: {i.size}, {j.size}, {v.size}")
         if i.size and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
             raise ValueError("triplet index out of range")
-        # a stable sort keeps each row's triplets in input order, as coo.tocsr() does
-        order = np.argsort(i, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=rows))))
-        M = self._from_row_chunks(rows, cols, [(v[order], j[order], indptr)])
-        self.rows, self.cols, self._blocks = M.rows, M.cols, M._blocks
-
-    @classmethod
-    def _from_csr(cls, rows, cols, data, indices, indptr):
-        """Wrap CSR arrays whose rows need not be sorted or free of duplicates."""
-        return cls._from_row_chunks(rows, cols, [(data, indices, indptr)])
+        import scipy.sparse
+        csr = scipy.sparse.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
+        self._fill(rows, cols, [(csr.data, csr.indices, csr.indptr)])
 
     @classmethod
     def _from_row_chunks(cls, rows, cols, chunks):
-        """Assemble from CSR pieces ``(data, indices, indptr)`` covering consecutive rows.
+        """Assemble from CSR pieces ``(data, indices, indptr)`` covering consecutive rows."""
+        return cls.__new__(cls)._fill(rows, cols, chunks)
+
+    def _fill(self, rows, cols, chunks):
+        """Store the row chunks as column blocks; the one build path of every matrix.
 
         ``sum_duplicates`` sorts and sums row by row, so any split of the rows
         gives the arrays of one whole CSR bit for bit. Each piece is cut into
         the column blocks and dropped, so the whole matrix is never held twice.
         """
         import scipy.sparse
-        M = cls.__new__(cls)
-        M.rows, M.cols = int(rows), int(cols)
-        starts = range(0, M.cols, BLOCK_COLS)
+        self.rows, self.cols = int(rows), int(cols)
+        starts = range(0, self.cols, BLOCK_COLS)
         slices = [[] for _ in starts]
         for data, indices, indptr in chunks:
             piece = scipy.sparse.csr_matrix((data, indices, indptr),
-                                            shape=(len(indptr) - 1, M.cols))
+                                            shape=(len(indptr) - 1, self.cols))
             piece.sum_duplicates()
             for c, sl in zip(starts, slices):
                 sl.append(piece[:, c:c + BLOCK_COLS])
         # each block's slices are dropped as soon as the block is stacked
-        M._blocks = [(c, scipy.sparse.vstack(slices.pop(0), format="csr")) for c in starts]
-        if M._blocks[0][1].shape[0] != M.rows:
-            raise ValueError(f"row chunks cover {M._blocks[0][1].shape[0]} rows, not {M.rows}")
-        return M
+        self._blocks = [(c, scipy.sparse.vstack(slices.pop(0), format="csr")) for c in starts]
+        if self._blocks[0][1].shape[0] != self.rows:
+            raise ValueError(f"row chunks cover {self._blocks[0][1].shape[0]} rows, not {self.rows}")
+        return self
 
     @property
     def _csr(self):
@@ -132,9 +130,7 @@ class SparseMatrix:
         return coo.row.copy(), coo.col.copy(), coo.data.copy()
 
     def matvec(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cols,):
-            raise ValueError(f"matvec expects a vector of length {self.cols}, got {x.shape}")
+        x = _vector(x, self.cols)
         from scipy.sparse import _sparsetools
         y = np.zeros(self.rows)
         # scipy's CSR kernel adds each block into y, so a row sums in increasing
@@ -144,9 +140,7 @@ class SparseMatrix:
         return y
 
     def rmatvec(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.rows,):
-            raise ValueError(f"rmatvec expects a vector of length {self.rows}, got {v.shape}")
+        v = _vector(v, self.rows)
         from scipy.sparse import _sparsetools
         out = np.zeros(self.cols)
         # read as CSC, a block sums each A^T entry in increasing row order, as a transposed CSR
@@ -168,10 +162,7 @@ def identity_op(n):
     """Identity operator on length-``n`` vectors."""
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (n,):
-            raise ValueError(f"expected a vector of length {n}, got {x.shape}")
-        return x.copy()
+        return _vector(x, n).copy()
 
     return LinearOp(in_dim=n, out_dim=n, forward=apply, adjoint=apply, tag="identity", norm_sq_hint=1.0)
 
@@ -195,10 +186,7 @@ def diff_op_2d(height, width, variant="anisotropic"):
     hw = h * w
 
     def forward(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (hw,):
-            raise ValueError(f"expected a flattened {h}x{w} image of length {hw}")
-        img = x.reshape(h, w)
+        img = _vector(x, hw).reshape(h, w)
         out = np.empty(2 * hw)
         dh = out[:hw].reshape(h, w)
         dv = out[hw:].reshape(h, w)
@@ -209,9 +197,7 @@ def diff_op_2d(height, width, variant="anisotropic"):
         return out
 
     def adjoint(u):
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (2 * hw,):
-            raise ValueError(f"expected a stacked difference vector of length {2 * hw}")
+        u = _vector(u, 2 * hw)
         p = u[:hw].reshape(h, w)
         q = u[hw:].reshape(h, w)
         # Each entry sums as (((0 - p_right) + p_left) - q_below) + q_above,
@@ -257,10 +243,7 @@ def gaussian_blur_op(height, width, radius, sigma):
     k1 /= k1.sum()
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (hw,):
-            raise ValueError(f"expected a flattened {h}x{w} image of length {hw}")
-        img = x.reshape(h, w)
+        img = _vector(x, hw).reshape(h, w)
         out = scipy.ndimage.convolve1d(img, k1, axis=0, mode="reflect")
         out = scipy.ndimage.convolve1d(out, k1, axis=1, mode="reflect")
         return out.ravel()

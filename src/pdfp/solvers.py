@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .linops import POWER_TOL, LinearOp, norm_sq_bound, op_norm_sq
+from .linops import LinearOp, norm_sq_bound
 from .prox import QuadraticFn, conjugate_prox
 
 
@@ -508,6 +508,9 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     """
     if inner_stop is None:
         raise ValueError("pfbs_fp2o needs an inner_stop rule for its inner loop")
+    if inner_stop.max_iter < 1:
+        raise ValueError("pfbs_fp2o needs inner_stop.max_iter >= 1: with no inner step "
+                         "the dual variable never moves and the run minimizes f2 alone")
     _check_alpha(kappa, 0)
     return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
@@ -543,7 +546,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         forward=lambda w: D.forward(solve(D.adjoint(w))),
         adjoint=lambda w: D.forward(solve(D.adjoint(w))),
     )
-    lam_max_K = (1.0 + POWER_TOL) * math.sqrt(op_norm_sq(K))
+    lam_max_K = math.sqrt(norm_sq_bound(K))
     hi = math.inf if lam_max_K == 0.0 else 2.0 / lam_max_K
     if not (0.0 < lam <= hi):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")

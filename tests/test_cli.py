@@ -102,9 +102,11 @@ class TestSolve:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("run.tol", "nan"), ("solver.inner_tol", "nan"), ("solver.inner_max_iter", "-1")])
+        ("run.tol", "nan"), ("solver.inner_tol", "nan"), ("solver.inner_max_iter", "-1"),
+        ("solver.inner_max_iter", "0")])
     def test_bad_stopping_value_exits_before_solving(self, tmp_path, capsys, key, value):
-        # each once ran out the budget silently and exited 2
+        # each once ran out the budget silently and exited 2, or (a zero inner
+        # budget) converged to the minimizer of the data term alone and exited 0
         cfg = write_cfg(tmp_path / "c.cfg", **{"solver.name": "pfbs_fp2o", "run.max_iter": "5",
                                                key: value})
         assert run_experiment(cfg) == 1
@@ -459,6 +461,38 @@ def test_every_config_key_has_an_effect(tmp_path, monkeypatch, key):
     with_files, without_files = _artifacts(tmp_path / "with"), _artifacts(tmp_path / "without")
     assert sorted(with_files) == sorted(without_files) != []
     assert with_files != without_files
+
+
+# Configs each rejected with exit 1 by one validation of the CLI: the
+# overrides, the command, and a text the error must name.
+REJECTED_CONFIGS = {
+    "unreadable": (None, "solve", "cannot read config"),
+    "unparsable-value": ({"problem.size": "big"}, "solve", "problem.size: 'big'"),
+    "schedule-kind": ({"schedule.kind": "warp"}, "solve", "schedule kind: warp"),
+    "tv": ({"problem.tv": "total"}, "solve", "problem.tv must be"),
+    "small-size": ({"problem.size": "8"}, "solve", "problem.size must be at least 16"),
+    "negative-noise": ({"problem.noise": "-0.1"}, "solve", "problem.noise must be"),
+    "max-iter": ({"run.max_iter": "0"}, "solve", "run.max_iter must be positive"),
+    "ifp2o-size": ({"solver.name": "ifp2o", "problem.size": "33"}, "solve",
+                   "problem.size <= 32"),
+    "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",
+                       "ifp2o supports identity data operators only"),
+    "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify", "solver.sigma_strong=auto"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))
+def test_rejected_config_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys, case):
+    overrides, command, named = REJECTED_CONFIGS[case]
+    monkeypatch.delenv("PDFP_OUTPUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)  # the unreadable config's default run.output_dir
+    cfg = tmp_path / "missing.cfg"
+    if overrides is not None:
+        cfg = write_cfg(tmp_path / "c.cfg", **overrides)
+    assert main([command, str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestErrors:

@@ -93,7 +93,7 @@ class TestMSeminorm:
             assert m_seminorm(v, D, lam) <= np.linalg.norm(v) + 1e-12
 
     def test_oversized_weight_raises(self):
-        M = SparseMatrix(1, 1, [(0, 0, 2.0)])
+        M = SparseMatrix(1, 1, ([0], [0], [2.0]))
         with pytest.raises(InvariantViolationError):
             m_seminorm(np.array([1.0]), matrix_op(M), 1.0)
 
@@ -156,7 +156,7 @@ class TestFixedPointResidual:
         assert fixed_point_residual(denoise4, denoise4.beta, denoise4.lambda_hi, u) <= 1e-8
 
     def test_zero_analysis_operator_reduces_to_gradient_norm(self):
-        Z = matrix_op(SparseMatrix(2, 2, []))
+        Z = matrix_op(SparseMatrix(2, 2, (np.zeros(0, int), np.zeros(0, int), np.zeros(0))))
         f2 = quadratic_fn(identity_op(2), np.array([1.0, -1.0]))
         p = make_problem(zero_prox_fn(2), f2, Z)
         x = np.array([3.0, 2.0])
@@ -216,7 +216,7 @@ def _trace_with_iterates(iterates):
 
 def synthetic_certifiable_problem(scale=1.001):
     # nearly spherical quadratic: strong convexity 1, curvature ratio ~1
-    M = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, scale)])
+    M = SparseMatrix(2, 2, ([0, 1], [0, 1], [1.0, scale]))
     f2 = quadratic_fn(matrix_op(M), np.array([1.0, -2.0]))
     return make_problem(l1_norm_fn(2, weight=0.05), f2, identity_op(2))
 
@@ -225,7 +225,7 @@ class TestRateCertificate:
     def test_identity_analysis_and_matched_curvature(self):
         # D = I at unit weight kills mu; gamma = beta with sigma = 1/beta
         # kills nu, leaving theta at the relaxation floor
-        M = SparseMatrix(2, 2, [(0, 0, 2.0), (1, 1, 2.0)])  # f2 = 0.5||2x - b||^2
+        M = SparseMatrix(2, 2, ([0, 1], [0, 1], [2.0, 2.0]))  # f2 = 0.5||2x - b||^2
         f2 = quadratic_fn(matrix_op(M), np.ones(2))
         p = make_problem(l1_norm_fn(2, weight=0.1), f2, identity_op(2))
         sigma = 4.0  # lambda_min(A^T A)
@@ -274,7 +274,7 @@ class TestRateCertificate:
             assert lhs <= cert.eta * rhs + 1e-9
 
     def test_rank_deficient_operator_not_applicable(self):
-        M = SparseMatrix(2, 2, [(0, 0, 1.0)])  # singular D D^T
+        M = SparseMatrix(2, 2, ([0], [0], [1.0]))  # singular D D^T
         f2 = quadratic_fn(identity_op(2), np.ones(2))
         p = make_problem(l1_norm_fn(2, weight=0.1), f2, matrix_op(M))
         assert rate_certificate(p, p.beta, 0.5, 0.1, 0.9, sigma=1.0) is None

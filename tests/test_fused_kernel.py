@@ -33,6 +33,7 @@ from pdfp import (
     pdfp2o,
     pdfp2o_ds,
     pdfp2o_dsn,
+    pdfp2o_kappa,
     pfbs_fp2o,
     quadratic_fn,
     siu,
@@ -337,11 +338,16 @@ class TestSplitSolverOperatorCounts:
         with pytest.raises(UnsupportedProblemError):
             chambolle_pock(q, 1.0, 0.5 * q.lambda_hi, 1.0, stop=STOP)
         # with no inner rule the kernel would take one kappa-relaxed dual
-        # step, a method outside the family, and record kappa nowhere
+        # step, a method outside the family, and record kappa nowhere; with
+        # a zero inner budget the dual variable would never move, and the run
+        # would take gradient steps on f2 alone
         for warm, kappa in PFBS_CASES:
             with pytest.raises(ValueError, match="inner_stop"):
                 pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, kappa, None, stop=STOP,
                           warm_start=warm)
+            with pytest.raises(ValueError, match=r"inner_stop\.max_iter >= 1"):
+                pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, kappa, StoppingRule(1e-2, 0),
+                          stop=STOP, warm_start=warm)
         assert counter.counts == {}
 
 
@@ -361,8 +367,8 @@ def test_pfbs_fp2o_matches_unfused_reference(builder, warm, kappa):
     assert_array_equal(tr.inner_iters, inners)
 
 
-# Inner rules at the edges of the inner loop: no dual step at all, exactly
-# one, and the full budget with the inner tolerance test switched off.
+# Inner rules at the edges of the inner loop: no dual step at all (refused),
+# exactly one, and the full budget with the inner tolerance test switched off.
 INNER_EDGES = {"budget0": StoppingRule(tol=1e-2, max_iter=0),
                "budget1": StoppingRule(tol=1e-2, max_iter=1),
                "tol0": StoppingRule(tol=0.0, max_iter=5)}
@@ -372,9 +378,15 @@ INNER_EDGES = {"budget0": StoppingRule(tol=1e-2, max_iter=0),
 @pytest.mark.parametrize("warm,kappa", PFBS_CASES)
 @pytest.mark.parametrize("inner", sorted(INNER_EDGES))
 def test_pfbs_fp2o_inner_edges_match_unfused_reference(builder, warm, kappa, inner):
-    p, _ = BUILDERS[builder]()
+    p, counter = BUILDERS[builder]()
     g, l, rule = 1.99 * p.beta, p.lambda_hi, INNER_EDGES[inner]
     xt, ref = x_true_for(p), ref_state_for(p)
+    if rule.max_iter == 0:
+        # the reference loop would keep v at zero and minimize f2 alone
+        with pytest.raises(ValueError, match=r"inner_stop\.max_iter >= 1"):
+            pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, warm_start=warm)
+        assert counter.counts == {}
+        return
     state, tr = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
                           record_iterates=True, warm_start=warm)
     want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
@@ -388,6 +400,45 @@ def test_pfbs_fp2o_inner_edges_match_unfused_reference(builder, warm, kappa, inn
         _, tr_p = pdfp2o(p, g, l, stop=STOP, ref=ref, x_true=xt, record_iterates=True)
         assert_trace_matches(tr, {name: getattr(tr_p, name) for name in want
                                   if name != "inner_iters"})
+
+
+def smooth4():
+    """``denoise4`` with the non-quadratic data term ``sum(sqrt(1 + (x - b)^2))``,
+    whose gradient ``(x - b) / sqrt(1 + (x - b)^2)`` is 1-Lipschitz: the kernel
+    evaluates it through ``SmoothFn.value_and_grad``."""
+    b = DENOISE4_DATA
+    f2 = SmoothFn(dim=16, value=lambda x: float(np.sum(np.sqrt(1.0 + (x - b) ** 2))),
+                  grad=lambda x: (x - b) / np.sqrt(1.0 + (x - b) ** 2), lipschitz=1.0)
+    return make_problem(l1_norm_fn(32, weight=0.2), f2, diff_op_2d(4, 4, "anisotropic"))
+
+
+@pytest.mark.parametrize("kind", ["pdfp2o", "pdfp2o_kappa", "ds_const",
+                                  *(f"pfbs-{warm}-{kappa}" for warm, kappa in PFBS_CASES)])
+def test_non_quadratic_data_term_matches_unfused_reference(kind):
+    # the solvers that take any smooth f2; cp, siu and ifp2o need a quadratic
+    # and bb_dynamic reads its residual
+    p = smooth4()
+    g, l = 1.99 * p.beta, p.lambda_hi
+    if kind.startswith("pfbs"):
+        _, warm, kappa = kind.split("-")
+        warm, kappa = warm == "True", float(kappa)
+        xs, vs, objs, ress, inners = pfbs_reference(p, g, l, kappa, INNER, N_ITER, warm)
+        _, tr = _pfbs(p, warm, kappa)
+        assert_array_equal(tr.inner_iters, inners)
+    else:
+        alpha = 0.3 if kind == "pdfp2o_kappa" else 0.0
+        sched = constant_schedule(g, l, alpha=alpha, problem=p)
+        xs, vs, objs, ress, _ = unfused_reference(p, sched, N_ITER, relaxed=alpha > 0.0)
+        common = dict(stop=STOP, record_iterates=True)
+        _, tr = {"pdfp2o": lambda: pdfp2o(p, g, l, **common),
+                 "pdfp2o_kappa": lambda: pdfp2o_kappa(p, g, l, alpha, **common),
+                 "ds_const": lambda: pdfp2o_ds(p, sched, **common)}[kind]()
+    assert len(tr.iterates) == N_ITER + 1
+    for u, x, v in zip(tr.iterates, xs, vs):
+        assert_array_equal(u.x, x)
+        assert_array_equal(u.v, v)
+    assert_array_equal(tr.objectives, objs)
+    assert_array_equal(tr.residuals, ress)
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))

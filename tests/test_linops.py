@@ -129,7 +129,7 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(M.matvec(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_row_vector_and_adjoint(self):
-        M = SparseMatrix(1, 2, [(0, 0, 1.0), (0, 1, 1.0)])
+        M = SparseMatrix(1, 2, ([0, 0], [0, 1], [1.0, 1.0]))
         np.testing.assert_array_equal(M.matvec(np.array([2.0, 3.0])), [5.0])
         np.testing.assert_array_equal(M.rmatvec(np.array([1.0])), [1.0, 1.0])
 
@@ -144,7 +144,7 @@ class TestSparseMatrix:
         np.testing.assert_allclose(M.rmatvec(v), dense.T @ v, rtol=1e-13)
 
     def test_duplicate_triplets_are_summed(self):
-        M = SparseMatrix(2, 2, [(0, 0, 1.0), (0, 0, 2.5), (1, 1, 1.0)])
+        M = SparseMatrix(2, 2, ([0, 0, 1], [0, 0, 1], [1.0, 2.5, 1.0]))
         np.testing.assert_allclose(M.to_dense(), [[3.5, 0.0], [0.0, 1.0]])
 
     def test_duplicates_sum_as_a_coo_matrix_does(self):
@@ -162,9 +162,9 @@ class TestSparseMatrix:
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [(2, 0, 1.0)])
+            SparseMatrix(2, 2, ([2], [0], [1.0]))
         with pytest.raises(ValueError):
-            SparseMatrix(2, 2, [(0, -1, 1.0)])
+            SparseMatrix(2, 2, ([0], [-1], [1.0]))
 
     def test_triplet_arrays_of_different_lengths_rejected(self):
         # a longer value array was cut short, a longer column array ignored
@@ -172,6 +172,15 @@ class TestSparseMatrix:
         for trip in (([0], [0], [1.0, 2.0]), ([0], [0, 1], [1.0]), ([0, 1], [0], [1.0])):
             with pytest.raises(ValueError, match="differ in length"):
                 SparseMatrix(2, 2, trip)
+
+    def test_non_integer_indices_rejected(self):
+        # a float row index 1.7 was cast to row 1, and a tuple of three
+        # (i, j, v) triplets was read as the three arrays
+        for trip in ((np.array([0.0, 1.7]), [0, 1], [1.0, 2.0]),
+                     ([0, 1], np.array([0.0, 1.0]), [1.0, 2.0]),
+                     ((0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0))):
+            with pytest.raises(TypeError, match="integer arrays"):
+                SparseMatrix(3, 3, trip)
 
     def test_adjoint_product_keeps_no_copy_of_the_matrix(self):
         # A^T reads the arrays A reads; a cached transpose would hold
@@ -201,7 +210,7 @@ class TestOpNormSq:
         assert op_norm_sq(identity_op(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_matrix(self):
-        M = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, 3.0)])
+        M = SparseMatrix(2, 2, ([0, 1], [0, 1], [1.0, 3.0]))
         assert op_norm_sq(matrix_op(M)) == pytest.approx(9.0, rel=1e-6)
 
     def test_diff_4x4_matches_dense_eigendecomposition(self):
@@ -215,7 +224,7 @@ class TestOpNormSq:
         assert 7.2 < op_norm_sq(diff_op_2d(16, 16)) <= 8.0
 
     def test_zero_operator_returns_zero(self):
-        Z = matrix_op(SparseMatrix(3, 4, []))
+        Z = matrix_op(SparseMatrix(3, 4, (np.zeros(0, int), np.zeros(0, int), np.zeros(0))))
         assert op_norm_sq(Z) == 0.0
 
     def test_dominates_rayleigh_quotients(self):
@@ -278,6 +287,18 @@ class TestGaussianBlur:
             gaussian_blur_op(5, 5, 0, 1.0)
         with pytest.raises(ValueError):
             gaussian_blur_op(4, 4, 4, 1.0)
+
+
+def test_every_operator_rejects_an_input_of_the_wrong_length():
+    M = SparseMatrix(2, 3, ([0, 1], [0, 2], [1.0, 2.0]))
+    D = diff_op_2d(3, 4)
+    entries = [(M.matvec, 3), (M.rmatvec, 2), (identity_op(5).forward, 5), (D.forward, 12),
+               (D.adjoint, 24), (gaussian_blur_op(3, 4, 1, 1.0).forward, 12)]
+    for apply, n in entries:
+        for bad in (np.ones(n - 1), np.ones(n + 1), np.ones((1, n))):
+            with pytest.raises(ValueError, match=f"length {n}, got shape"):
+                apply(bad)
+        assert apply(np.ones(n)).ndim == 1
 
 
 def test_every_constructed_operator_satisfies_adjoint_and_linearity():

@@ -146,7 +146,7 @@ def test_blocked_products_match_one_csr_bit_for_bit(rows, cols, k, block_cols, s
     want.sum_duplicates()
     assert_same_csr(M._csr, want)
     assert_products_match_one_csr(M, want, rng)
-    # the same entries, sorted by row as the constructor sorts them, in chunks
+    # the same entries, in row chunks, each row in input order as coo_matrix.tocsr() keeps it
     order = np.argsort(i, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=rows))))
     pieces = row_chunks(vals[order], j[order], indptr, sorted(min(c, rows) for c in cuts))
@@ -162,8 +162,9 @@ def concatenated_assembly(g):
     traced = [tomo._trace_angle(g.image_side, offs, math.radians(a)) for a in g.angles_deg]
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(
         [np.bincount(ray, minlength=p) for _, _, ray in traced]))))
-    return SparseMatrix._from_csr(g.n_rows, g.n_cols, np.concatenate([t[0] for t in traced]),
-                                  np.concatenate([t[1] for t in traced]).astype(np.int32), indptr)
+    return SparseMatrix._from_row_chunks(g.n_rows, g.n_cols, [(
+        np.concatenate([t[0] for t in traced]),
+        np.concatenate([t[1] for t in traced]).astype(np.int32), indptr)])
 
 
 @pytest.mark.parametrize("block_cols", [linops.BLOCK_COLS, 1000])

@@ -21,7 +21,7 @@ from pdfp import (
 @pytest.fixture(scope="module")
 def quad2():
     # f2 = 0.5 ||A x - b||^2 with A = diag(1, 2)
-    M = SparseMatrix(2, 2, [(0, 0, 1.0), (1, 1, 2.0)])
+    M = SparseMatrix(2, 2, ([0, 1], [0, 1], [1.0, 2.0]))
     f2 = quadratic_fn(matrix_op(M), np.zeros(2))
     return make_problem(l1_norm_fn(2, weight=0.1), f2, identity_op(2))
 
@@ -94,7 +94,7 @@ class TestAdaptiveGamma:
     def test_zero_gradient_with_residual_clamps_high(self):
         # wide matrix: at the normal-equations solution the gradient is zero
         # while the residual is not
-        M = SparseMatrix(2, 1, [(0, 0, 1.0), (1, 0, -1.0)])
+        M = SparseMatrix(2, 1, ([0, 1], [0, 0], [1.0, -1.0]))
         f2 = quadratic_fn(matrix_op(M), np.array([1.0, 1.0]))
         p = make_problem(l1_norm_fn(1, weight=0.1), f2, identity_op(1))
         sched = bb_dynamic_schedule(p)
