@@ -40,12 +40,6 @@ class ConfigError(ValueError):
     """A config file could not be parsed or validated."""
 
 
-PROBLEM_KINDS = ("ct", "denoise", "deblur", "lasso")
-SOLVER_NAMES = (
-    "pdfp2o", "pdfp2o_kappa", "pdfp2o_ds", "pdfp2o_dsn", "pfbs_fp2o", "ifp2o", "cp", "siu"
-)
-SCHEDULE_KINDS = ("constant", "bb_dynamic", "convergent_perturbation")
-
 # Errors reported as ``error: ...`` with exit code 1 instead of a traceback;
 # ConfigError and UnsupportedProblemError are ValueErrors.
 _USER_ERRORS = (ValueError, PowerIterationError)
@@ -94,6 +88,7 @@ CONFIG_KEYS = {
 
 # The solver and schedule keys each solver reads; a solver that reads
 # schedule.kind reads that kind's keys too, and the alpha clamp with alpha.
+# certify reads its own row. The keys name the solvers and schedule kinds.
 _STEPS = ("solver.gamma", "solver.lambda")
 _SOLVER_READS = {
     "pdfp2o": _STEPS, "pdfp2o_kappa": _STEPS + ("solver.kappa",),
@@ -103,8 +98,14 @@ _SOLVER_READS = {
     "ifp2o": ("solver.lambda", "solver.kappa"), "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
 }
 _CLAMP = tuple(f"schedule.{k}_{e}" for k in ("gamma", "lambda", "alpha") for e in ("lo", "hi"))
-_SCHEDULE_READS = {"constant": (), "convergent_perturbation": ("schedule.decay",),
-                   "bb_dynamic": _CLAMP}
+_SCHEDULE_READS = {"constant": (), "bb_dynamic": _CLAMP,
+                   "convergent_perturbation": ("schedule.decay",)}
+_CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
+                           "schedule.alpha_hi")
+# reg_weight = auto, per problem kind; the keys name the problem kinds
+_AUTO_REG_WEIGHT = {"ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 0.02, "lasso": 0.05}
+PROBLEM_KINDS, SOLVER_NAMES = tuple(_AUTO_REG_WEIGHT), tuple(_SOLVER_READS)
+SCHEDULE_KINDS = tuple(_SCHEDULE_READS)
 
 # Keys that must agree for two configs to target the same experiment.
 PROBLEM_IDENTITY_KEYS = tuple(k for k in CONFIG_KEYS if k.startswith("problem.")) + ("run.seed",)
@@ -172,8 +173,8 @@ class ExperimentConfig:
             raise ConfigError("problem.tv must be anisotropic or isotropic")
         if v["problem.size"] < 16:
             raise ConfigError("problem.size must be at least 16")
-        if v["problem.noise"] < 0:
-            raise ConfigError("problem.noise must be nonnegative")
+        if not 0.0 <= v["problem.noise"] < math.inf:
+            raise ConfigError("problem.noise must be a nonnegative finite number")
         for prefix in ("run.", "solver.inner_"):
             if v[prefix + "max_iter"] < 1:
                 raise ConfigError(f"{prefix}max_iter must be positive")
@@ -188,11 +189,7 @@ class ExperimentConfig:
 
     def reg_weight(self):
         w = self["problem.reg_weight"]
-        if w != _AUTO:
-            return w
-        return {
-            "ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 0.02, "lasso": 0.05
-        }[self["problem.kind"]]
+        return _AUTO_REG_WEIGHT[self["problem.kind"]] if w == _AUTO else w
 
     def build_problem(self):
         """Build (Problem, x_true_image, meta) from the problem section."""
@@ -245,17 +242,20 @@ class ExperimentConfig:
         )
 
 
-def _keys_read(cfg):
-    """``cfg``; a ConfigError if it sets a solver or schedule key its run never reads."""
+def _keys_read(cfg, for_certify=False):
+    """``cfg``; a ConfigError if it sets a solver or schedule key its run (or
+    ``certify``) never reads."""
     name, kind = cfg["solver.name"], cfg["schedule.kind"]
-    reads = {"solver.name", *_SOLVER_READS[name]}
-    if "schedule.kind" in reads:
+    who, reads = f"{name} (schedule.kind {kind})", {"solver.name", *_SOLVER_READS[name]}
+    if for_certify:
+        who, reads = "certify", {"solver.name", *_CERTIFY_READS}
+    elif "schedule.kind" in reads:
         reads.update(k for k in _SCHEDULE_READS[kind]
                      if "alpha" not in k or "schedule.alpha" in reads)
     unread = [k for k, (_, default) in CONFIG_KEYS.items()
               if k.startswith(("solver.", "schedule.")) and k not in reads and cfg[k] != default]
     if unread:
-        raise ConfigError(f"{name} (schedule.kind {kind}) never reads {', '.join(unread)}")
+        raise ConfigError(f"{who} never reads {', '.join(unread)}")
     return cfg
 
 
@@ -410,7 +410,7 @@ def certify(config_path, overrides=None):
     exit code 1 when the certificate does not apply.
     """
     try:
-        cfg = ExperimentConfig.load(config_path, overrides)
+        cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)
         problem, x_true, _ = cfg.build_problem()
         gamma, lam = cfg.resolve_steps(problem)
         sig = cfg["solver.sigma_strong"]

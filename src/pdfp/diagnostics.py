@@ -163,8 +163,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     check, and that ``lam`` is positive and finite, are checked before the
     size; ``lam``'s upper end after it.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be a positive finite number")
     solvers._check_alpha_clamp(alpha_lo, alpha_hi)
     solvers._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):

@@ -51,7 +51,7 @@ def _vector(x, n):
 
 
 class SparseMatrix:
-    """Sparse matrix built from three equal-length arrays ``(i, j, v)``.
+    """Sparse matrix built from a tuple ``(i, j, v)`` of three equal-length arrays.
 
     ``i`` and ``j`` hold integer row and column indices; duplicate entries
     are summed as ``scipy.sparse.coo_matrix((v, (i, j)), shape).tocsr()``
@@ -65,6 +65,8 @@ class SparseMatrix:
     def __init__(self, rows, cols, triplets):
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
+        if not isinstance(triplets, tuple) or len(triplets) != 3:
+            raise TypeError(f"triplets must be a tuple (i, j, v), got {type(triplets).__name__}")
         i, j, v = triplets
         i, j, v = np.asarray(i), np.asarray(j), np.asarray(v, dtype=np.float64)
         if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
@@ -229,8 +231,8 @@ def gaussian_blur_op(height, width, radius, sigma):
     images are preserved. The mirror boundary makes the operator exactly
     self-adjoint (edge replication is only self-adjoint for radius 1).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be a positive finite number")
     if radius < 1 or int(radius) != radius:
         raise ValueError("radius must be a positive integer")
     h, w = int(height), int(width)

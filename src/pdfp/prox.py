@@ -244,8 +244,8 @@ def zero_prox_fn(dim):
 def l1_norm_fn(dim, weight=1.0):
     """Weighted l1 norm ``weight * ||z||_1``; ``conj_proj`` clips to
     ``[-t*weight, t*weight]``."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    if not 0.0 < weight < np.inf:
+        raise ValueError("weight must be a positive finite number")
 
     def conj_proj(t, w):
         c = _positive(t) * weight
@@ -262,8 +262,8 @@ def l1_norm_fn(dim, weight=1.0):
 def group_l2_norm_fn(dim, groups, weight=1.0):
     """Weighted mixed l1-l2 norm ``weight * sum_g ||z_g||_2`` over a partition;
     ``conj_proj`` scales each group into the ball of radius ``t*weight``."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
+    if not 0.0 < weight < np.inf:
+        raise ValueError("weight must be a positive finite number")
     part = _Partition(dim, groups)
     return ProxFn(
         dim=dim,

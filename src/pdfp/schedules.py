@@ -110,8 +110,8 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
     ``lam`` exactly (the constant schedule).
     """
     gamma, lam, alpha, decay = float(gamma), float(lam), float(alpha), float(decay)
-    if decay < 0:
-        raise ValueError("decay must be nonnegative")
+    if not 0.0 <= decay < math.inf:
+        raise ValueError("decay must be a nonnegative finite number")
     if problem is not None:
         _check_gamma(gamma, problem.beta, 0)
         _check_lambda(lam, problem.lambda_hi, 0)

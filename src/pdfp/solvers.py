@@ -116,18 +116,22 @@ class StoppingRule:
     """Stop when the relative state change drops below ``tol`` or at ``max_iter``.
 
     ``tol = 0`` disables the tolerance test, running the budget in full
-    (useful for fixed-length traces). A NaN or negative ``tol`` and a
-    negative ``max_iter`` raise ``ValueError``.
+    (useful for fixed-length traces). A ``tol`` that is not a nonnegative
+    finite number and a negative ``max_iter`` raise ``ValueError``.
     """
 
     tol: float = 1e-8
     max_iter: int = 10000
 
     def __post_init__(self):
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol={self.tol} must be a nonnegative number")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol={self.tol} must be a nonnegative finite number")
         if self.max_iter < 0:
             raise ValueError(f"max_iter={self.max_iter} must be nonnegative")
+
+    def met(self, change, size):
+        """The one stop test: ``change / max(1, size)`` has fallen to a positive ``tol``."""
+        return self.tol > 0.0 and change / max(1.0, size) <= self.tol
 
 
 @dataclass
@@ -238,8 +242,9 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
 
     Up to ``inner_stop.max_iter`` dual steps from ``v`` (``warm``) or zero,
     each relaxed by ``kappa``, stop once a step's change ``d`` has
-    ``sqrt(d @ d) / max(1, sqrt(v_i @ v_i)) <= inner_stop.tol``; with no
-    ``inner_stop``, one unrelaxed dual step makes this the operator ``T``.
+    ``inner_stop.met(sqrt(d @ d), sqrt(v_i @ v_i))``; a non-finite change
+    never meets it, so the budget runs out. With no ``inner_stop``, one
+    unrelaxed dual step makes this the operator ``T``.
     Takes ``Dt_v = D^T v`` (read when ``warm``) and returns
     ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``v'`` and ``x'``
     are arrays of ``ws`` (a new workspace when None), whose ``dots`` the
@@ -261,12 +266,12 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
             kv = np.multiply(v, kappa, out=ws.take("diff"))
             np.add(kv, np.multiply(v_new, 1.0 - kappa, out=v_new), out=v_new)
         Dt_v = p.D.adjoint(v_new)
+        v, v_old = v_new, v
         if tol > 0.0:
-            d = np.subtract(v_new, v, out=ws.take("diff"))
-            ws.dots = dd, vv = float(d @ d), float(v @ v)
-        v = v_new
-        if tol > 0.0 and math.sqrt(dd) / max(1.0, math.sqrt(vv)) <= tol:
-            break
+            d = np.subtract(v, v_old, out=ws.take("diff"))
+            ws.dots = dd, vv = float(d @ d), float(v_old @ v_old)
+            if inner_stop.met(math.sqrt(dd), math.sqrt(vv)):
+                break
     z -= np.multiply(Dt_v, l, out=tmp)
     return v, z, Dt_v, k
 
@@ -301,35 +306,41 @@ def apply_Tn(p, sched, n, u):
 @dataclass
 class _Row:
     """What one solver step hands the driver: the new state ``(v, x)``, the
-    objective and residual columns, the relative change ``step / denom``
-    the stop test reads, and the gamma, lambda, alpha and inner columns.
+    state ``change`` and the ``size`` of the state it started from, which
+    the stop test reads, and the step's own :class:`RunTrace` columns; the
+    driver fills the other four.
     """
 
     v: np.ndarray
     x: np.ndarray
-    obj: float
-    res: float
-    step: float
-    denom: float
-    g: float = math.nan
-    l: float = math.nan
-    a: float = math.nan
-    inner: Optional[int] = None
+    change: float
+    size: float
+    objectives: float
+    residuals: float
+    gammas: float = math.nan
+    lams: float = math.nan
+    alphas: float = math.nan
+    inner_iters: Optional[int] = None
+    dist_ref: float = math.nan
+    relerrs: float = math.nan
+    snrs: float = math.nan
+    wall_ms: float = math.nan
 
 
 def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False,
            inner=False):
     """The one iteration loop of every solver: ``step(n) -> _Row``, recorded.
 
-    Stops with reason "converged" when ``step / denom`` falls to
-    ``stop.tol``, "diverged" when a step's change is not finite, and
-    "budget" after ``stop.max_iter`` steps. ``u0`` is the starting state
-    stored with ``record_iterates``, ``lam_ref`` weights ``dist_ref`` (the
-    distance to ``ref``), and ``inner`` asks for the ``inner_iters`` column.
+    Stops with reason "diverged" when a step's change is not finite,
+    "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter``
+    steps. ``u0`` is the starting state stored with ``record_iterates``,
+    ``lam_ref`` weights ``dist_ref`` (the distance to ``ref``), and
+    ``inner`` asks for the ``inner_iters`` column.
     """
     stop = StoppingRule() if stop is None else stop
     quality = None if x_true is None else diagnostics._quality(x_true)
-    cols = {k: [] for k in ("g", "l", "a", "obj", "res", "inner", "dref", "snr", "rel", "wall")}
+    cols = {k: [] for k in ("gammas", "lams", "alphas", "objectives", "residuals", "dist_ref",
+                            "relerrs", "snrs", "wall_ms") + ("inner_iters",) * inner}
     iterates = [u0.copy()] if record_iterates else None
     # the caller's starting arrays must not outlive its first step
     del u0
@@ -337,42 +348,27 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     t0 = time.perf_counter()
     for n in range(stop.max_iter):
         row = step(n)
-        for k in ("g", "l", "a", "obj", "res", "inner"):
-            cols[k].append(getattr(row, k))
-        cols["dref"].append(
-            _lnorm(row.v - ref.v, row.x - ref.x, lam_ref) if ref is not None else math.nan
-        )
-        rel, snr_db = (math.nan,) * 2 if quality is None else quality(row.x)
-        cols["rel"].append(rel)
-        cols["snr"].append(snr_db)
-        cols["wall"].append((time.perf_counter() - t0) * 1e3)
+        if ref is not None:
+            row.dist_ref = _lnorm(row.v - ref.v, row.x - ref.x, lam_ref)
+        if quality is not None:
+            row.relerrs, row.snrs = quality(row.x)
+        row.wall_ms = (time.perf_counter() - t0) * 1e3
+        for k, col in cols.items():
+            col.append(getattr(row, k))
         if record_iterates:
             iterates.append(PDState(row.v.copy(), row.x.copy()))
-        if not math.isfinite(row.step):
+        if not math.isfinite(row.change):
             reason = "diverged"
             break
-        if stop.tol > 0.0 and row.step / row.denom <= stop.tol:
+        if stop.met(row.change, row.size):
             reason = "converged"
             break
-    k = len(cols["obj"])
-    return RunTrace(
-        lambda_ref=lam_ref,
-        converged=reason == "converged",
-        n_iter=k,
-        iters=np.arange(1, k + 1, dtype=np.int64),
-        gammas=np.array(cols["g"]),
-        lams=np.array(cols["l"]),
-        alphas=np.array(cols["a"]),
-        objectives=np.array(cols["obj"]),
-        residuals=np.array(cols["res"]),
-        dist_ref=np.array(cols["dref"]),
-        snrs=np.array(cols["snr"]),
-        relerrs=np.array(cols["rel"]),
-        wall_ms=np.array(cols["wall"]),
-        iterates=iterates,
-        inner_iters=np.array(cols["inner"], dtype=np.int64) if inner else None,
-        stop_reason=reason,
-    )
+    k = len(cols["objectives"])
+    arrays = {name: np.array(col, dtype=np.int64 if name == "inner_iters" else None)
+              for name, col in cols.items()}
+    return RunTrace(lambda_ref=lam_ref, converged=reason == "converged", n_iter=k,
+                    iters=np.arange(1, k + 1, dtype=np.int64), iterates=iterates,
+                    stop_reason=reason, **arrays)
 
 
 def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=None,
@@ -422,13 +418,13 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         else:
             v_new, x_new, Dt_v = mann_combine(a, v, vt), mann_combine(a, x, xt), None
             change = _lnorm(v_new - v, x_new - x, lam_ref)
-        # only the stop test reads the denominator, and only with a tolerance
-        denom = max(1.0, _lnorm(v, x, lam_ref, vv)) if stop.tol > 0.0 else math.nan
+        # only the stop test reads the size, and only with a tolerance
+        size = _lnorm(v, x, lam_ref, vv) if stop.tol > 0.0 else math.nan
         v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(p.D.forward(x_new)) + it.value
-        return _Row(v_new, x_new, obj, res, change, denom, g=g, l=l,
-                    a=a if inner_stop is None else kappa, inner=k)
+        return _Row(v_new, x_new, change, size, obj, res, gammas=g, lams=l,
+                    alphas=a if inner_stop is None else kappa, inner_iters=k)
 
     trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates,
                    inner=inner_stop is not None)
@@ -564,11 +560,10 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         nonlocal v
         Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
         v_new = mann_combine(kappa, v, Hv)
-        change = float(np.linalg.norm(v_new - v))
-        denom = max(1.0, float(np.linalg.norm(v)))
+        change, size = float(np.linalg.norm(v_new - v)), float(np.linalg.norm(v))
         res = float(np.linalg.norm(Hv - v))
         v, x = v_new, x_of(v_new)
-        return _Row(v, x, obj(x), res, change, denom, l=lam, a=kappa)
+        return _Row(v, x, change, size, obj(x), res, lams=lam, alphas=kappa)
 
     trace = _drive(step, stop, lam, None)
     return x_of(v), trace
@@ -622,9 +617,10 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
         x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
         change = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
-        denom = max(1.0, _lnorm(vbar, x, lam_ref))
+        size = _lnorm(vbar, x, lam_ref)
         vbar, x = vbar_new, x_new
-        return _Row(vbar, x, p.objective(x), change, change, denom, g=tau, l=sig, a=theta)
+        return _Row(vbar, x, change, size, p.objective(x), change, gammas=tau, lams=sig,
+                    alphas=theta)
 
     trace = _drive(step, stop, lam_ref, PDState(vbar, x), x_true, ref, record_iterates)
     return PDState(vbar, x), trace
@@ -692,12 +688,11 @@ def siu(p, delta, nu, stop=None, x_true=None):
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
         it = Iterate.at(p.f2, x_new)
-        change = _split_norm(x_new - x, d_new - d, v_new - v)
-        denom = max(1.0, _split_norm(x, d, v))
+        change, size = _split_norm(x_new - x, d_new - d, v_new - v), _split_norm(x, d, v)
         x, d, v, Dx = x_new, d_new, v_new, Dx_new
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(Dx) + it.value
-        return _Row(v, x, obj, change, change, denom, g=delta, l=nu, a=0.0)
+        return _Row(v, x, change, size, obj, change, gammas=delta, lams=nu, alphas=0.0)
 
     trace = _drive(step, stop, 1.0, None, x_true)
     return SIUState(x, d, v), trace

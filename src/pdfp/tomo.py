@@ -77,10 +77,10 @@ class TomoGeometry:
             raise ValueError("image_side must be at least 2")
         if self.rays_per_angle < 1:
             raise ValueError("rays_per_angle must be positive")
-        if any(a < 0.0 or a >= 180.0 for a in self.angles_deg):
+        if not all(0.0 <= a < 180.0 for a in self.angles_deg):
             raise ValueError("angles must lie in [0, 180)")
-        if self.detector_spacing <= 0:
-            raise ValueError("detector_spacing must be positive")
+        if not 0.0 < self.detector_spacing < math.inf:
+            raise ValueError("detector_spacing must be a positive finite number")
 
     @property
     def n_rows(self):
@@ -179,8 +179,8 @@ class TomoProblem:
 
 def add_relative_noise(clean, noise_level, rng):
     """Gaussian noise scaled so ``||e|| / ||clean|| == noise_level`` exactly."""
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
+    if not 0.0 <= noise_level < math.inf:
+        raise ValueError("noise_level must be a nonnegative finite number")
     if noise_level == 0.0:
         return clean.copy()
     e = rng.standard_normal(clean.size)
@@ -203,8 +203,8 @@ def make_tomo_problem(g, noise_level, seed):
 
 
 def _tv_prox_fn(h, w, reg_weight, variant):
-    if reg_weight <= 0:
-        raise ValueError("reg_weight must be positive")
+    if not 0.0 < reg_weight < math.inf:
+        raise ValueError("reg_weight must be a positive finite number")
     hw = h * w
     if variant == "anisotropic":
         return l1_norm_fn(2 * hw, weight=reg_weight)

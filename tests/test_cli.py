@@ -61,6 +61,25 @@ class TestConfigParsing:
             ExperimentConfig.load(cfg)
 
 
+_LASSO = {"problem.kind": "lasso", "solver.gamma": "1.0", "schedule.alpha": "0.5"}
+# A NaN or infinite value per key, and the words that name it in the error.
+NON_FINITE_KEYS = {
+    "noise-nan": ({"problem.noise": "nan"}, "problem.noise must be a nonnegative finite"),
+    "noise-inf": ({"problem.noise": "inf"}, "problem.noise must be a nonnegative finite"),
+    "reg-weight-nan": ({"problem.reg_weight": "nan"}, "reg_weight must be a positive finite"),
+    "reg-weight-inf": ({"problem.reg_weight": "inf"}, "reg_weight must be a positive finite"),
+    "blur-sigma-nan": ({"problem.kind": "deblur", "problem.blur_sigma": "nan"},
+                       "sigma must be a positive finite"),
+    "inner-tol-inf": ({"solver.name": "pfbs_fp2o", "solver.inner_tol": "inf"},
+                      "solver.inner_tol"),
+    "run-tol-inf": ({"run.tol": "inf"}, "tol=inf must be a nonnegative finite"),
+    "angle-step-nan": ({"problem.kind": "ct", "problem.angle_step": "nan"},
+                       "angles must lie in [0, 180)"),
+    "certify-sigma-strong-nan": (dict(_LASSO, **{"solver.sigma_strong": "nan"}),
+                                 "sigma must be a positive finite"),
+}
+
+
 class TestSolve:
     def test_writes_artifacts_and_converges(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **{"run.tol": "1e-5", "run.max_iter": "5000"})
@@ -86,14 +105,30 @@ class TestSolve:
         assert "stop_reason=budget" in (tmp_path / "out" / "summary.txt").read_text()
 
     @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o", "cp", "siu"])
-    def test_nan_data_exits_diverged(self, tmp_path, solver):
-        cfg = write_cfg(tmp_path / "c.cfg", **{"problem.noise": "nan", "solver.name": solver,
+    def test_nan_data_exits_diverged(self, tmp_path, monkeypatch, solver):
+        # problem.noise = nan is refused, so the NaN data comes from the noise step
+        monkeypatch.setattr(pdfp.tomo, "add_relative_noise",
+                            lambda clean, level, rng: clean + math.nan)
+        cfg = write_cfg(tmp_path / "c.cfg", **{"solver.name": solver,
                                                "run.max_iter": "500", "run.tol": "0"})
         assert run_experiment(cfg) == 3
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "stop_reason=diverged" in summary
         assert "iterations=1\n" in summary
         assert (tmp_path / "out" / "recon.pgm").exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_KEYS))
+    def test_non_finite_value_exits_before_writing(self, tmp_path, capsys, case):
+        # each once ran: exit 3 (diverged) or 2 (budget) with artifacts,
+        # 0 (converged at once, or a certificate with nu=nan), or 1 with
+        # "A must be nonzero"
+        extra, named = NON_FINITE_KEYS[case]
+        cfg = write_cfg(tmp_path / "c.cfg", **{"run.max_iter": "20", **extra})
+        run = certify if case.startswith("certify") else run_experiment
+        assert run(cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_writes_nothing(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -247,6 +282,12 @@ class TestCertify:
         mu, nu, eta, theta, d = (float(v) for v in text[1].split(","))
         assert 0.0 <= eta < 1.0 and 0.0 < theta < 1.0 and d > 0.0
 
+    def test_shipped_lasso_config_certifies(self, tmp_path, monkeypatch):
+        # every key it sets is one certify reads
+        monkeypatch.setenv("PDFP_OUTPUT_DIR", str(tmp_path / "out"))
+        assert certify(Path(__file__).resolve().parents[1] / "configs" / "lasso_certify.cfg") == 0
+        assert (tmp_path / "out" / "certificate.csv").exists()
+
     def test_tv_problem_not_certifiable(self, tmp_path, capsys):
         # the stacked difference operator is rank deficient, so the
         # strong-convexity route does not apply
@@ -348,10 +389,29 @@ UNREAD_KEYS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(UNREAD_KEYS))
-@pytest.mark.parametrize("command", ["solve", "compare"])
+# Keys that certify never reads, on the lasso config it certifies.
+CERTIFY_UNREAD_KEYS = {
+    "theta-inner-decay": ({"solver.theta": "0.3", "solver.inner_max_iter": "7",
+                           "schedule.decay": "2"},
+                          ["solver.theta", "solver.inner_max_iter", "schedule.decay"]),
+    "kappa-inner-tol": ({"solver.kappa": "0.3", "solver.inner_tol": "1e-3"},
+                        ["solver.kappa", "solver.inner_tol"]),
+    "schedule-kind-and-ends": ({"schedule.kind": "bb_dynamic", "schedule.gamma_lo": "0.1",
+                                "schedule.gamma_hi": "1.5", "schedule.lambda_lo": "0.01",
+                                "schedule.lambda_hi": "0.1"},
+                               ["schedule.kind", "schedule.gamma_lo", "schedule.gamma_hi",
+                                "schedule.lambda_lo", "schedule.lambda_hi"]),
+}
+_UNREAD_CASES = ([(command, case) for case in sorted(UNREAD_KEYS)
+                  for command in ("compare", "solve")]
+                 + [("certify", case) for case in sorted(CERTIFY_UNREAD_KEYS)])
+
+
+@pytest.mark.parametrize("command,case", _UNREAD_CASES, ids=["-".join(c) for c in _UNREAD_CASES])
 def test_keys_the_run_never_reads_are_rejected(tmp_path, monkeypatch, capsys, case, command):
-    extra, unread = UNREAD_KEYS[case]
+    extra, unread = UNREAD_KEYS[case] if command != "certify" else CERTIFY_UNREAD_KEYS[case]
+    if command == "certify":
+        extra = dict(_LASSO, **extra)
     cfg = write_cfg(tmp_path / "c.cfg", **extra)
     built = []
     monkeypatch.setattr(ExperimentConfig, "build_problem",
@@ -361,7 +421,7 @@ def test_keys_the_run_never_reads_are_rejected(tmp_path, monkeypatch, capsys, ca
         argv += [str(write_cfg(tmp_path / "ok.cfg")), "--out", str(tmp_path / "m.csv")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: certify never reads " if command == "certify" else "error: ")
     assert err.split(" never reads ")[1].rstrip("\n").split(", ") == unread
     assert not built and not (tmp_path / "out").exists() and not (tmp_path / "m.csv").exists()
 

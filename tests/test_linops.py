@@ -182,6 +182,14 @@ class TestSparseMatrix:
             with pytest.raises(TypeError, match="integer arrays"):
                 SparseMatrix(3, 3, trip)
 
+    def test_triplets_must_be_a_tuple(self):
+        # a list of three integer triplets was read as the three arrays and
+        # built [[0, 2, 0], [0, 0, 3], [0, 0, 0]]
+        for trip in ([(0, 0, 1), (1, 1, 2), (2, 0, 3)], [[0, 1], [0, 1], [1.0, 2.0]],
+                     np.array([[0, 1], [0, 1], [1, 2]]), ([0, 1], [0, 1])):
+            with pytest.raises(TypeError, match=r"must be a tuple \(i, j, v\)"):
+                SparseMatrix(3, 3, trip)
+
     def test_adjoint_product_keeps_no_copy_of_the_matrix(self):
         # A^T reads the arrays A reads; a cached transpose would hold
         # 12 bytes per entry (a value and a column index) for good

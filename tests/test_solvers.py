@@ -499,6 +499,18 @@ class TestDivergence:
         assert not tr.converged
         assert tr.n_iter == 1 and len(tr.residuals) == 1
         assert np.isnan(tr.residuals[0])
+        if solver == "pfbs_fp2o":
+            self.assert_inner_budget_runs_out(p)
+
+    def assert_inner_budget_runs_out(self, p):
+        # the inner loop stops only on convergence: a non-finite change never
+        # meets the stop test, so the one outer step runs all 20 inner steps
+        for kappa in (0.0, 0.5):
+            for warm in (True, False):
+                _, tr = pfbs_fp2o(p, p.beta, p.lambda_hi, kappa, StoppingRule(1e-8, 20),
+                                  stop=self.BUDGET, warm_start=warm)
+                assert tr.stop_reason == "diverged"
+                assert tr.inner_iters.tolist() == [20], (kappa, warm)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o"])
@@ -511,6 +523,7 @@ class TestDivergence:
             _, tr = pdfp2o(p, g, l, stop=self.BUDGET)
         else:
             _, tr = pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-8, 20), stop=self.BUDGET)
+            self.assert_inner_budget_runs_out(p)
         assert tr.stop_reason == "diverged" and tr.n_iter == 1
         assert not np.isfinite(tr.residuals[0])
 

@@ -374,3 +374,29 @@ class TestModuleLoading:
         code = ("from pdfp.cli import ExperimentConfig\n"
                 f"ExperimentConfig.load({str(cfg)!r}, {{'problem.size': 32}}).build_problem()")
         assert scipy_submodules_loaded_after(code) == {"scipy.sparse"}
+
+
+# Each call with a NaN or infinite parameter, which the old `x < 0` and
+# `x <= 0` checks let through.
+NON_FINITE_CALLS = {
+    "add_relative_noise": lambda bad: pdfp.tomo.add_relative_noise(
+        np.ones(4), bad, np.random.default_rng(0)),
+    "reg_weight": lambda bad: make_denoise_problem(16, 0.05, 0, bad),
+    "l1_norm_fn": lambda bad: pdfp.l1_norm_fn(4, weight=bad),
+    "group_l2_norm_fn": lambda bad: pdfp.group_l2_norm_fn(4, [[0, 1], [2, 3]], weight=bad),
+    "gaussian_blur_op": lambda bad: pdfp.gaussian_blur_op(8, 8, 1, bad),
+    "angle": lambda bad: TomoGeometry(image_side=8, angles_deg=(0.0, bad), rays_per_angle=11),
+    "detector_spacing": lambda bad: TomoGeometry(image_side=8, angles_deg=(0.0,),
+                                                 rays_per_angle=11, detector_spacing=bad),
+    "StoppingRule": lambda bad: StoppingRule(tol=bad),
+    "decay": lambda bad: pdfp.convergent_perturbation_schedule(1.0, 0.1, decay=bad),
+    "rate_certificate": lambda bad: pdfp.rate_certificate(
+        make_lasso_problem(16, 0.05, 0, 0.05)[0], 1.0, 0.5, 0.1, 0.9, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_parameters_are_refused(call, bad):
+    with pytest.raises(ValueError, match="finite number|must lie in"):
+        NON_FINITE_CALLS[call](bad)
