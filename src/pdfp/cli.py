@@ -48,36 +48,36 @@ _USER_ERRORS = (ValueError, PowerIterationError)
 _AUTO = "auto"
 
 
-def _auto_or_num(text):
-    return _AUTO if text == _AUTO else float(text)
+def _auto_or(parse):
+    return lambda text: _AUTO if text == _AUTO else parse(text)
 
 
 CONFIG_KEYS = {
     "problem.kind": (str, "denoise"),
     "problem.size": (int, 32),
     "problem.noise": (float, 0.01),
-    "problem.reg_weight": (_auto_or_num, _AUTO),
+    "problem.reg_weight": (_auto_or(float), _AUTO),
     "problem.tv": (str, "anisotropic"),
     "problem.angle_step": (float, 10.0),
     "problem.angle_count": (int, 18),
-    "problem.rays": (_auto_or_num, _AUTO),
+    "problem.rays": (_auto_or(int), _AUTO),
     "problem.blur_radius": (int, 2),
     "problem.blur_sigma": (float, 1.5),
     "solver.name": (str, "pdfp2o"),
-    "solver.gamma": (_auto_or_num, _AUTO),
-    "solver.lambda": (_auto_or_num, _AUTO),
-    "solver.kappa": (_auto_or_num, _AUTO),
+    "solver.gamma": (_auto_or(float), _AUTO),
+    "solver.lambda": (_auto_or(float), _AUTO),
+    "solver.kappa": (_auto_or(float), _AUTO),
     "solver.theta": (float, 1.0),
     "solver.inner_tol": (float, 1e-10),
     "solver.inner_max_iter": (int, 200),
-    "solver.sigma_strong": (_auto_or_num, _AUTO),
+    "solver.sigma_strong": (_auto_or(float), _AUTO),
     "schedule.kind": (str, "constant"),
     "schedule.alpha": (float, 0.0),
     "schedule.decay": (float, 0.0),
-    "schedule.gamma_lo": (_auto_or_num, _AUTO),
-    "schedule.gamma_hi": (_auto_or_num, _AUTO),
-    "schedule.lambda_lo": (_auto_or_num, _AUTO),
-    "schedule.lambda_hi": (_auto_or_num, _AUTO),
+    "schedule.gamma_lo": (_auto_or(float), _AUTO),
+    "schedule.gamma_hi": (_auto_or(float), _AUTO),
+    "schedule.lambda_lo": (_auto_or(float), _AUTO),
+    "schedule.lambda_hi": (_auto_or(float), _AUTO),
     "schedule.alpha_lo": (float, 0.1),
     "schedule.alpha_hi": (float, 0.9),
     "run.max_iter": (int, 2000),
@@ -201,7 +201,7 @@ class ExperimentConfig:
         if kind == "ct":
             power_seed = seed_stream(seed, POWER_CHANNEL)
             rays = self["problem.rays"]
-            rays = int(round(math.sqrt(2.0) * n)) if rays == _AUTO else int(rays)
+            rays = int(round(math.sqrt(2.0) * n)) if rays == _AUTO else rays
             step = self["problem.angle_step"]
             angles = tuple(step * k for k in range(self["problem.angle_count"]))
             geom = TomoGeometry(image_side=n, angles_deg=angles, rays_per_angle=rays)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solvers
+from .linops import dot, norm
 
 TRACE_CSV_HEADER = "iter,gamma,lambda,alpha,objective,residual,snr,relerr,wall_ms"
 
@@ -39,7 +40,7 @@ def m_seminorm(v, D, lam):
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=np.float64)
     Dt_v = D.adjoint(v)
-    val = float(v @ v) - lam * float(Dt_v @ Dt_v)
+    val = dot(v, v) - lam * dot(Dt_v, Dt_v)
     if val < -1e-12:
         raise InvariantViolationError(
             f"<v, (I - lam D D^T) v> = {val} < -1e-12; lam is too large"
@@ -68,14 +69,14 @@ def rel_err_snr(x, x_true):
 def _quality(x_true):
     """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here."""
     x_true = np.asarray(x_true, dtype=np.float64)
-    nt = float(np.linalg.norm(x_true))
+    nt = norm(x_true)
     if nt == 0.0:
         raise ValueError("x_true must be nonzero")
 
     def quality(x):
         if np.shape(x) != x_true.shape:
             raise ValueError("images must have the same shape")
-        nd = float(np.linalg.norm(np.subtract(x, x_true)))
+        nd = norm(np.subtract(x, x_true))
         snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
         return (nd * nd) / (nt * nt), snr_db
 
@@ -99,7 +100,7 @@ def optimality_residual(p, gamma, lam, u):
     grad_bal = gamma * p.f2.grad(u.x) + lam * p.D.adjoint(u.v)
     Dx = p.D.forward(u.x)
     prox_res = Dx - p.f1.prox(gamma / lam, Dx + u.v)
-    return max(float(np.linalg.norm(grad_bal)), float(np.linalg.norm(prox_res)))
+    return max(norm(grad_bal), norm(prox_res))
 
 
 def fejer_check(trace, u_ref, lam, slack=1e-10):
@@ -154,7 +155,7 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     ``nu^2 = 1 - gamma sigma (2 beta - gamma) / beta`` where ``sigma`` is
     the strong-convexity modulus of ``f2`` (supplied by the caller, who
     asserts full row rank of ``D``). ``d`` is the length of the first step
-    taken from zero with relaxation ``alpha0``.
+    taken from zero with relaxation ``alpha0``, which must lie in ``[0, 1)``.
 
     Returns ``None`` (not applicable) when a contraction factor reaches 1,
     when the combined ``theta`` reaches 1, or when the dual dimension
@@ -166,6 +167,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite number")
     solvers._check_alpha_clamp(alpha_lo, alpha_hi)
+    a0 = alpha_lo if alpha0 is None else float(alpha0)
+    solvers._check_alpha(a0, 0)
     solvers._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")
@@ -188,7 +191,6 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     if theta >= 1.0:
         return None
     u0 = p.zeros()
-    a0 = alpha_lo if alpha0 is None else float(alpha0)
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
     vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x),

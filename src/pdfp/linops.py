@@ -1,4 +1,6 @@
-"""Linear operators: finite differences, sparse matrices, blur, spectral estimation."""
+"""Linear operators, spectral estimation, and the one owner of vector reductions."""
+
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ class LinearOp:
 
     ``forward`` maps length ``in_dim`` vectors to length ``out_dim`` vectors,
     ``adjoint`` the reverse, and the pair must satisfy
-    ``vdot(forward(x), v) == vdot(x, adjoint(v))``. Constructors that know
+    ``dot(forward(x), v) == dot(x, adjoint(v))``. Constructors that know
     the largest eigenvalue of ``D D^T`` in closed form record it in
     ``norm_sq_hint``; consumers prefer it over power-iteration estimates.
     """
@@ -40,6 +42,19 @@ class LinearOp:
     adjoint: Callable
     tag: Optional[str] = None
     norm_sq_hint: Optional[float] = None
+
+
+def dot(a, b):
+    """``sum(a * b)`` over all entries, added in an order that depends on the
+    length alone. ``np.einsum`` never calls BLAS, which splits long dot products
+    across its threads, so the bits do not depend on the BLAS thread count.
+    Every vector reduction of the package goes through here or :func:`norm`."""
+    return float(np.einsum("i,i->", np.reshape(a, -1), np.reshape(b, -1)))
+
+
+def norm(*parts):
+    """The 2-norm of ``parts`` stacked into one vector: ``sqrt(dot(p, p) + ...)``."""
+    return math.sqrt(sum(dot(p, p) for p in parts))
 
 
 def _vector(x, n):
@@ -276,7 +291,7 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
         B = lambda z: D.forward(D.adjoint(z))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(dim)
-    nz = np.linalg.norm(z)
+    nz = norm(z)
     if nz == 0.0:
         return 0.0
     z = z / nz
@@ -286,8 +301,8 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
     lam = 0.0
     for _ in range(max_iter):
         w = B(z)
-        lam = float(z @ w)
-        nw = np.linalg.norm(w)
+        lam = dot(z, w)
+        nw = norm(w)
         if nw == 0.0:
             return 0.0
         if lam_prev is not None:

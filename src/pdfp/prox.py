@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .linops import norm_sq_bound
+from .linops import dot, norm, norm_sq_bound
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class QuadraticFn(SmoothFn):
 
     def value_and_grad(self, x):
         r = self.A.forward(x) - self.b
-        return 0.5 * float(r @ r), self.A.adjoint(r)
+        return 0.5 * dot(r, r), self.A.adjoint(r)
 
 
 def _positive(t):
@@ -183,7 +183,7 @@ def resolvent_identity_check(f, nu, mu, z):
     z = np.asarray(z, dtype=np.float64)
     lhs = f.prox(nu, z)
     rhs = f.prox(mu, (mu / nu) * z + (1.0 - mu / nu) * lhs)
-    return float(np.linalg.norm(lhs - rhs))
+    return norm(lhs - rhs)
 
 
 def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
@@ -206,7 +206,7 @@ def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
     probes = [np.zeros_like(z), z.copy(), f.prox(t, z)]
     probes += [scale * rng.standard_normal(z.size) for _ in range(n_probes)]
     for w in probes:
-        if f.value(w) < fx + float(y @ (w - x)) - tol:
+        if f.value(w) < fx + dot(y, w - x) - tol:
             return False
     return True
 
@@ -225,7 +225,7 @@ def quadratic_fn(A, b, power_seed=0):
 
     def value(x):
         r = A.forward(x) - b
-        return 0.5 * float(r @ r)
+        return 0.5 * dot(r, r)
 
     def grad(x):
         return A.adjoint(A.forward(x) - b)

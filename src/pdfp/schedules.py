@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .linops import dot
 from .solvers import Iterate, Schedule, _check_alpha, _check_alpha_clamp, _check_gamma, \
     _check_lambda, _quadratic
 
@@ -43,7 +44,7 @@ def bb_gamma_raw(f2, x):
 
 def _bb_quotient(it):
     num = 2.0 * it.value
-    den = float(it.grad @ it.grad)
+    den = dot(it.grad, it.grad)
     if num == 0.0:
         return 0.0
     if den == 0.0:
@@ -58,7 +59,7 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     squared over the squared gradient norm at the current iterate, read
     from the iterate's cached ``f2`` value and gradient;
     ``lambda_n`` and ``alpha_n`` are held constant at ``lambda0`` (default
-    ``1/lambda_max(D D^T)``) and ``alpha0``, each clipped into its clamp.
+    ``1/lambda_max(D D^T)``) and ``alpha0`` in ``[0, 1)``, each clipped into its clamp.
     A vanishing residual emits the lower gamma clamp; a vanishing gradient
     (iterate already stationary for the data term) emits the upper clamp.
 
@@ -70,6 +71,7 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     _quadratic(p.f2, "the adaptive stepsize rule")
     g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = _resolve_clamp(p, clamp)
     lam = _clip(p.lambda_hi if lambda0 is None else float(lambda0), l_lo, l_hi)
+    _check_alpha(float(alpha0), 0)
     alpha = _clip(float(alpha0), a_lo, a_hi)
 
     def gamma(n, it):
@@ -148,7 +150,7 @@ class ScheduleSpec:
             return bb_dynamic_schedule(
                 problem,
                 lambda0=lambda0,
-                alpha0=self.alpha0 if self.alpha0 > 0 else 0.5,
+                alpha0=self.alpha0 or 0.5,
                 clamp=self.clamp,
             )
         if self.kind == "convergent_perturbation":

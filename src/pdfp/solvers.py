@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics
-from .linops import LinearOp, norm_sq_bound
+from .linops import LinearOp, dot, norm, norm_sq_bound
 from .prox import QuadraticFn, conjugate_prox
 
 
@@ -167,7 +167,7 @@ def mann_combine(alpha, a, b):
 
 
 def _lnorm(v, x, lam, vv=None):
-    return math.sqrt(float(x @ x) + lam * (float(v @ v) if vv is None else vv))
+    return math.sqrt(dot(x, x) + lam * (dot(v, v) if vv is None else vv))
 
 
 def _check_gamma(g, beta, n):
@@ -222,7 +222,7 @@ class _Workspace:
     at first need: three "dual" buffers that dual steps fill in rotation,
     never the current ``v`` or the outer state; two "primal" ones for ``z``,
     which becomes ``x'``, never the current ``x``; one "diff" and one "tmp".
-    ``dots`` is the stop test's last ``(d @ d, v @ v)``."""
+    ``dots`` is the stop test's last ``(dot(d, d), dot(v, v))``."""
 
     def __init__(self, p):
         self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim)
@@ -242,7 +242,7 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
 
     Up to ``inner_stop.max_iter`` dual steps from ``v`` (``warm``) or zero,
     each relaxed by ``kappa``, stop once a step's change ``d`` has
-    ``inner_stop.met(sqrt(d @ d), sqrt(v_i @ v_i))``; a non-finite change
+    ``inner_stop.met(norm(d), norm(v_i))``; a non-finite change
     never meets it, so the budget runs out. With no ``inner_stop``, one
     unrelaxed dual step makes this the operator ``T``.
     Takes ``Dt_v = D^T v`` (read when ``warm``) and returns
@@ -269,7 +269,7 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
         v, v_old = v_new, v
         if tol > 0.0:
             d = np.subtract(v, v_old, out=ws.take("diff"))
-            ws.dots = dd, vv = float(d @ d), float(v_old @ v_old)
+            ws.dots = dd, vv = dot(d, d), dot(v_old, v_old)
             if inner_stop.met(math.sqrt(dd), math.sqrt(vv)):
                 break
     z -= np.multiply(Dt_v, l, out=tmp)
@@ -554,14 +554,13 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         return solve(b - lam * D.adjoint(vv))
 
     def obj(xx):
-        return f1.value(D.forward(xx)) + 0.5 * float(xx @ (Q @ xx)) - float(b @ xx)
+        return f1.value(D.forward(xx)) + 0.5 * dot(xx, Q @ xx) - dot(b, xx)
 
     def step(n):
         nonlocal v
         Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
         v_new = mann_combine(kappa, v, Hv)
-        change, size = float(np.linalg.norm(v_new - v)), float(np.linalg.norm(v))
-        res = float(np.linalg.norm(Hv - v))
+        change, size, res = norm(v_new - v), norm(v), norm(Hv - v)
         v, x = v_new, x_of(v_new)
         return _Row(v, x, change, size, obj(x), res, lams=lam, alphas=kappa)
 
@@ -653,10 +652,6 @@ def ds_split_x_update(f2, D, delta, nu, x, d, v):
     return base - delta * delta * nu * A.adjoint(A.forward(D.adjoint(d - Dx)))
 
 
-def _split_norm(x, d, v):
-    return math.sqrt(float(x @ x) + float(d @ d) + float(v @ v))
-
-
 def siu(p, delta, nu, stop=None, x_true=None):
     """Split inexact Uzawa iteration over (x, d, v) for quadratic data terms.
 
@@ -688,7 +683,7 @@ def siu(p, delta, nu, stop=None, x_true=None):
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
         it = Iterate.at(p.f2, x_new)
-        change, size = _split_norm(x_new - x, d_new - d, v_new - v), _split_norm(x, d, v)
+        change, size = norm(x_new - x, d_new - d, v_new - v), norm(x, d, v)
         x, d, v, Dx = x_new, d_new, v_new, Dx_new
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(Dx) + it.value

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import atomic_write
-from .linops import SparseMatrix, diff_op_2d, gaussian_blur_op, identity_op, matrix_op
+from .linops import SparseMatrix, diff_op_2d, gaussian_blur_op, identity_op, matrix_op, norm
 from .prox import group_l2_norm_fn, l1_norm_fn, quadratic_fn
 from .solvers import make_problem
 
@@ -184,7 +184,7 @@ def add_relative_noise(clean, noise_level, rng):
     if noise_level == 0.0:
         return clean.copy()
     e = rng.standard_normal(clean.size)
-    e *= noise_level * float(np.linalg.norm(clean)) / float(np.linalg.norm(e))
+    e *= noise_level * norm(clean) / norm(e)
     return clean + e
 
 

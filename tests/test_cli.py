@@ -538,6 +538,19 @@ REJECTED_CONFIGS = {
     "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",
                        "ifp2o supports identity data operators only"),
     "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify", "solver.sigma_strong=auto"),
+    # once an OverflowError traceback, an unnamed NaN error, numpy's "Maximum
+    # allowed size exceeded", and a silent run with 2 rays
+    **{f"rays-{value}": ({"problem.kind": "ct", "problem.rays": value}, "solve",
+                         f"bad value for problem.rays: {value!r}")
+       for value in ("inf", "nan", "1e300", "2.5")},
+    # once run at alpha 0.5 in place of the value given
+    **{f"dsn-bb-alpha-{value}": ({"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic",
+                                 "schedule.alpha": value}, "solve", f"alpha={value} out of range")
+       for value in ("nan", "-0.3")},
+    # once a certificate with d=nan, or one for a first step outside [0, 1)
+    **{f"certify-alpha-{value}": (dict(_LASSO, **{"schedule.alpha": value}), "certify",
+                                  f"alpha={value} out of range")
+       for value in ("nan", "-0.3", "1.5")},
 }
 
 

@@ -35,6 +35,7 @@ from pdfp import (
     SparseMatrix,
 )
 from pdfp.diagnostics import atomic_write, rel_err_snr
+from pdfp.linops import norm
 from conftest import TIGHT_STOP
 
 
@@ -126,7 +127,7 @@ class TestSnrRelErr:
         for _ in range(50):
             x_true = rng.standard_normal(7)
             x = x_true + rng.standard_normal(7) * 10.0 ** rng.uniform(-9, 1)
-            nt, nd = float(np.linalg.norm(x_true)), float(np.linalg.norm(x - x_true))
+            nt, nd = norm(x_true), norm(x - x_true)
             rel, snr_db = rel_err_snr(x, x_true)
             assert rel == (nd * nd) / (nt * nt) and rel == rel_err(x, x_true)
             assert snr_db == 20.0 * math.log10(nt / nd) and snr_db == snr(x, x_true)
@@ -289,6 +290,13 @@ class TestRateCertificate:
         p = synthetic_certifiable_problem()
         with pytest.raises(ValueError):
             rate_certificate(p, p.beta, 1.0, 0.1, 0.9, sigma=0.0)
+
+    @pytest.mark.parametrize("alpha0", [math.nan, -0.3, 1.0, 1.5])
+    def test_first_step_weight_outside_unit_interval_rejected(self, alpha0):
+        # NaN once gave d=nan, and -0.3 or 1.5 a d for a step no solver takes
+        p = synthetic_certifiable_problem()
+        with pytest.raises(ValueError, match="alpha="):
+            rate_certificate(p, p.beta, 1.0, 0.1, 0.9, sigma=1.0, alpha0=alpha0)
 
     @pytest.mark.parametrize("side", [16, 64])
     def test_gamma_checked_before_size_limit_and_gram(self, side, monkeypatch):

@@ -40,6 +40,7 @@ from pdfp import (
     UnsupportedProblemError,
     apply_T,
 )
+from pdfp.linops import dot, norm
 from conftest import DENOISE4_DATA
 
 N_ITER = 20
@@ -146,7 +147,7 @@ def unfused_steps(p, sched, relaxed, lam_ref):
         w = p.D.forward(z) + (v - l * p.D.forward(p.D.adjoint(v)))
         vt = dual_proj(p.f1, g / l, w)
         xt = z - l * p.D.adjoint(vt)
-        res = math.sqrt(float((xt - x) @ (xt - x)) + lam_ref * float((vt - v) @ (vt - v)))
+        res = math.sqrt(dot(xt - x, xt - x) + lam_ref * dot(vt - v, vt - v))
         v_new, x_new = (vt, xt) if a == 0.0 else (mann_combine(a, v, vt), mann_combine(a, x, xt))
         step, denom = lnorm(v_new - v, x_new - x, lam_ref), max(1.0, lnorm(v, x, lam_ref))
         v, x = v_new, x_new
@@ -216,7 +217,7 @@ def test_prox_fallback_matches_unfused_reference(builder):
 
 
 def lnorm(v, x, lam):
-    return math.sqrt(float(x @ x) + lam * float(v @ v))
+    return math.sqrt(dot(x, x) + lam * dot(v, v))
 
 
 # Inner loops of 1 to 5 steps: the tolerance ends most early, the cap some.
@@ -244,8 +245,8 @@ def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
             Hv = dual_proj(p.f1, gamma / lam, w)
             vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
             inner += 1
-            dv = float(np.linalg.norm(vi_new - vi))
-            ref_v = max(1.0, float(np.linalg.norm(vi)))
+            dv = norm(vi_new - vi)
+            ref_v = max(1.0, norm(vi))
             vi = vi_new
             if inner_stop.tol > 0.0 and dv / ref_v <= inner_stop.tol:
                 break
@@ -281,10 +282,9 @@ def siu_loop(p, delta, nu, final):
         Dx_new = p.D.forward(x_new)
         d_new = p.f1.prox(1.0 / nu, Dx_new + v)
         v_new = v - (d_new - Dx_new)
-        step = math.sqrt(float((x_new - x) @ (x_new - x))
-                         + float((d_new - d) @ (d_new - d))
-                         + float((v_new - v) @ (v_new - v)))
-        denom = max(1.0, math.sqrt(float(x @ x) + float(d @ d) + float(v @ v)))
+        step = math.sqrt(dot(x_new - x, x_new - x) + dot(d_new - d, d_new - d)
+                         + dot(v_new - v, v_new - v))
+        denom = max(1.0, math.sqrt(dot(x, x) + dot(d, d) + dot(v, v)))
         x, d, v = x_new, d_new, v_new
         final[:] = [x, d, v]
         yield Step(v, x, p.objective(x), step, step, denom, delta, nu, 0.0)
@@ -589,12 +589,12 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
         w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
         Hv = dual_proj(f1, 1.0 / lam, w)
         v_new = mann_combine(kappa, v, Hv)
-        res = float(np.linalg.norm(Hv - v))
-        step, denom = float(np.linalg.norm(v_new - v)), max(1.0, float(np.linalg.norm(v)))
+        res = norm(Hv - v)
+        step, denom = norm(v_new - v), max(1.0, norm(v))
         v = v_new
         x = solve(b - lam * D.adjoint(v))
         final[:] = [x]
-        obj = f1.value(D.forward(x)) + 0.5 * float(x @ (Q @ x)) - float(b @ x)
+        obj = f1.value(D.forward(x)) + 0.5 * dot(x, Q @ x) - dot(b, x)
         yield Step(v, x, obj, res, step, denom, math.nan, lam, kappa)
 
 
@@ -613,8 +613,8 @@ def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=F
     nans = np.full(k, math.nan)
     snrs = relerrs = nans
     if x_true is not None:
-        nt = float(np.linalg.norm(x_true))
-        nds = [float(np.linalg.norm(s.x - x_true)) for s in rows]
+        nt = norm(x_true)
+        nds = [norm(s.x - x_true) for s in rows]
         snrs = np.array([20.0 * math.log10(nt / nd) for nd in nds])
         relerrs = np.array([(nd * nd) / (nt * nt) for nd in nds])
     return {

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -478,3 +479,41 @@ def test_collapse_identities_at_random_sizes_and_steps(h, w, isotropic, weight, 
     one_step = pfbs_fp2o(p, gamma, lam, 0.0, StoppingRule(tol=0.0, max_iter=1), **kw)
     assert_same_run(one_step, plain, skip=("inner_iters",))
     assert one_step[1].inner_iters.tolist() == [1] * 12
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40_000), step=st.integers(1, 3), cut=st.integers(0, 40_000),
+       scale=st.integers(-100, 100), seed=st.integers(0, 2 ** 32 - 1))
+def test_dot_and_norm_stay_within_the_summation_bound_of_fsum(n, step, cut, scale, seed):
+    # any order of n adds keeps |dot - exact| <= n eps sum|a_i b_i|; step > 1 reads
+    # strided views
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(n * step) * 2.0 ** scale)[::step]
+    b = rng.standard_normal(n * step)[::step]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_norm = linops.dot(a, b), linops.norm(a)
+        got_split = linops.norm(a[:cut], a[cut:])
+    exact = math.fsum((a * b).tolist())
+    assert abs(got - exact) <= n * EPS * math.fsum(np.abs(a * b).tolist())
+    exact_norm = math.sqrt(math.fsum((a * a).tolist()))
+    for value in (got_norm, got_split):
+        assert abs(value - exact_norm) <= (n + 1) * EPS * exact_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40_000), bad=st.sampled_from([math.inf, -math.inf, math.nan, 1e300]),
+       data=st.data())
+def test_dot_and_norm_of_a_blown_up_vector_are_not_finite(n, bad, data):
+    # _drive stops as "diverged" on a change that is not finite, so a norm
+    # must not come out finite once an entry is; 1e300 squared overflows,
+    # which must not raise a RuntimeWarning either
+    a = np.ones(n)
+    a[data.draw(st.integers(0, n - 1))] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(linops.dot(a, a))
+        assert not math.isfinite(linops.norm(np.ones(3), a))

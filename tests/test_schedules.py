@@ -117,6 +117,13 @@ class TestAdaptiveGamma:
         vals = {sched.lam(n, rng.standard_normal(2)) for n in range(50)}
         assert vals == {0.3}
 
+    @pytest.mark.parametrize("alpha0", [float("nan"), -0.3, 1.0, 1.5])
+    def test_alpha0_outside_unit_interval_rejected(self, quad2, alpha0):
+        # once clipped into the clamp, NaN to its upper end
+        with pytest.raises(ValueError, match="alpha="):
+            bb_dynamic_schedule(quad2, alpha0=alpha0)
+        assert bb_dynamic_schedule(quad2, alpha0=0.95).alpha(0, None) == 0.9
+
     def test_requires_quadratic_data_term(self):
         from pdfp import SmoothFn
 
@@ -162,6 +169,13 @@ class TestScheduleSpec:
     def test_unknown_kind_rejected(self, lasso1d):
         with pytest.raises(ValueError):
             ScheduleSpec(kind="linesearch").build(lasso1d)
+
+    @pytest.mark.parametrize("alpha0", [float("nan"), -0.3])
+    def test_bb_dynamic_alpha0_reaches_the_schedule(self, quad2, alpha0):
+        # only the unset default 0 stands for 0.5; NaN and negatives once did too
+        assert ScheduleSpec(kind="bb_dynamic").build(quad2).alpha(0, None) == 0.5
+        with pytest.raises(ValueError, match="alpha="):
+            ScheduleSpec(kind="bb_dynamic", alpha0=alpha0).build(quad2)
 
     def test_defaults_derive_from_problem(self, lasso1d):
         sched = ScheduleSpec(kind="constant").build(lasso1d)

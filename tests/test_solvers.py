@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pdfp
 from pdfp import (
     PDState,
     StoppingRule,
@@ -539,3 +545,31 @@ class TestDivergence:
         assert (tr.stop_reason, tr.converged, tr.n_iter) == ("budget", False, 5)
         _, tr = pdfp2o(denoise4, g, l, stop=StoppingRule(tol=1e-3, max_iter=500))
         assert tr.stop_reason == "converged" and tr.converged and tr.n_iter < 500
+
+
+# One pfbs_fp2o solve whose dual vector (32,768 entries) is long enough for
+# OpenBLAS to split a dot product across threads; prints one hash of the
+# final state and every trace column but wall_ms.
+_THREADS_SCRIPT = """
+import dataclasses, hashlib
+import numpy as np
+from pdfp import StoppingRule, make_denoise_problem, pfbs_fp2o
+p, x_true = make_denoise_problem(128, 0.1, 1, 0.05, "isotropic-pair")
+u, tr = pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, 0.0, StoppingRule(1e-4, 50),
+                  stop=StoppingRule(0.0, 60), x_true=x_true.ravel())
+h = hashlib.sha256(u.v.tobytes() + u.x.tobytes())
+for f in dataclasses.fields(tr):
+    if f.name not in ("wall_ms", "iterates"):
+        h.update(f.name.encode() + np.asarray(getattr(tr, f.name)).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_same_bits_at_one_and_two_blas_threads():
+    src = str(Path(pdfp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    hashes = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)
+                             ).stdout.strip() for n in ("1", "2")]
+    assert hashes[0] == hashes[1] != ""

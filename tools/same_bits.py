@@ -5,8 +5,11 @@
 Each revision is unpacked with ``git archive`` into a temporary directory;
 the working tree stands in for a missing ``REV_B``. Both run the same fixed
 list of cases, each case in its own subprocess with the tree's ``src`` on
-``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1`` (BLAS sums long dot products
-in an order that depends on its thread count):
+``PYTHONPATH`` and ``OPENBLAS_NUM_THREADS=1``. A tree whose vector
+reductions all go through ``linops.dot`` and ``linops.norm`` gives the same
+bits at any thread count; the fixed count lets older revisions compare too,
+whose long BLAS dot products added in an order set by the thread count. The
+cases:
 
 * the CT matrix: ``triplets`` of ``paper_ct_geometry(64)`` and ``(256)``;
 * ``pdfp2o`` on ``configs/ct_constant.cfg`` and ``pdfp2o_ds`` on
