@@ -569,17 +569,32 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
 
 
 def _quadratic_resolvent(f2, tau, w, x0):
-    """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``."""
+    """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``: in closed
+    form for the identity data operator, else by conjugate gradient on
+    ``(I + tau A^T A) x = w + tau A^T b`` from ``x0``, to a residual of
+    ``1e-10 ||rhs||`` or 1000 steps. Its dot products go through
+    :func:`dot`, so the bits do not depend on the BLAS thread count."""
     A, b = _quadratic(f2, "the primal resolvent")
     if A.tag == "identity":
         return (w + tau * b) / (1.0 + tau)
-    # imported here: scipy.sparse.linalg adds about 2 MB to every process
-    from scipy.sparse.linalg import LinearOperator, cg
-
     rhs = w + tau * A.adjoint(b)
-    M = LinearOperator((A.in_dim, A.in_dim), matvec=lambda y: y + tau * A.adjoint(A.forward(y)),
-                       dtype=np.float64)
-    return cg(M, rhs, x0=x0, rtol=1e-10, maxiter=1000)[0]
+    apply_M = lambda y: y + tau * A.adjoint(A.forward(y))
+    x = x0.copy()
+    r = rhs - apply_M(x)
+    d = r.copy()
+    rs = dot(r, r)
+    target = 1e-10 * max(norm(rhs), 1e-300)
+    for _ in range(1000):
+        if math.sqrt(rs) <= target:
+            break
+        Md = apply_M(d)
+        alpha = rs / dot(d, Md)
+        x += alpha * d
+        r -= alpha * Md
+        rs_new = dot(r, r)
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    return x
 
 
 def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,

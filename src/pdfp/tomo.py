@@ -109,14 +109,13 @@ def build_projection_matrix(g):
     offs = (np.arange(p) - (p - 1) / 2.0) * g.detector_spacing
     idx_dtype = np.int32 if g.n_cols <= np.iinfo(np.int32).max else np.int64
 
-    def chunks():
+    def piece(ang):
         # one CSR piece per angle, so the whole matrix is never held twice
-        for ang in g.angles_deg:
-            lengths, cols, ray = _trace_angle(n, offs, math.radians(ang))
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(ray, minlength=p))))
-            yield lengths, cols.astype(idx_dtype), indptr
+        lengths, pixels, ray = _trace_angle(n, offs, math.radians(ang))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(ray, minlength=p))))
+        return lengths, pixels.astype(idx_dtype), indptr
 
-    return SparseMatrix._from_row_chunks(g.n_rows, g.n_cols, chunks())
+    return SparseMatrix._from_row_chunks(g.n_rows, g.n_cols, map(piece, g.angles_deg))
 
 
 def _trace_angle(n, offs, t):
@@ -145,22 +144,43 @@ def _trace_angle(n, offs, t):
     # one row per ray: entry, exit and the grid crossings strictly between
     # them; NaN marks an unused slot, sorts last and fails the length test
     grid = np.arange(n + 1) - half
-    parts = [s_lo[:, None], s_hi[:, None]]
-    for p0, d in ((x0, ux), (y0, uy)):
-        if d != 0.0:
-            s = (grid - p0[:, None]) / d
-            s[~((s > s_lo[:, None]) & (s < s_hi[:, None]))] = np.nan
-            parts.append(s)
-    s = np.concatenate(parts, axis=1)
+    families = [(p0, d) for p0, d in ((x0, ux), (y0, uy)) if d != 0.0]
+    s = np.empty((offs.size, 2 + len(families) * (n + 1)))
+    s[:, 0], s[:, 1] = s_lo, s_hi
+    for k, (p0, d) in enumerate(families):
+        cross = s[:, 2 + k * (n + 1):2 + (k + 1) * (n + 1)]
+        np.subtract(grid, p0[:, None], out=cross)
+        cross /= d
+        # no crossing is NaN, so this is not (s_lo < cross < s_hi)
+        outside = cross <= s_lo[:, None]
+        outside |= cross >= s_hi[:, None]
+        np.copyto(cross, np.nan, where=outside)
     s[~hit] = np.nan
     s.sort(axis=1)
-    lengths = np.diff(s, axis=1)
-    ray, seg = np.nonzero(lengths > 1e-12)
-    mids = 0.5 * (s[ray, seg] + s[ray, seg + 1])
-    cols = np.floor(x0[ray] + mids * ux + half).astype(np.int64)
-    rows = np.floor(y0[ray] + mids * uy + half).astype(np.int64)
+    keep = np.diff(s, axis=1) > 1e-12
+    # kept gap f of the flattened (rays, slots - 1) gaps runs from entry
+    # f + ray to entry f + ray + 1 of the flattened s
+    ray = np.repeat(np.arange(offs.size), np.count_nonzero(keep, axis=1))
+    at = np.flatnonzero(keep)
+    at += ray
+    s = s.ravel()
+    start, end = s[at], s[1:][at]
+    lengths = end - start
+    # 0.5 * (start + end) and floor(x0 + mids * ux + half) in place; a sum's
+    # operands may swap, since floating-point addition is commutative
+    mids = np.add(start, end, out=start)
+    mids *= 0.5
+    cols, rows = (np.multiply(mids, d) for d in (ux, uy))
+    for c, p0 in ((cols, x0), (rows, y0)):
+        c += p0[ray]
+        c += half
+        np.floor(c, out=c)
     ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < n)
-    return lengths[ray[ok], seg[ok]], rows[ok] * n + cols[ok], ray[ok]
+    rows *= n
+    pixels = np.add(rows, cols, out=rows).astype(np.int64)
+    if ok.all():
+        return lengths, pixels, ray
+    return lengths[ok], pixels[ok], ray[ok]
 
 
 @dataclass(frozen=True)

@@ -539,8 +539,9 @@ def test_zero_truth_is_rejected_before_the_first_step(builder):
 
 def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):
     """The primal resolvent ``(I + tau A^T A)^{-1}(w + tau A^T b)`` by a
-    hand-written conjugate gradient from ``x0``; scipy's ``cg``, which
-    ``chambolle_pock`` calls, must agree with it bit for bit."""
+    hand-written conjugate gradient from ``x0``, with the package's ``dot``
+    and ``norm``; ``chambolle_pock``'s resolvent must agree with it bit for
+    bit."""
     A, b = f2.A, f2.b
     if A.tag == "identity":
         return (w + tau * b) / (1.0 + tau)
@@ -549,16 +550,16 @@ def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):
     x = x0.copy()
     r = rhs - apply_M(x)
     d = r.copy()
-    rs = float(r @ r)
-    target = tol * max(float(np.linalg.norm(rhs)), 1e-300)
+    rs = dot(r, r)
+    target = tol * max(norm(rhs), 1e-300)
     for _ in range(max_iter):
         if math.sqrt(rs) <= target:
             break
         Ad = apply_M(d)
-        alpha = rs / float(d @ Ad)
+        alpha = rs / dot(d, Ad)
         x += alpha * d
         r -= alpha * Ad
-        rs_new = float(r @ r)
+        rs_new = dot(r, r)
         d = r + (rs_new / rs) * d
         rs = rs_new
     return x

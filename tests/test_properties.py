@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from pdfp import (  # noqa: E402
@@ -239,21 +239,29 @@ def test_group_ids_matches_loop(groups):
             np.testing.assert_array_equal(_group_ids(6, form), want)
 
 
-# Exact 0 and 90 degrees sit beside arbitrary angles; ray offsets of up to
-# 9.5 * 2.5 pixels from the center of a 2- to 12-pixel image make many rays
-# miss it. Angles within about 1e-300 degrees of 0 make 1/d overflow to
-# inf in the new and the per-ray assembly alike; the matrices still
-# have to agree bit for bit.
+# Exact 0 and 90 degrees sit beside arbitrary angles, with odd and even ray
+# counts; ray offsets of up to 39.5 * 2.5 pixels from the center of a 2- to
+# 24-pixel image make many rays miss it. Angles within about 1e-300 degrees
+# of 0 make 1/d overflow to inf in the new and the per-ray assembly alike;
+# the matrices still have to agree bit for bit. Blocks of 1 to 600 columns
+# split one angle's rows into up to 576 blocks, each of which must hold the
+# reference's columns byte for byte.
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 12),
+@given(n=st.integers(2, 24),
        angles=st.lists(st.sampled_from([0.0, 90.0])
-                       | st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=4),
-       rays=st.integers(1, 20), spacing=st.floats(0.25, 2.5))
-def test_projection_matrix_matches_per_ray_reference(n, angles, rays, spacing):
+                       | st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=6),
+       rays=st.integers(1, 80), spacing=st.floats(0.25, 2.5), block_cols=st.integers(1, 600))
+@example(n=3, angles=[0.0, 90.0, 30.0], rays=12, spacing=1.5, block_cols=2)
+def test_projection_matrix_matches_per_ray_reference(n, angles, rays, spacing, block_cols):
     g = TomoGeometry(image_side=n, angles_deg=tuple(angles), rays_per_angle=rays,
                      detector_spacing=spacing)
-    assert_same_csr(build_projection_matrix(g)._csr, projection_matrix_reference(g))
+    want = projection_matrix_reference(g)
+    M = blocked(block_cols, build_projection_matrix, g)
+    assert_same_csr(M._csr, want)
+    assert [c for c, _ in M._blocks] == list(range(0, g.n_cols, block_cols))
+    for c, B in M._blocks:
+        assert_same_csr(B, want[:, c:c + block_cols])
 
 
 # conj_proj, the in-place ``w - prox(t, w)``, for the three norms that

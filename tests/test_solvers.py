@@ -547,9 +547,20 @@ class TestDivergence:
         assert tr.stop_reason == "converged" and tr.converged and tr.n_iter < 500
 
 
-# One pfbs_fp2o solve whose dual vector (32,768 entries) is long enough for
-# OpenBLAS to split a dot product across threads; prints one hash of the
-# final state and every trace column but wall_ms.
+# Each script makes one run ``u, tr`` whose vectors are long enough for
+# OpenBLAS to split a dot product across threads, then prints one hash of the
+# final state and every trace column but wall_ms (a column a solver does not
+# keep is None).
+_HASH_RUN = """
+h = hashlib.sha256(u.v.tobytes() + u.x.tobytes())
+for f in dataclasses.fields(tr):
+    value = getattr(tr, f.name)
+    if f.name not in ("wall_ms", "iterates") and value is not None:
+        h.update(f.name.encode() + np.asarray(value).tobytes())
+print(h.hexdigest())
+"""
+
+# pfbs_fp2o's dual vector has 32,768 entries
 _THREADS_SCRIPT = """
 import dataclasses, hashlib
 import numpy as np
@@ -557,19 +568,34 @@ from pdfp import StoppingRule, make_denoise_problem, pfbs_fp2o
 p, x_true = make_denoise_problem(128, 0.1, 1, 0.05, "isotropic-pair")
 u, tr = pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, 0.0, StoppingRule(1e-4, 50),
                   stop=StoppingRule(0.0, 60), x_true=x_true.ravel())
-h = hashlib.sha256(u.v.tobytes() + u.x.tobytes())
-for f in dataclasses.fields(tr):
-    if f.name not in ("wall_ms", "iterates"):
-        h.update(f.name.encode() + np.asarray(getattr(tr, f.name)).tobytes())
-print(h.hexdigest())
-"""
+""" + _HASH_RUN
+
+# chambolle_pock on a deblur problem solves its primal resolvent by conjugate
+# gradient over 16,384 entries
+_CP_THREADS_SCRIPT = """
+import dataclasses, hashlib
+import numpy as np
+from pdfp import StoppingRule, chambolle_pock, make_deblur_problem
+p, x_true = make_deblur_problem(128, 2, 1.5, 0.01, 1, 0.02)
+u, tr = chambolle_pock(p, 0.99 * p.lambda_hi / p.beta, p.beta, 1.0,
+                       stop=StoppingRule(0.0, 10), x_true=x_true.ravel())
+""" + _HASH_RUN
+
+
+def hashes_at_one_and_two_blas_threads(script):
+    src = str(Path(pdfp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True,
+                           env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)
+                           ).stdout.strip() for n in ("1", "2")]
 
 
 def test_same_bits_at_one_and_two_blas_threads():
-    src = str(Path(pdfp.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    hashes = [subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True,
-                             text=True, check=True,
-                             env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=n)
-                             ).stdout.strip() for n in ("1", "2")]
+    hashes = hashes_at_one_and_two_blas_threads(_THREADS_SCRIPT)
+    assert hashes[0] == hashes[1] != ""
+
+
+def test_chambolle_pock_resolvent_same_bits_at_one_and_two_blas_threads():
+    hashes = hashes_at_one_and_two_blas_threads(_CP_THREADS_SCRIPT)
     assert hashes[0] == hashes[1] != ""
