@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import CERTIFICATE_MAX_DUAL_DIM, rate_certificate, rel_err_snr, \
     write_csv, write_lines, write_trace_csv
 from .linops import PowerIterationError
-from .schedules import ScheduleSpec
+from .schedules import ALPHA_CLAMP, GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
     pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu
 from .tomo import DEFAULT_CT_REG_WEIGHT, POWER_CHANNEL, TomoGeometry, \
@@ -72,14 +72,14 @@ CONFIG_KEYS = {
     "solver.inner_max_iter": (int, 200),
     "solver.sigma_strong": (_auto_or(float), _AUTO),
     "schedule.kind": (str, "constant"),
-    "schedule.alpha": (float, 0.0),
+    "schedule.alpha": (_auto_or(float), _AUTO),
     "schedule.decay": (float, 0.0),
     "schedule.gamma_lo": (_auto_or(float), _AUTO),
     "schedule.gamma_hi": (_auto_or(float), _AUTO),
     "schedule.lambda_lo": (_auto_or(float), _AUTO),
     "schedule.lambda_hi": (_auto_or(float), _AUTO),
-    "schedule.alpha_lo": (float, 0.1),
-    "schedule.alpha_hi": (float, 0.9),
+    "schedule.alpha_lo": (float, ALPHA_CLAMP[0]),
+    "schedule.alpha_hi": (float, ALPHA_CLAMP[1]),
     "run.max_iter": (int, 2000),
     "run.tol": (float, 1e-8),
     "run.seed": (int, 0),
@@ -223,7 +223,7 @@ class ExperimentConfig:
     def resolve_steps(self, problem):
         gamma = self["solver.gamma"]
         lam = self["solver.lambda"]
-        gamma = 1.99 * problem.beta if gamma == _AUTO else gamma
+        gamma = GAMMA_CLAMP_FRACTIONS[1] * problem.beta if gamma == _AUTO else gamma
         lam = problem.lambda_hi if lam == _AUTO else lam
         return gamma, lam
 
@@ -238,7 +238,7 @@ class ExperimentConfig:
         )
         return ScheduleSpec(
             kind=self["schedule.kind"], gamma0=gamma, lambda0=lam,
-            alpha0=alpha, decay=self["schedule.decay"], clamp=clamp,
+            alpha0=None if alpha == _AUTO else alpha, decay=self["schedule.decay"], clamp=clamp,
         )
 
 
@@ -266,26 +266,22 @@ def _run_solver(cfg, problem, x_true):
     stop = StoppingRule(tol=cfg["run.tol"], max_iter=cfg["run.max_iter"])
     xt = x_true.ravel()
     kappa = cfg["solver.kappa"]
+    if kappa == _AUTO:  # the relaxation weight; pfbs_fp2o's inner loop is not averaged
+        kappa = 0.0 if name == "pfbs_fp2o" else RELAXATION_WEIGHT
     if name == "pdfp2o":
         u, tr = pdfp2o(problem, gamma, lam, stop=stop, x_true=xt)
         return u.x, tr
     if name == "pdfp2o_kappa":
-        k = 0.5 if kappa == _AUTO else kappa
-        u, tr = pdfp2o_kappa(problem, gamma, lam, k, stop=stop, x_true=xt)
+        u, tr = pdfp2o_kappa(problem, gamma, lam, kappa, stop=stop, x_true=xt)
         return u.x, tr
-    if name == "pdfp2o_ds":
+    if name in ("pdfp2o_ds", "pdfp2o_dsn"):
         sched = cfg.schedule_spec(gamma, lam, cfg["schedule.alpha"]).build(problem)
-        u, tr = pdfp2o_ds(problem, sched, stop=stop, x_true=xt)
-        return u.x, tr
-    if name == "pdfp2o_dsn":
-        alpha = cfg["schedule.alpha"] or 0.5
-        sched = cfg.schedule_spec(gamma, lam, alpha).build(problem)
-        u, tr = pdfp2o_dsn(problem, sched, stop=stop, x_true=xt)
+        solver = pdfp2o_ds if name == "pdfp2o_ds" else pdfp2o_dsn
+        u, tr = solver(problem, sched, stop=stop, x_true=xt)
         return u.x, tr
     if name == "pfbs_fp2o":
-        k = 0.0 if kappa == _AUTO else kappa
         inner = StoppingRule(tol=cfg["solver.inner_tol"], max_iter=cfg["solver.inner_max_iter"])
-        u, tr = pfbs_fp2o(problem, gamma, lam, k, inner, stop=stop, x_true=xt)
+        u, tr = pfbs_fp2o(problem, gamma, lam, kappa, inner, stop=stop, x_true=xt)
         return u.x, tr
     if name == "ifp2o":
         n = problem.D.in_dim
@@ -293,11 +289,11 @@ def _run_solver(cfg, problem, x_true):
             raise ConfigError("ifp2o needs a dense system; use problem.size <= 32")
         if problem.f2.A.tag != "identity":
             raise ConfigError("ifp2o supports identity data operators only (denoise/lasso)")
-        k = 0.5 if kappa == _AUTO else kappa
-        x, tr = ifp2o(np.eye(n), problem.f2.b, problem.f1, problem.D, lam, k, stop=stop)
+        x, tr = ifp2o(np.eye(n), problem.f2.b, problem.f1, problem.D, lam, kappa, stop=stop)
         return x, tr
     if name == "cp":
-        lam_cp = min(lam, 0.99 * problem.lambda_hi)
+        # auto sits inside Chambolle-Pock's strict bound sigma*tau < 1/lambda_max
+        lam_cp = 0.99 * problem.lambda_hi if cfg["solver.lambda"] == _AUTO else lam
         u, tr = chambolle_pock(
             problem, lam_cp / gamma, gamma, cfg["solver.theta"], stop=stop, x_true=xt
         )
@@ -420,10 +416,11 @@ def certify(config_path, overrides=None):
                     "solver.sigma_strong=auto needs an identity data operator; set it explicitly"
                 )
             sig = 1.0
+        alpha0 = cfg["schedule.alpha"]
         cert = rate_certificate(
             problem, gamma, lam,
             cfg["schedule.alpha_lo"], cfg["schedule.alpha_hi"], sig,
-            alpha0=cfg["schedule.alpha"] or None,
+            alpha0=None if alpha0 == _AUTO else alpha0,
         )
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,8 +103,8 @@ def optimality_residual(p, gamma, lam, u):
     return max(norm(grad_bal), norm(prox_res))
 
 
-def fejer_check(trace, u_ref, lam, slack=1e-10):
-    """True iff ``||u_n - u_ref||`` is non-increasing along the stored iterates.
+def fejer_check(trace, u_ref, lam):
+    """True iff ``||u_n - u_ref||`` is non-increasing (to 1e-10) along the stored iterates.
 
     Requires the trace to have been recorded with ``record_iterates=True``.
     A trace holding only the starting state passes vacuously.
@@ -114,7 +114,7 @@ def fejer_check(trace, u_ref, lam, slack=1e-10):
     dists = [
         lambda_norm(solvers.PDState(u.v - u_ref.v, u.x - u_ref.x), lam) for u in trace.iterates
     ]
-    return all(b <= a + slack for a, b in zip(dists, dists[1:]))
+    return all(b <= a + 1e-10 for a, b in zip(dists, dists[1:]))
 
 
 @dataclass(frozen=True)

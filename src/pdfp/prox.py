@@ -186,13 +186,13 @@ def resolvent_identity_check(f, nu, mu, z):
     return norm(lhs - rhs)
 
 
-def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
+def subgradient_prox_check(f, t, z, seed=0, tol=1e-9, x=None):
     """Check the subgradient characterization of the prox at ``z``.
 
     With ``x = prox(t, z)`` and ``y = (z - x)/t``, verifies
-    ``f(w) >= f(x) + <y, w - x> - tol`` at deterministic and random probes
-    ``w``. Passing ``x`` overrides the prox output (useful to confirm that
-    perturbed points fail the test).
+    ``f(w) >= f(x) + <y, w - x> - tol`` at three deterministic and 32 random
+    probes ``w``. Passing ``x`` overrides the prox output (useful to confirm
+    that perturbed points fail the test).
     """
     _positive(t)
     z = np.asarray(z, dtype=np.float64)
@@ -204,7 +204,7 @@ def subgradient_prox_check(f, t, z, n_probes=32, seed=0, tol=1e-9, x=None):
     rng = np.random.default_rng(seed)
     scale = max(1.0, float(np.max(np.abs(z))))
     probes = [np.zeros_like(z), z.copy(), f.prox(t, z)]
-    probes += [scale * rng.standard_normal(z.size) for _ in range(n_probes)]
+    probes += [scale * rng.standard_normal(z.size) for _ in range(32)]
     for w in probes:
         if f.value(w) < fx + dot(y, w - x) - tol:
             return False

@@ -8,10 +8,11 @@ from .linops import dot
 from .solvers import Iterate, Schedule, _check_alpha, _check_alpha_clamp, _check_gamma, \
     _check_lambda, _quadratic
 
-# Default clamp intervals, expressed relative to the problem's admissible ranges:
-# gamma in [0.01, 1.99] * beta, alpha in [0.1, 0.9].
+# Step defaults: clamps relative to the admissible ranges, gamma in [0.01, 1.99] * beta
+# (the upper end is also the default gamma) and alpha in [0.1, 0.9], and the relaxation weight.
 GAMMA_CLAMP_FRACTIONS = (0.01, 1.99)
 ALPHA_CLAMP = (0.1, 0.9)
+RELAXATION_WEIGHT = 0.5
 
 
 def _clip(value, lo, hi):
@@ -52,14 +53,15 @@ def _bb_quotient(it):
     return num / den
 
 
-def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
+def bb_dynamic_schedule(p, lambda0=None, alpha0=RELAXATION_WEIGHT, clamp=None):
     """Adaptive stepsize schedule: ``gamma_n`` from the residual/gradient quotient.
 
     ``gamma_n`` is the clamped quotient of the (unhalved) residual norm
     squared over the squared gradient norm at the current iterate, read
     from the iterate's cached ``f2`` value and gradient;
-    ``lambda_n`` and ``alpha_n`` are held constant at ``lambda0`` (default
-    ``1/lambda_max(D D^T)``) and ``alpha0`` in ``[0, 1)``, each clipped into its clamp.
+    ``lambda_n`` and ``alpha_n`` are held constant at ``lambda0`` in
+    ``(0, 1/lambda_max(D D^T)]`` (default the upper end) and ``alpha0`` in
+    ``[0, 1)``; each is range-checked, then clipped into its clamp.
     A vanishing residual emits the lower gamma clamp; a vanishing gradient
     (iterate already stationary for the data term) emits the upper clamp.
 
@@ -70,9 +72,10 @@ def bb_dynamic_schedule(p, lambda0=None, alpha0=0.5, clamp=None):
     """
     _quadratic(p.f2, "the adaptive stepsize rule")
     g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = _resolve_clamp(p, clamp)
-    lam = _clip(p.lambda_hi if lambda0 is None else float(lambda0), l_lo, l_hi)
+    lam = p.lambda_hi if lambda0 is None else float(lambda0)
+    _check_lambda(lam, p.lambda_hi, 0)
     _check_alpha(float(alpha0), 0)
-    alpha = _clip(float(alpha0), a_lo, a_hi)
+    lam, alpha = _clip(lam, l_lo, l_hi), _clip(float(alpha0), a_lo, a_hi)
 
     def gamma(n, it):
         raw = _bb_quotient(it)
@@ -132,29 +135,26 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    """Declarative schedule description, constructible from a config file."""
+    """Declarative schedule description, constructible from a config file.
+    A step left at ``None`` takes its default, as ``auto`` does in a config."""
 
     kind: str = "constant"
     gamma0: Optional[float] = None
     lambda0: Optional[float] = None
-    alpha0: float = 0.0
+    alpha0: Optional[float] = None
     decay: float = 0.0
     clamp: Optional[tuple] = None
 
     def build(self, problem):
-        gamma0 = 1.99 * problem.beta if self.gamma0 is None else self.gamma0
+        gamma0 = GAMMA_CLAMP_FRACTIONS[1] * problem.beta if self.gamma0 is None else self.gamma0
         lambda0 = problem.lambda_hi if self.lambda0 is None else self.lambda0
+        alpha0 = RELAXATION_WEIGHT if self.alpha0 is None else self.alpha0
         if self.kind == "constant":
-            return constant_schedule(gamma0, lambda0, self.alpha0, problem=problem)
+            return constant_schedule(gamma0, lambda0, alpha0, problem=problem)
         if self.kind == "bb_dynamic":
-            return bb_dynamic_schedule(
-                problem,
-                lambda0=lambda0,
-                alpha0=self.alpha0 or 0.5,
-                clamp=self.clamp,
-            )
+            return bb_dynamic_schedule(problem, lambda0=lambda0, alpha0=alpha0, clamp=self.clamp)
         if self.kind == "convergent_perturbation":
             return convergent_perturbation_schedule(
-                gamma0, lambda0, self.alpha0, self.decay, problem=problem
+                gamma0, lambda0, alpha0, self.decay, problem=problem
             )
         raise ValueError(f"unknown schedule kind {self.kind!r}")

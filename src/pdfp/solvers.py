@@ -572,7 +572,7 @@ def _quadratic_resolvent(f2, tau, w, x0):
     """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``: in closed
     form for the identity data operator, else by conjugate gradient on
     ``(I + tau A^T A) x = w + tau A^T b`` from ``x0``, to a residual of
-    ``1e-10 ||rhs||`` or 1000 steps. Its dot products go through
+    ``1e-10 ||rhs||``, a non-finite one or 1000 steps. Its dot products go through
     :func:`dot`, so the bits do not depend on the BLAS thread count."""
     A, b = _quadratic(f2, "the primal resolvent")
     if A.tag == "identity":
@@ -592,6 +592,8 @@ def _quadratic_resolvent(f2, tau, w, x0):
         x += alpha * d
         r -= alpha * Md
         rs_new = dot(r, r)
+        if not math.isfinite(rs_new):  # NaN never meets the target; x carries it out
+            break
         d = r + (rs_new / rs) * d
         rs = rs_new
     return x

@@ -8,8 +8,8 @@ import pytest
 
 import pdfp.linops
 from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
-    make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu, \
-    write_trace_csv
+    make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, \
+    rate_certificate, siu, write_trace_csv
 from pdfp.cli import CONFIG_KEYS, SOLVER_NAMES, ExperimentConfig, ConfigError, certify, \
     compare, main, parse_config_text, run_experiment
 
@@ -566,6 +566,63 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "out").exists()
+
+
+# Step values a config sets, each run as written or refused by name: the
+# overrides, the command, and what the run must give. That is a text the
+# error names, the trace.csv of the base config with other overrides, the
+# certificate of the first-step weight alpha0 (None: schedule.alpha_lo's),
+# or the dual step sigma = lambda / gamma of cp. On the 16x16 denoise
+# problem 1/lambda_max(DD^T) is 0.12621. Each once ran at another value:
+# alpha 0 at 0.5 (solve) or at schedule.alpha_lo (certify), a cp lambda at
+# 0.99/lambda_max, an inadmissible bb_dynamic lambda at 1/lambda_max.
+_CERTIFY = {"problem.kind": "lasso", "solver.gamma": "1.0"}
+STEP_VALUES = {
+    # the relaxed iteration at alpha = 0 is the unrelaxed one, bit for bit
+    "dsn-alpha-0": ({"solver.name": "pdfp2o_dsn", "schedule.alpha": "0"}, "solve",
+                    ("trace", {"solver.name": "pdfp2o_ds"})),
+    "certify-alpha-0": (dict(_CERTIFY, **{"schedule.alpha": "0"}), "certify", ("d", 0.0)),
+    "certify-alpha-auto": (_CERTIFY, "certify", ("d", None)),
+    "cp-lambda-inside-the-bound": ({"solver.name": "cp", "solver.lambda": "0.1255"}, "solve",
+                                   ("sigma", 0.1255)),
+    "cp-lambda-above-the-bound": ({"solver.name": "cp", "solver.lambda": "0.2"}, "solve",
+                                  "sigma*tau < 0.1262"),
+    "cp-lambda-40-times-the-bound": ({"solver.name": "cp", "solver.lambda": "5.0"}, "solve",
+                                     "sigma*tau < 0.1262"),
+    "bb-lambda-above-the-bound": ({"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",
+                                   "solver.lambda": "0.2"}, "solve",
+                                  "lambda=0.2 out of range (0, 0.1262"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_VALUES))
+def test_step_value_runs_as_written_or_exits_1(tmp_path, monkeypatch, capsys, case):
+    overrides, command, want = STEP_VALUES[case]
+    cfg = write_cfg(tmp_path / "c.cfg", **overrides)
+    monkeypatch.setenv("PDFP_OUTPUT_DIR", str(tmp_path / "out"))
+    code = main([command, str(cfg)])
+    printed = capsys.readouterr()
+    if isinstance(want, str):
+        assert code == 1 and printed.err.startswith("error: ") and want in printed.err
+        assert not (tmp_path / "out").exists()
+        return
+    assert code in (0, 2), printed.err
+    what, value = want
+    loaded = ExperimentConfig.load(cfg)
+    problem, _, _ = loaded.build_problem()
+    gamma, lam = loaded.resolve_steps(problem)
+    if what == "trace":
+        monkeypatch.setenv("PDFP_OUTPUT_DIR", str(tmp_path / "ref"))
+        assert main(["solve", str(write_cfg(tmp_path / "ref.cfg", **value))]) == code
+        assert (read_trace_without_wall(tmp_path / "out" / "trace.csv")
+                == read_trace_without_wall(tmp_path / "ref" / "trace.csv"))
+    elif what == "d":
+        cert = rate_certificate(problem, gamma, lam, 0.1, 0.9, 1.0, alpha0=value)
+        assert f" d={cert.d!r}\n" in printed.out
+    else:
+        assert 0.99 * problem.lambda_hi < value < problem.lambda_hi
+        rows = read_trace_without_wall(tmp_path / "out" / "trace.csv")
+        assert {row[rows[0].index("lambda")] for row in rows[1:]} == {repr(value / gamma)}
 
 
 class TestErrors:

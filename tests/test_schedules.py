@@ -124,6 +124,15 @@ class TestAdaptiveGamma:
             bb_dynamic_schedule(quad2, alpha0=alpha0)
         assert bb_dynamic_schedule(quad2, alpha0=0.95).alpha(0, None) == 0.9
 
+    @pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, 1.5, 40.0])
+    def test_lambda0_outside_its_range_rejected(self, quad2, scale):
+        # once clipped into the clamp, so 40 times the bound ran at the bound
+        with pytest.raises(ValueError, match="lambda="):
+            bb_dynamic_schedule(quad2, lambda0=scale * quad2.lambda_hi)
+        clamp = (None, None, None, 0.5 * quad2.lambda_hi, None, None)
+        assert bb_dynamic_schedule(quad2, lambda0=quad2.lambda_hi,
+                                   clamp=clamp).lam(0, None) == 0.5 * quad2.lambda_hi
+
     def test_requires_quadratic_data_term(self):
         from pdfp import SmoothFn
 
@@ -172,10 +181,17 @@ class TestScheduleSpec:
 
     @pytest.mark.parametrize("alpha0", [float("nan"), -0.3])
     def test_bb_dynamic_alpha0_reaches_the_schedule(self, quad2, alpha0):
-        # only the unset default 0 stands for 0.5; NaN and negatives once did too
+        # only the unset default None stands for 0.5; NaN, negatives and an
+        # explicit 0 once did too
         assert ScheduleSpec(kind="bb_dynamic").build(quad2).alpha(0, None) == 0.5
         with pytest.raises(ValueError, match="alpha="):
             ScheduleSpec(kind="bb_dynamic", alpha0=alpha0).build(quad2)
+
+    def test_explicit_zero_alpha0_is_used(self, quad2, lasso1d):
+        assert ScheduleSpec(kind="constant", alpha0=0.0).build(lasso1d).alpha(0, None) == 0.0
+        assert ScheduleSpec(kind="constant").build(lasso1d).alpha(0, None) == 0.5
+        # bb_dynamic clips it into its clamp; it once ran at 0.5
+        assert ScheduleSpec(kind="bb_dynamic", alpha0=0.0).build(quad2).alpha(0, None) == 0.1
 
     def test_defaults_derive_from_problem(self, lasso1d):
         sched = ScheduleSpec(kind="constant").build(lasso1d)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from pdfp import (
     l1_norm_fn,
     l1_prox,
     lambda_norm,
+    make_deblur_problem,
     make_problem,
     mann_combine,
     matrix_op,
@@ -507,6 +509,22 @@ class TestDivergence:
         assert np.isnan(tr.residuals[0])
         if solver == "pfbs_fp2o":
             self.assert_inner_budget_runs_out(p)
+
+    def test_chambolle_pock_resolvent_stops_on_nan_data(self):
+        # the conjugate gradient once ran its 1000-step budget on a NaN
+        # residual: 1002 calls of A for the one diverged step, against 14 for
+        # a finite step
+        p, _ = make_deblur_problem(16, 2, 1.5, 0.01, 1, 0.02)
+        calls = []
+        A = dataclasses.replace(p.f2.A, forward=lambda x, fwd=p.f2.A.forward:
+                                calls.append(1) or fwd(x))
+        b = p.f2.b.copy()
+        b[5] = np.nan
+        q = make_problem(p.f1, quadratic_fn(A, b), p.D)
+        calls.clear()
+        _, tr = chambolle_pock(q, 0.99 * q.lambda_hi / q.beta, q.beta, 1.0, stop=self.BUDGET)
+        assert tr.stop_reason == "diverged" and tr.n_iter == 1
+        assert len(calls) <= 3
 
     def assert_inner_budget_runs_out(self, p):
         # the inner loop stops only on convergence: a non-finite change never

@@ -13,13 +13,20 @@ cases:
 
 * the CT matrix: ``triplets`` of ``paper_ct_geometry(64)`` and ``(256)``;
 * ``pdfp2o`` on ``configs/ct_constant.cfg`` and ``pdfp2o_ds`` on
-  ``configs/ct_dynamic.cfg``, 1100 iterations at seed 1, and ``pfbs_fp2o``
+  ``configs/ct_dynamic.cfg``, 1100 iterations at seed 1, ``pfbs_fp2o``
   on the 256x256 isotropic denoise problem (600 outer steps, inner
-  ``StoppingRule(1e-4, 50)``): the final state and every ``RunTrace``
-  column but ``wall_ms``;
-* ``pdfp solve`` on the four shipped configs at ``--max-iter 300``: the
-  exit code, ``trace.csv`` and ``summary.txt`` (both without ``wall_ms``)
-  and ``recon.pgm``.
+  ``StoppingRule(1e-4, 50)``), and a cold-started, relaxed (``kappa`` 0.3)
+  ``pfbs_fp2o`` on the 64x64 one (100 outer steps): the final state and
+  every ``RunTrace`` column but ``wall_ms``;
+* ``pdfp solve`` on the four shipped configs at ``--max-iter 300``, and on
+  configs the case writes into its temporary directory: ``cp`` on a 32x32
+  deblur (its resolvent is a conjugate gradient), ``siu``, ``ifp2o``,
+  ``pdfp2o_kappa``, ``pdfp2o_dsn`` with ``bb_dynamic`` on that deblur and
+  with ``convergent_perturbation``, and a relaxed ``pfbs_fp2o``: the exit
+  code, ``trace.csv`` and ``summary.txt`` (both without ``wall_ms``) and
+  ``recon.pgm``;
+* ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, likewise
+  written into the case's directory: the exit code and ``certificate.csv``.
 
 For each case and column it prints ``equal``, or ``differs`` with the
 largest difference in units in the last place (ulps; plain differences for
@@ -80,6 +87,14 @@ def _denoise_run():
                                    stop=StoppingRule(0.0, 600), x_true=x_true.ravel()))
 
 
+def _cold_pfbs_run():
+    from pdfp import StoppingRule, make_denoise_problem, pfbs_fp2o
+    p, x_true = make_denoise_problem(64, 0.1, 1, 0.05, "isotropic-pair")
+    return _run_columns(*pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, 0.3, StoppingRule(1e-4, 20),
+                                   stop=StoppingRule(0.0, 100), x_true=x_true.ravel(),
+                                   warm_start=False))
+
+
 def _numbers(values):
     """Text fields as float64 where they parse, else the text itself."""
     try:
@@ -88,22 +103,53 @@ def _numbers(values):
         return np.array(values)
 
 
-def _solve(name):
+def _cli(command, config, *flags):
+    """``pdfp COMMAND`` on ``configs/CONFIG.cfg``, or on the keys ``config``
+    written into a temporary directory: the exit code and every artifact."""
     from pdfp.cli import main
-    with tempfile.TemporaryDirectory() as out:
-        os.environ["PDFP_OUTPUT_DIR"] = out
-        cols = {"exit_code": np.asarray(main(["solve", f"configs/{name}.cfg",
-                                              "--max-iter", "300"]))}
-        rows = list(csv.reader((Path(out) / "trace.csv").read_text().splitlines()))
-        for column in zip(*rows):
-            if column[0] != "wall_ms":
-                cols[f"trace.csv:{column[0]}"] = _numbers(column[1:])
-        for line in (Path(out) / "summary.txt").read_text().splitlines():
-            key, value = line.split("=", 1)
-            if key != "wall_ms":
-                cols[f"summary.txt:{key}"] = _numbers([value])
-        cols["recon.pgm"] = np.frombuffer((Path(out) / "recon.pgm").read_bytes(), np.uint8)
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = Path(tmp) / "out", Path(tmp) / "c.cfg"
+        if isinstance(config, dict):
+            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        else:
+            path = f"configs/{config}.cfg"
+        os.environ["PDFP_OUTPUT_DIR"] = str(out)
+        cols = {"exit_code": np.asarray(main([command, str(path), *flags]))}
+        for artifact in sorted(out.iterdir()):
+            if artifact.suffix == ".pgm":
+                cols[artifact.name] = np.frombuffer(artifact.read_bytes(), np.uint8)
+                continue
+            lines = artifact.read_text().splitlines()
+            if artifact.suffix == ".csv":  # a column per CSV column
+                named = [(c[0], c[1:]) for c in zip(*csv.reader(lines))]
+            else:  # a column per summary line
+                named = [(k, [v]) for k, v in (line.split("=", 1) for line in lines)]
+            cols.update((f"{artifact.name}:{k}", _numbers(v)) for k, v in named if k != "wall_ms")
     return cols
+
+
+# pdfp solve on a 32x32 problem, 200 iterations at seed 2
+_SMALL = {"problem.size": 32, "problem.noise": 0.05, "run.max_iter": 200, "run.tol": 0.0,
+          "run.seed": 2}
+_DEBLUR = dict(_SMALL, **{"problem.kind": "deblur"})
+_LASSO_CERTIFY = {"problem.kind": "lasso", "problem.size": 16, "problem.noise": 0.05,
+                  "problem.reg_weight": 0.05, "solver.name": "pdfp2o_dsn", "solver.gamma": 1.0,
+                  "schedule.alpha": 0.5, "run.seed": 3}
+_SOLVE_CASES = {
+    "cp_deblur32": dict(_DEBLUR, **{"solver.name": "cp", "solver.theta": 0.8}),
+    "siu": dict(_SMALL, **{"solver.name": "siu"}),
+    "ifp2o": dict(_SMALL, **{"solver.name": "ifp2o", "solver.kappa": 0.3}),
+    "pdfp2o_kappa": dict(_SMALL, **{"solver.name": "pdfp2o_kappa"}),
+    "pdfp2o_dsn_bb_deblur32": dict(_DEBLUR, **{"solver.name": "pdfp2o_dsn",
+                                               "schedule.kind": "bb_dynamic",
+                                               "schedule.alpha": 0.3}),
+    "pdfp2o_dsn_perturbation": dict(_SMALL, **{"solver.name": "pdfp2o_dsn",
+                                               "schedule.kind": "convergent_perturbation",
+                                               "schedule.alpha": 0.3, "schedule.decay": 0.5}),
+    "pfbs_fp2o_kappa": dict(_SMALL, **{"solver.name": "pfbs_fp2o", "problem.tv": "isotropic",
+                                       "solver.kappa": 0.4, "solver.inner_tol": 1e-4,
+                                       "solver.inner_max_iter": 20, "run.max_iter": 60}),
+}
 
 
 CASES = {
@@ -112,8 +158,12 @@ CASES = {
     "ct_constant_pdfp2o": lambda: _ct_run("ct_constant"),
     "ct_dynamic_pdfp2o_ds": lambda: _ct_run("ct_dynamic"),
     "denoise256_pfbs_fp2o": _denoise_run,
-    **{f"solve_{name}": functools.partial(_solve, name)
+    "denoise64_pfbs_fp2o_cold": _cold_pfbs_run,
+    **{f"solve_{name}": functools.partial(_cli, "solve", name, "--max-iter", "300")
        for name in ("ct_constant", "ct_dynamic", "denoise_small", "lasso_certify")},
+    **{f"solve_{name}": functools.partial(_cli, "solve", keys)
+       for name, keys in _SOLVE_CASES.items()},
+    "certify_lasso": functools.partial(_cli, "certify", _LASSO_CERTIFY),
 }
 
 
