@@ -92,14 +92,14 @@ CONFIG_KEYS = {
 _STEPS = ("solver.gamma", "solver.lambda")
 _SOLVER_READS = {
     "pdfp2o": _STEPS, "pdfp2o_kappa": _STEPS + ("solver.kappa",),
-    "pdfp2o_ds": _STEPS + ("schedule.kind",),
-    "pdfp2o_dsn": _STEPS + ("schedule.kind", "schedule.alpha"),
+    "pdfp2o_ds": ("solver.lambda", "schedule.kind"),
+    "pdfp2o_dsn": ("solver.lambda", "schedule.kind", "schedule.alpha"),
     "pfbs_fp2o": _STEPS + ("solver.kappa", "solver.inner_tol", "solver.inner_max_iter"),
     "ifp2o": ("solver.lambda", "solver.kappa"), "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
 }
 _CLAMP = tuple(f"schedule.{k}_{e}" for k in ("gamma", "lambda", "alpha") for e in ("lo", "hi"))
-_SCHEDULE_READS = {"constant": (), "bb_dynamic": _CLAMP,
-                   "convergent_perturbation": ("schedule.decay",)}
+_SCHEDULE_READS = {"constant": ("solver.gamma",), "bb_dynamic": _CLAMP,
+                   "convergent_perturbation": ("solver.gamma", "schedule.decay")}
 _CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
                            "schedule.alpha_hi")
 # reg_weight = auto, per problem kind; the keys name the problem kinds

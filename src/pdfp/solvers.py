@@ -166,6 +166,11 @@ def mann_combine(alpha, a, b):
     return alpha * a + (1.0 - alpha) * b
 
 
+def _mann(alpha, a, b, scratch):
+    """:func:`mann_combine` written over ``b`` and rounded alike, ``alpha * a`` in ``scratch``."""
+    return np.add(np.multiply(a, alpha, out=scratch), np.multiply(b, 1.0 - alpha, out=b), out=b)
+
+
 def _lnorm(v, x, lam, vv=None):
     return math.sqrt(dot(x, x) + lam * (dot(v, v) if vv is None else vv))
 
@@ -262,9 +267,7 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
     for k in range(1, budget + 1):
         v_new = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v), ws.take("dual", v, v_outer))
         if kappa != 0.0:
-            # mann_combine(kappa, v, v_new) in place, rounded the same way
-            kv = np.multiply(v, kappa, out=ws.take("diff"))
-            np.add(kv, np.multiply(v_new, 1.0 - kappa, out=v_new), out=v_new)
+            _mann(kappa, v, v_new, ws.take("diff"))
         Dt_v = p.D.adjoint(v_new)
         v, v_old = v_new, v
         if tol > 0.0:
@@ -376,12 +379,12 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
     """Shared step of the fixed-point family (plain, relaxed, dynamic, inner loop).
 
     Each quantity is computed once (the README's cost table counts the
-    operator calls): ``f2`` data of every iterate comes from one
-    ``f2.value_and_grad`` call that feeds both the trace's objective and the
-    next step, and an unrelaxed step's ``D^T v'`` is the next step's
-    ``D^T v``. The residual column holds the unrelaxed step's change; the
-    stop test reads the relaxed one. The run's arrays come from one
-    :class:`_Workspace`.
+    operator calls): one ``f2.value_and_grad`` per iterate feeds the trace's
+    objective and the next step, and an unrelaxed step's ``D^T v'`` is the
+    next step's ``D^T v``. The residual column holds the unrelaxed change;
+    the stop test reads the relaxed one. The run's arrays come from one
+    :class:`_Workspace`; a relaxed step writes ``alpha u + (1 - alpha) T(u)``
+    over ``T(u)`` there with :func:`_mann`, as the inner ``kappa`` step does.
 
     With ``inner_stop`` (``pfbs_fp2o``), the dual update is the inner loop
     of :func:`_tentative`, relaxed by ``kappa`` and started from ``v``
@@ -415,9 +418,10 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         res = _lnorm(dv, np.subtract(xt, x, out=ws.take("tmp")), lam_ref, dd)
         if a == 0.0:
             v_new, x_new, Dt_v, change = vt, xt, Dt_vt, res
-        else:
-            v_new, x_new, Dt_v = mann_combine(a, v, vt), mann_combine(a, x, xt), None
-            change = _lnorm(v_new - v, x_new - x, lam_ref)
+        else:  # vt and xt are workspace arrays, never v or x: relax them in place
+            d, t = ws.take("diff"), ws.take("tmp")
+            v_new, x_new, Dt_v = _mann(a, v, vt, d), _mann(a, x, xt, t), None
+            change = _lnorm(np.subtract(vt, v, out=d), np.subtract(xt, x, out=t), lam_ref)
         # only the stop test reads the size, and only with a tolerance
         size = _lnorm(v, x, lam_ref, vv) if stop.tol > 0.0 else math.nan
         v, it = v_new, Iterate.at(p.f2, x_new)
@@ -536,12 +540,8 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
     if not (0.0 < kappa < 1.0):
         raise ValueError("kappa must lie in (0, 1)")
     solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
-    K = LinearOp(
-        in_dim=D.out_dim,
-        out_dim=D.out_dim,
-        forward=lambda w: D.forward(solve(D.adjoint(w))),
-        adjoint=lambda w: D.forward(solve(D.adjoint(w))),
-    )
+    apply_K = lambda w: D.forward(solve(D.adjoint(w)))  # symmetric: its own adjoint
+    K = LinearOp(in_dim=D.out_dim, out_dim=D.out_dim, forward=apply_K, adjoint=apply_K)
     lam_max_K = math.sqrt(norm_sq_bound(K))
     hi = math.inf if lam_max_K == 0.0 else 2.0 / lam_max_K
     if not (0.0 < lam <= hi):

@@ -378,6 +378,8 @@ UNREAD_KEYS = {
     "decay-constant-ds": ({"solver.name": "pdfp2o_ds", "schedule.decay": "3"},
                           ["schedule.decay"]),
     "kappa-pdfp2o": ({"solver.kappa": "0.3"}, ["solver.kappa"]),
+    "gamma-bb-ds": ({"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",
+                     "solver.gamma": "1.0"}, ["solver.gamma"]),
     "inner-outside-pfbs": ({"solver.name": "pdfp2o_kappa", "solver.inner_tol": "1e-3",
                             "solver.inner_max_iter": "7"},
                            ["solver.inner_tol", "solver.inner_max_iter"]),

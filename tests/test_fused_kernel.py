@@ -516,6 +516,9 @@ def test_results_survive_a_later_call_or_run_on_the_same_problem(builder):
         assert_array_equal(first.x, kept.x)
         assert_array_equal(first.v, kept.v)
     runs = [lambda u0: pdfp2o(p, g, l, u0=u0, stop=STOP),
+            # a relaxed run returns the arrays its own workspace relaxed in place
+            lambda u0: pdfp2o_kappa(p, g, l, 0.4, u0=u0, stop=STOP),
+            lambda u0: pdfp2o_dsn(p, constant_schedule(g, l, 0.3, p), u0=u0, stop=STOP),
             *(lambda u0, w=warm, k=kappa: pfbs_fp2o(p, g, l, k, INNER, u0=u0, stop=STOP,
                                                     warm_start=w)
               for warm, kappa in PFBS_CASES)]

@@ -13,8 +13,10 @@ cases:
 
 * the CT matrix: ``triplets`` of ``paper_ct_geometry(64)`` and ``(256)``;
 * ``pdfp2o`` on ``configs/ct_constant.cfg`` and ``pdfp2o_ds`` on
-  ``configs/ct_dynamic.cfg``, 1100 iterations at seed 1, ``pfbs_fp2o``
-  on the 256x256 isotropic denoise problem (600 outer steps, inner
+  ``configs/ct_dynamic.cfg``, 1100 iterations at seed 1, the relaxed
+  ``pdfp2o_dsn`` (``bb_dynamic``, ``alpha`` 0.5) on ``ct_dynamic.cfg``'s
+  problem, 300 iterations at seed 1, ``pfbs_fp2o`` on the 256x256
+  isotropic denoise problem (600 outer steps, inner
   ``StoppingRule(1e-4, 50)``), and a cold-started, relaxed (``kappa`` 0.3)
   ``pfbs_fp2o`` on the 64x64 one (100 outer steps): the final state and
   every ``RunTrace`` column but ``wall_ms``;
@@ -67,17 +69,19 @@ def _run_columns(state, trace):
     return cols
 
 
-def _ct_run(name):
-    from pdfp import StoppingRule, pdfp2o, pdfp2o_ds
+def _ct_run(name, iters=1100, overrides=None):
+    """``configs/NAME.cfg`` at seed 1 with ``overrides``, ``iters`` iterations."""
+    from pdfp import StoppingRule, pdfp2o, pdfp2o_ds, pdfp2o_dsn
     from pdfp.cli import ExperimentConfig
-    cfg = ExperimentConfig.load(f"configs/{name}.cfg", {"run.seed": 1})
+    cfg = ExperimentConfig.load(f"configs/{name}.cfg", {"run.seed": 1, **(overrides or {})})
     problem, x_true, _ = cfg.build_problem()
     gamma, lam = cfg.resolve_steps(problem)
-    stop = StoppingRule(tol=cfg["run.tol"], max_iter=1100)
+    stop = StoppingRule(tol=cfg["run.tol"], max_iter=iters)
     if cfg["solver.name"] == "pdfp2o":
         return _run_columns(*pdfp2o(problem, gamma, lam, stop=stop, x_true=x_true.ravel()))
     sched = cfg.schedule_spec(gamma, lam, cfg["schedule.alpha"]).build(problem)
-    return _run_columns(*pdfp2o_ds(problem, sched, stop=stop, x_true=x_true.ravel()))
+    solver = pdfp2o_dsn if cfg["solver.name"] == "pdfp2o_dsn" else pdfp2o_ds
+    return _run_columns(*solver(problem, sched, stop=stop, x_true=x_true.ravel()))
 
 
 def _denoise_run():
@@ -157,6 +161,8 @@ CASES = {
     "ct_matrix_256": lambda: _ct_matrix(256),
     "ct_constant_pdfp2o": lambda: _ct_run("ct_constant"),
     "ct_dynamic_pdfp2o_ds": lambda: _ct_run("ct_dynamic"),
+    "ct_dynamic_pdfp2o_dsn": lambda: _ct_run("ct_dynamic", 300, {"solver.name": "pdfp2o_dsn",
+                                                                 "schedule.alpha": 0.5}),
     "denoise256_pfbs_fp2o": _denoise_run,
     "denoise64_pfbs_fp2o_cold": _cold_pfbs_run,
     **{f"solve_{name}": functools.partial(_cli, "solve", name, "--max-iter", "300")
