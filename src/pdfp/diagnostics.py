@@ -193,10 +193,9 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     u0 = p.zeros()
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
-    vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x),
-                                      p.D.adjoint(u0.v))
-    u1 = solvers.PDState(solvers.mann_combine(a0, u0.v, vt), solvers.mann_combine(a0, u0.x, xt))
-    d = lambda_norm(solvers.PDState(u1.v - u0.v, u1.x - u0.x), lam)
+    vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x))
+    # the first step starts from zero, so its length is the norm of the relaxed state
+    d = solvers._lnorm(solvers.mann_combine(a0, u0.v, vt), solvers.mann_combine(a0, u0.x, xt), lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)
 
 

@@ -162,12 +162,13 @@ class RunTrace:
 
 
 def mann_combine(alpha, a, b):
-    """Convex combination ``alpha * a + (1 - alpha) * b`` used by the relaxed step."""
-    return alpha * a + (1.0 - alpha) * b
+    """Convex combination ``alpha * a + (1 - alpha) * b``: :func:`_mann` on a float64 copy."""
+    b = np.array(b, dtype=np.float64)
+    return _mann(alpha, a, b, np.empty_like(b))
 
 
 def _mann(alpha, a, b, scratch):
-    """:func:`mann_combine` written over ``b`` and rounded alike, ``alpha * a`` in ``scratch``."""
+    """The one Mann step ``alpha*a + (1 - alpha)*b``, over ``b``, ``alpha * a`` in ``scratch``."""
     return np.add(np.multiply(a, alpha, out=scratch), np.multiply(b, 1.0 - alpha, out=b), out=b)
 
 
@@ -242,7 +243,7 @@ class _Workspace:
         return pool[-1]
 
 
-def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True, ws=None):
+def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=True, ws=None):
     """A fixed-point step from (v, x) at stepsizes (g, l).
 
     Up to ``inner_stop.max_iter`` dual steps from ``v`` (``warm``) or zero,
@@ -250,20 +251,22 @@ def _tentative(p, g, l, v, x, grad, Dt_v, inner_stop=None, kappa=0.0, warm=True,
     ``inner_stop.met(norm(d), norm(v_i))``; a non-finite change
     never meets it, so the budget runs out. With no ``inner_stop``, one
     unrelaxed dual step makes this the operator ``T``.
-    Takes ``Dt_v = D^T v`` (read when ``warm``) and returns
+    Takes ``Dt_v = D^T v`` (when ``warm``; None applies ``D^T`` here) and returns
     ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``v'`` and ``x'``
     are arrays of ``ws`` (a new workspace when None), whose ``dots`` the
     stop test sets.
     """
     ws = _Workspace(p) if ws is None else ws
     budget, tol = (1, 0.0) if inner_stop is None else (inner_stop.max_iter, inner_stop.tol)
-    tmp = ws.take("tmp")
-    z = np.subtract(x, np.multiply(grad, g, out=tmp), out=ws.take("primal", x))
-    Dz = p.D.forward(z)
     v_outer, k, ws.dots = v, 0, None
     if not warm:
         # D^T 0 = 0, so the cold start needs no operator call
         v, Dt_v = np.zeros_like(v), np.zeros_like(x)
+    elif Dt_v is None:
+        Dt_v = p.D.adjoint(v)
+    tmp = ws.take("tmp")
+    z = np.subtract(x, np.multiply(grad, g, out=tmp), out=ws.take("primal", x))
+    Dz = p.D.forward(z)
     for k in range(1, budget + 1):
         v_new = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v), ws.take("dual", v, v_outer))
         if kappa != 0.0:
@@ -302,7 +305,7 @@ def apply_Tn(p, sched, n, u):
     l = float(sched.lam(n, it))
     _check_gamma(g, p.beta, n)
     _check_lambda(l, p.lambda_hi, n)
-    vt, xt, _, _ = _tentative(p, g, l, u.v, u.x, it.grad, p.D.adjoint(u.v))
+    vt, xt, _, _ = _tentative(p, g, l, u.v, u.x, it.grad)
     return PDState(vt, xt)
 
 
@@ -408,8 +411,6 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         _check_gamma(g, p.beta, n)
         _check_lambda(l, p.lambda_hi, n)
         _check_alpha(a, n)
-        if warm_start and Dt_v is None:
-            Dt_v = p.D.adjoint(v)
         vt, xt, Dt_vt, k = _tentative(p, g, l, v, x, it.grad, Dt_v, inner_stop, kappa,
                                       warm_start, ws)
         # one warm-started inner step's test already took ||vt - v||^2 and ||v||^2
@@ -418,10 +419,9 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
         res = _lnorm(dv, np.subtract(xt, x, out=ws.take("tmp")), lam_ref, dd)
         if a == 0.0:
             v_new, x_new, Dt_v, change = vt, xt, Dt_vt, res
-        else:  # vt and xt are workspace arrays, never v or x: relax them in place
-            d, t = ws.take("diff"), ws.take("tmp")
-            v_new, x_new, Dt_v = _mann(a, v, vt, d), _mann(a, x, xt, t), None
-            change = _lnorm(np.subtract(vt, v, out=d), np.subtract(xt, x, out=t), lam_ref)
+        else:  # relax the workspace arrays vt, xt in place: u' - u = (1 - a)(T(u) - u)
+            v_new, x_new = _mann(a, v, vt, ws.take("diff")), _mann(a, x, xt, ws.take("tmp"))
+            Dt_v, change = None, (1.0 - a) * res
         # only the stop test reads the size, and only with a tolerance
         size = _lnorm(v, x, lam_ref, vv) if stop.tol > 0.0 else math.nan
         v, it = v_new, Iterate.at(p.f2, x_new)
@@ -548,7 +548,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
     c = solve(b)
     Dc = D.forward(c)
-    v = np.zeros(D.out_dim)
+    v, scratch = np.zeros(D.out_dim), np.empty(D.out_dim)
 
     def x_of(vv):
         return solve(b - lam * D.adjoint(vv))
@@ -559,10 +559,11 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
     def step(n):
         nonlocal v
         Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
-        v_new = mann_combine(kappa, v, Hv)
-        change, size, res = norm(v_new - v), norm(v), norm(Hv - v)
-        v, x = v_new, x_of(v_new)
-        return _Row(v, x, change, size, obj(x), res, lams=lam, alphas=kappa)
+        res, size = norm(Hv - v), norm(v)
+        # Hv is this step's own array: relax it in place; v' - v = (1 - kappa)(Hv - v)
+        v = _mann(kappa, v, Hv, scratch)
+        x = x_of(v)
+        return _Row(v, x, (1.0 - kappa) * res, size, obj(x), res, lams=lam, alphas=kappa)
 
     trace = _drive(step, stop, lam, None)
     return x_of(v), trace

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_array_equal
 
+import pdfp.solvers
 from pdfp import (
     Iterate,
     PDState,
@@ -183,6 +184,25 @@ class TestOperatorCounts:
                 "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
                 "D_fwd": 3 * N_ITER, "D_adj": 2 * N_ITER,
             }, kind
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12])
+    def test_relaxed_steps_take_the_dot_products_of_unrelaxed_ones(self, builder, tol,
+                                                                   monkeypatch):
+        # a relaxed step's change is (1 - alpha) times its residual, not a new norm
+        p, _ = BUILDERS[builder]()
+        g, l, stop = 1.99 * p.beta, p.lambda_hi, StoppingRule(tol=tol, max_iter=N_ITER)
+        runs = {"pdfp2o": lambda: pdfp2o(p, g, l, stop=stop),
+                "pdfp2o_kappa": lambda: pdfp2o_kappa(p, g, l, 0.4, stop=stop),
+                "pdfp2o_dsn": lambda: pdfp2o_dsn(p, constant_schedule(g, l, 0.3, p), stop=stop)}
+        calls = []
+        monkeypatch.setattr(pdfp.solvers, "dot", lambda a, b: calls.append(1) or dot(a, b))
+        per_step = {}
+        for name, run in runs.items():
+            calls.clear()
+            _, tr = run()
+            per_step[name] = len(calls) / tr.n_iter
+        # the residual's two, and with a tolerance the state size's two
+        assert per_step == dict.fromkeys(runs, 2.0 if tol == 0.0 else 4.0)
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))

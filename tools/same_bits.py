@@ -24,9 +24,11 @@ cases:
   configs the case writes into its temporary directory: ``cp`` on a 32x32
   deblur (its resolvent is a conjugate gradient), ``siu``, ``ifp2o``,
   ``pdfp2o_kappa``, ``pdfp2o_dsn`` with ``bb_dynamic`` on that deblur and
-  with ``convergent_perturbation``, and a relaxed ``pfbs_fp2o``: the exit
-  code, ``trace.csv`` and ``summary.txt`` (both without ``wall_ms``) and
-  ``recon.pgm``;
+  with ``convergent_perturbation``, a relaxed ``pfbs_fp2o``, and
+  ``pdfp2o_kappa`` and ``ifp2o`` (``kappa`` 0.3) at ``run.tol = 3e-3``, which
+  stops them at iterations 93 and 109, so the stop test decides the run's
+  length: the exit code, ``trace.csv`` and ``summary.txt`` (both without
+  ``wall_ms``) and ``recon.pgm``;
 * ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, likewise
   written into the case's directory: the exit code and ``certificate.csv``.
 
@@ -144,6 +146,8 @@ _SOLVE_CASES = {
     "siu": dict(_SMALL, **{"solver.name": "siu"}),
     "ifp2o": dict(_SMALL, **{"solver.name": "ifp2o", "solver.kappa": 0.3}),
     "pdfp2o_kappa": dict(_SMALL, **{"solver.name": "pdfp2o_kappa"}),
+    "pdfp2o_kappa_tol": dict(_SMALL, **{"solver.name": "pdfp2o_kappa", "run.tol": 3e-3}),
+    "ifp2o_tol": dict(_SMALL, **{"solver.name": "ifp2o", "solver.kappa": 0.3, "run.tol": 3e-3}),
     "pdfp2o_dsn_bb_deblur32": dict(_DEBLUR, **{"solver.name": "pdfp2o_dsn",
                                                "schedule.kind": "bb_dynamic",
                                                "schedule.alpha": 0.3}),
