@@ -103,7 +103,7 @@ _SCHEDULE_READS = {"constant": ("solver.gamma",), "bb_dynamic": _CLAMP,
 _CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
                            "schedule.alpha_hi")
 # reg_weight = auto, per problem kind; the keys name the problem kinds
-_AUTO_REG_WEIGHT = {"ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 0.02, "lasso": 0.05}
+_AUTO_REG_WEIGHT = {"ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 3e-5, "lasso": 0.05}
 PROBLEM_KINDS, SOLVER_NAMES = tuple(_AUTO_REG_WEIGHT), tuple(_SOLVER_READS)
 SCHEDULE_KINDS = tuple(_SCHEDULE_READS)
 

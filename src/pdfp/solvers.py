@@ -10,6 +10,7 @@ expose the standard forms the kernel is equivalent to.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -117,7 +118,7 @@ class StoppingRule:
 
     ``tol = 0`` disables the tolerance test, running the budget in full
     (useful for fixed-length traces). A ``tol`` that is not a nonnegative
-    finite number and a negative ``max_iter`` raise ``ValueError``.
+    finite number and a ``max_iter`` that is not a nonnegative integer raise ``ValueError``.
     """
 
     tol: float = 1e-8
@@ -126,8 +127,12 @@ class StoppingRule:
     def __post_init__(self):
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol={self.tol} must be a nonnegative finite number")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter={self.max_iter} must be nonnegative")
+        try:
+            max_iter = operator.index(self.max_iter)  # Python and numpy integers, as range takes
+        except TypeError:
+            max_iter = -1
+        if max_iter < 0:
+            raise ValueError(f"max_iter={self.max_iter!r} must be a nonnegative integer")
 
     def met(self, change, size):
         """The one stop test: ``change / max(1, size)`` has fallen to a positive ``tol``."""

@@ -77,6 +77,8 @@ class TomoGeometry:
             raise ValueError("image_side must be at least 2")
         if self.rays_per_angle < 1:
             raise ValueError("rays_per_angle must be positive")
+        if len(self.angles_deg) == 0:
+            raise ValueError("angles_deg must hold at least one angle")
         if not all(0.0 <= a < 180.0 for a in self.angles_deg):
             raise ValueError("angles must lie in [0, 180)")
         if not 0.0 < self.detector_spacing < math.inf:

@@ -12,6 +12,7 @@ from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_sch
     rate_certificate, siu, write_trace_csv
 from pdfp.cli import CONFIG_KEYS, SOLVER_NAMES, ExperimentConfig, ConfigError, certify, \
     compare, main, parse_config_text, run_experiment
+from pdfp.diagnostics import rel_err_snr
 
 
 def write_cfg(path, **overrides):
@@ -103,6 +104,18 @@ class TestSolve:
         cfg = write_cfg(tmp_path / "c.cfg", **{"run.max_iter": "3", "run.tol": "1e-14"})
         assert run_experiment(cfg) == 2
         assert "stop_reason=budget" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_default_deblur_ends_above_its_data(self, tmp_path):
+        # reg_weight = auto once gave deblur 0.02: 0.3 dB above the data's SNR here,
+        # below it at 32x32 and 64x64; the weight now taken ends 8.6 dB above
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("problem.kind = deblur\nproblem.size = 16\n"
+                       f"run.output_dir = {tmp_path / 'out'}\n")
+        assert run_experiment(cfg) in (0, 2)
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        snr_db = float(dict(line.split("=", 1) for line in summary)["snr_db"])
+        problem, x_true, _ = ExperimentConfig.load(cfg).build_problem()
+        assert snr_db > rel_err_snr(problem.f2.b, x_true.ravel())[1] + 5.0
 
     @pytest.mark.parametrize("solver", ["pdfp2o", "pfbs_fp2o", "cp", "siu"])
     def test_nan_data_exits_diverged(self, tmp_path, monkeypatch, solver):
@@ -535,6 +548,9 @@ REJECTED_CONFIGS = {
     "small-size": ({"problem.size": "8"}, "solve", "problem.size must be at least 16"),
     "negative-noise": ({"problem.noise": "-0.1"}, "solve", "problem.noise must be"),
     "max-iter": ({"run.max_iter": "0"}, "solve", "run.max_iter must be positive"),
+    # once numpy's "need at least one array to concatenate"
+    "no-angles": ({"problem.kind": "ct", "problem.angle_count": "0"}, "solve",
+                  "angles_deg must hold at least one angle"),
     "ifp2o-size": ({"solver.name": "ifp2o", "problem.size": "33"}, "solve",
                    "problem.size <= 32"),
     "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",

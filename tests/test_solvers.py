@@ -478,6 +478,18 @@ def test_stopping_rule_rejects_bad_values(tol, max_iter):
         StoppingRule(tol=tol, max_iter=max_iter)
 
 
+# each once accepted, failing after the first operator calls with Python's
+# "'float' object cannot be interpreted as an integer"
+@pytest.mark.parametrize("max_iter", [2.5, 2.0, np.inf, np.nan, "3"])
+def test_stopping_rule_names_a_max_iter_that_is_not_an_integer(max_iter):
+    with pytest.raises(ValueError, match="max_iter=.* must be a nonnegative integer"):
+        StoppingRule(0.0, max_iter)
+
+
+def test_stopping_rule_takes_numpy_integers():
+    assert StoppingRule(0.0, np.int64(3)).max_iter == 3
+
+
 class TestDivergence:
     """A NaN or inf in the data ends the run at its first step with reason
     "diverged" instead of running out the budget."""

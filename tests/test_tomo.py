@@ -75,6 +75,10 @@ class TestGeometry:
         with pytest.raises(ValueError):
             TomoGeometry(image_side=8, angles_deg=(0.0,), rays_per_angle=0)
 
+    def test_no_angles_named(self):
+        with pytest.raises(ValueError, match="angles_deg must hold at least one angle"):
+            TomoGeometry(image_side=8, angles_deg=(), rays_per_angle=11)
+
 
 class TestProjectionMatrix:
     def test_axis_aligned_rays_traverse_full_columns(self):
