@@ -102,7 +102,8 @@ _SCHEDULE_READS = {"constant": ("solver.gamma",), "bb_dynamic": _CLAMP,
                    "convergent_perturbation": ("solver.gamma", "schedule.decay")}
 _CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
                            "schedule.alpha_hi")
-# reg_weight = auto, per problem kind; the keys name the problem kinds
+# reg_weight = auto, per problem kind; the keys name the problem kinds. Deblur's
+# is near the SNR peak of 2000 default-step pdfp2o iterations at sizes 16 to 64.
 _AUTO_REG_WEIGHT = {"ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 3e-5, "lasso": 0.05}
 PROBLEM_KINDS, SOLVER_NAMES = tuple(_AUTO_REG_WEIGHT), tuple(_SOLVER_READS)
 SCHEDULE_KINDS = tuple(_SCHEDULE_READS)

@@ -128,7 +128,7 @@ class StoppingRule:
         if not 0.0 <= self.tol < math.inf:
             raise ValueError(f"tol={self.tol} must be a nonnegative finite number")
         try:
-            max_iter = operator.index(self.max_iter)  # Python and numpy integers, as range takes
+            max_iter = operator.index(self.max_iter)  # Python and numpy integers, as range()
         except TypeError:
             max_iter = -1
         if max_iter < 0:
@@ -390,7 +390,7 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
     operator calls): one ``f2.value_and_grad`` per iterate feeds the trace's
     objective and the next step, and an unrelaxed step's ``D^T v'`` is the
     next step's ``D^T v``. The residual column holds the unrelaxed change;
-    the stop test reads the relaxed one. The run's arrays come from one
+    the stop test reads the relaxed one, ``1 - alpha`` times it. The run's arrays come from one
     :class:`_Workspace`; a relaxed step writes ``alpha u + (1 - alpha) T(u)``
     over ``T(u)`` there with :func:`_mann`, as the inner ``kappa`` step does.
 

@@ -478,8 +478,9 @@ def test_stopping_rule_rejects_bad_values(tol, max_iter):
         StoppingRule(tol=tol, max_iter=max_iter)
 
 
-# each once accepted, failing after the first operator calls with Python's
-# "'float' object cannot be interpreted as an integer"
+# the floats were once accepted, failing after the first operator calls with
+# Python's "'float' object cannot be interpreted as an integer"; a string
+# raised a TypeError
 @pytest.mark.parametrize("max_iter", [2.5, 2.0, np.inf, np.nan, "3"])
 def test_stopping_rule_names_a_max_iter_that_is_not_an_integer(max_iter):
     with pytest.raises(ValueError, match="max_iter=.* must be a nonnegative integer"):

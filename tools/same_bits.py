@@ -27,8 +27,8 @@ cases:
   with ``convergent_perturbation``, a relaxed ``pfbs_fp2o``, and
   ``pdfp2o_kappa`` (``kappa`` auto, 0.5) and ``ifp2o`` (``kappa`` 0.3) at
   ``run.tol = 3e-3``, which stops them at iterations 93 and 109, so the
-  stop test decides the run's length: the exit code, ``trace.csv`` and ``summary.txt`` (both without
-  ``wall_ms``) and ``recon.pgm``;
+  stop test decides the run's length: the exit code, ``trace.csv`` and
+  ``summary.txt`` (both without ``wall_ms``) and ``recon.pgm``;
 * ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, likewise
   written into the case's directory: the exit code and ``certificate.csv``.
 
