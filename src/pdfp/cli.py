@@ -12,21 +12,20 @@ comments. The full key table is documented in the README. Subcommands:
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
 3 when ``solve`` diverged (a step's change came out non-finite), 1 on
-configuration errors (including unknown keys and mismatched compares) and
-when a spectral bound cannot be estimated.
+configuration errors (including unknown keys and mismatched compares), when
+a spectral bound cannot be estimated and when the certificate does not apply.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import CERTIFICATE_MAX_DUAL_DIM, rate_certificate, rel_err_snr, \
-    write_csv, write_lines, write_trace_csv
+from .diagnostics import rate_certificate, rel_err_snr, write_csv, write_lines, \
+    write_trace_csv
 from .linops import PowerIterationError
 from .schedules import ALPHA_CLAMP, GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
@@ -129,14 +128,8 @@ def parse_config_text(text):
     return raw
 
 
-@dataclass
-class ExperimentConfig:
-    """Typed, validated view of one experiment's configuration."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
+class ExperimentConfig(dict):
+    """Typed, validated view of one experiment's configuration, a dict over ``CONFIG_KEYS``."""
 
     @classmethod
     def load(cls, path, overrides=None):
@@ -163,7 +156,7 @@ class ExperimentConfig:
         return cfg
 
     def _validate(self):
-        v = self.values
+        v = self
         if v["problem.kind"] not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind: {v['problem.kind']}")
         if v["solver.name"] not in SOLVER_NAMES:
@@ -308,8 +301,11 @@ def _run_solver(cfg, problem, x_true):
 
 
 def _output_dir(cfg):
+    """The run's output directory, ``PDFP_OUTPUT_DIR`` or ``run.output_dir``, made if missing."""
     env = os.environ.get("PDFP_OUTPUT_DIR")
-    return Path(env) if env else Path(cfg["run.output_dir"])
+    out = Path(env) if env else Path(cfg["run.output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_summary(path, cfg, trace, final_snr, final_rel):
@@ -340,7 +336,6 @@ def run_experiment(config_path, overrides=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = _output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_pgm(out / "recon.pgm", x_final.reshape(x_true.shape))
     final_rel, final_snr = rel_err_snr(x_final, x_true.ravel())
@@ -403,8 +398,8 @@ def certify(config_path, overrides=None):
     """Emit the geometric-rate certificate for a configured problem as CSV.
 
     Needs strong convexity of the data term and full row rank of the
-    analysis operator (the ``lasso`` problem kind satisfies both). Returns
-    exit code 1 when the certificate does not apply.
+    analysis operator (the ``lasso`` problem kind satisfies both). Exits 1,
+    writing nothing, when the certificate does not apply, naming the reason.
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)
@@ -426,14 +421,7 @@ def certify(config_path, overrides=None):
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cert is None:
-        why = "contraction factors reach 1"
-        if problem.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
-            why = f"dual dimension {problem.D.out_dim} exceeds the limit of {CERTIFICATE_MAX_DUAL_DIM}"
-        print(f"certificate not applicable: {why}", file=sys.stderr)
-        return 1
     out = _output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "certificate.csv", "mu,nu,eta,theta,d",
               [[cert.mu], [cert.nu], [cert.eta], [cert.theta], [cert.d]])
     print(f"mu={cert.mu!r} nu={cert.nu!r} theta={cert.theta!r} d={cert.d!r}")

@@ -21,6 +21,10 @@ class InvariantViolationError(RuntimeError):
     """A quantity that should be nonnegative came out significantly negative."""
 
 
+class CertificateNotApplicable(ValueError):
+    """The rate certificate's conditions fail; the message names which, with its numbers."""
+
+
 def lambda_norm(u, lam):
     """Product-space norm ``sqrt(||x||^2 + lam * ||v||^2)`` of a (v, x) state."""
     if lam <= 0:
@@ -157,12 +161,12 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     asserts full row rank of ``D``). ``d`` is the length of the first step
     taken from zero with relaxation ``alpha0``, which must lie in ``[0, 1)``.
 
-    Returns ``None`` (not applicable) when a contraction factor reaches 1,
-    when the combined ``theta`` reaches 1, or when the dual dimension
-    exceeds ``CERTIFICATE_MAX_DUAL_DIM`` (the extreme eigenvalues come from
-    a dense symmetric eigensolver). ``gamma``, by the solvers' own range
-    check, and that ``lam`` is positive and finite, are checked before the
-    size; ``lam``'s upper end after it.
+    Raises :class:`CertificateNotApplicable`, naming the condition and its
+    numbers, when the dual dimension exceeds ``CERTIFICATE_MAX_DUAL_DIM``
+    (the extreme eigenvalues come from a dense symmetric eigensolver), when
+    ``mu`` or ``nu`` reaches 1, or when ``theta`` reaches 1. ``gamma``, by
+    the solvers' own range check, and that ``lam`` is positive and finite,
+    are checked before the size; ``lam``'s upper end after it.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite number")
@@ -173,7 +177,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")
     if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:
-        return None
+        raise CertificateNotApplicable(f"certificate not applicable: dual dimension {p.D.out_dim}"
+                                       f" exceeds the limit of {CERTIFICATE_MAX_DUAL_DIM}")
     import scipy.linalg
     eigs = scipy.linalg.eigvalsh(_dense_gram(p.D))
     lam_min, lam_max = max(float(eigs[0]), 0.0), float(eigs[-1])
@@ -185,11 +190,13 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     mu = math.sqrt(max(mu_sq, 0.0))
     nu = math.sqrt(max(nu_sq, 0.0))
     if mu >= 1.0 or nu >= 1.0:
-        return None
+        raise CertificateNotApplicable(f"certificate not applicable: contraction factors "
+                                       f"reach 1: mu={mu!r}, nu={nu!r}")
     eta = max(mu, nu)
     theta = alpha_hi + (1.0 - alpha_lo) * eta
     if theta >= 1.0:
-        return None
+        raise CertificateNotApplicable(f"certificate not applicable: theta = alpha_hi + (1 - "
+                                       f"alpha_lo) * eta = {theta!r} reaches 1, eta={eta!r}")
     u0 = p.zeros()
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject

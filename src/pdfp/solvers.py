@@ -12,7 +12,7 @@ expose the standard forms the kernel is equivalent to.
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,7 +233,7 @@ class _Workspace:
     at first need: three "dual" buffers that dual steps fill in rotation,
     never the current ``v`` or the outer state; two "primal" ones for ``z``,
     which becomes ``x'``, never the current ``x``; one "diff" and one "tmp".
-    ``dots`` is the stop test's last ``(dot(d, d), dot(v, v))``."""
+    ``dots`` is the outer step's ``(||v' - v||^2, ||v||^2)`` or None: see :func:`_tentative`."""
 
     def __init__(self, p):
         self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim)
@@ -258,8 +258,8 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
     unrelaxed dual step makes this the operator ``T``.
     Takes ``Dt_v = D^T v`` (when ``warm``; None applies ``D^T`` here) and returns
     ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``v'`` and ``x'``
-    are arrays of ``ws`` (a new workspace when None), whose ``dots`` the
-    stop test sets.
+    are arrays of ``ws`` (a new workspace when None); ``ws.dots`` keeps the
+    stop test's dots when they are the whole step's, on a warm first step.
     """
     ws = _Workspace(p) if ws is None else ws
     budget, tol = (1, 0.0) if inner_stop is None else (inner_stop.max_iter, inner_stop.tol)
@@ -280,16 +280,29 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
         v, v_old = v_new, v
         if tol > 0.0:
             d = np.subtract(v, v_old, out=ws.take("diff"))
-            ws.dots = dd, vv = dot(d, d), dot(v_old, v_old)
+            dd, vv = dot(d, d), dot(v_old, v_old)
+            ws.dots = (dd, vv) if warm and k == 1 else None
             if inner_stop.met(math.sqrt(dd), math.sqrt(vv)):
                 break
     z -= np.multiply(Dt_v, l, out=tmp)
     return v, z, Dt_v, k
 
 
-def _const(value):
-    value = float(value)
-    return lambda n, it: value
+def _const(gamma, lam, alpha=None):
+    """The :class:`Schedule` of constant steps; with no ``alpha``, an unrelaxed one."""
+    g, l, a = float(gamma), float(lam), None if alpha is None else float(alpha)
+    return Schedule(lambda n, it: g, lambda n, it: l, None if a is None else lambda n, it: a)
+
+
+def _steps(p, sched, n, it):
+    """``(gamma, lambda, alpha)`` of step ``n`` from ``it``, drawn from ``sched``
+    in that order and range-checked; ``alpha`` is 0 when ``sched.alpha`` is None."""
+    g, l = float(sched.gamma(n, it)), float(sched.lam(n, it))
+    a = 0.0 if sched.alpha is None else float(sched.alpha(n, it))
+    _check_gamma(g, p.beta, n)
+    _check_lambda(l, p.lambda_hi, n)
+    _check_alpha(a, n)
+    return g, l, a
 
 
 def apply_T(p, gamma, lam, u):
@@ -300,16 +313,13 @@ def apply_T(p, gamma, lam, u):
     by the adjoint of the new dual. Parameters outside the admissible
     ranges raise ``ValueError``.
     """
-    return apply_Tn(p, Schedule(_const(gamma), _const(lam), None), 0, u)
+    return apply_Tn(p, _const(gamma, lam), 0, u)
 
 
 def apply_Tn(p, sched, n, u):
-    """Apply the fixed-point operator with stepsizes drawn at index ``n``."""
+    """Apply the unrelaxed fixed-point operator at the steps :func:`_steps` draws at ``n``."""
     it = Iterate.at(p.f2, u.x)
-    g = float(sched.gamma(n, it))
-    l = float(sched.lam(n, it))
-    _check_gamma(g, p.beta, n)
-    _check_lambda(l, p.lambda_hi, n)
+    g, l, _ = _steps(p, sched, n, it)
     vt, xt, _, _ = _tentative(p, g, l, u.v, u.x, it.grad)
     return PDState(vt, xt)
 
@@ -350,8 +360,7 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     """
     stop = StoppingRule() if stop is None else stop
     quality = None if x_true is None else diagnostics._quality(x_true)
-    cols = {k: [] for k in ("gammas", "lams", "alphas", "objectives", "residuals", "dist_ref",
-                            "relerrs", "snrs", "wall_ms") + ("inner_iters",) * inner}
+    cols = {f.name: [] for f in fields(_Row)[4:] if inner or f.name != "inner_iters"}
     iterates = [u0.copy()] if record_iterates else None
     # the caller's starting arrays must not outlive its first step
     del u0
@@ -382,8 +391,8 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
                     stop_reason=reason, **arrays)
 
 
-def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=None,
-                record_iterates=False, inner_stop=None, kappa=0.0, warm_start=True):
+def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False,
+                inner_stop=None, kappa=0.0, warm_start=True):
     """Shared step of the fixed-point family (plain, relaxed, dynamic, inner loop).
 
     Each quantity is computed once (the README's cost table counts the
@@ -404,22 +413,16 @@ def _run_kernel(p, gamma_src, lam_src, alpha_src, u0, stop, ref=None, x_true=Non
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
     Dt_v = None
-    lam_ref = float(lam_src(0, it))
+    lam_ref = float(sched.lam(0, it))
     ws = _Workspace(p)
 
     def step(n):
         nonlocal v, it, Dt_v
         x = it.x
-        g = float(gamma_src(n, it))
-        l = float(lam_src(n, it))
-        a = float(alpha_src(n, it)) if alpha_src is not None else 0.0
-        _check_gamma(g, p.beta, n)
-        _check_lambda(l, p.lambda_hi, n)
-        _check_alpha(a, n)
+        g, l, a = _steps(p, sched, n, it)
         vt, xt, Dt_vt, k = _tentative(p, g, l, v, x, it.grad, Dt_v, inner_stop, kappa,
                                       warm_start, ws)
-        # one warm-started inner step's test already took ||vt - v||^2 and ||v||^2
-        dd, vv = ws.dots if warm_start and k == 1 and ws.dots else (None, None)
+        dd, vv = ws.dots or (None, None)
         dv = None if dd is not None else np.subtract(vt, v, out=ws.take("diff"))
         res = _lnorm(dv, np.subtract(xt, x, out=ws.take("tmp")), lam_ref, dd)
         if a == 0.0:
@@ -454,8 +457,8 @@ def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iter
         The final state and the per-iteration trace, whose ``stop_reason``
         tells a converged run from one that ran out of budget or diverged.
     """
-    return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop,
-                       ref=ref, x_true=x_true, record_iterates=record_iterates)
+    return _run_kernel(p, _const(gamma, lam), u0, stop, ref=ref, x_true=x_true,
+                       record_iterates=record_iterates)
 
 
 def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None,
@@ -465,8 +468,8 @@ def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None
     ``kappa = 0`` reproduces :func:`pdfp2o` exactly.
     """
     _check_alpha(kappa, 0)
-    return _run_kernel(p, _const(gamma), _const(lam), _const(kappa), u0, stop,
-                       ref=ref, x_true=x_true, record_iterates=record_iterates)
+    return _run_kernel(p, _const(gamma, lam, kappa), u0, stop, ref=ref, x_true=x_true,
+                       record_iterates=record_iterates)
 
 
 def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
@@ -480,8 +483,8 @@ def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterat
 
     A constant schedule reproduces :func:`pdfp2o` exactly.
     """
-    return _run_kernel(p, sched.gamma, sched.lam, None, u0, stop,
-                       ref=ref, x_true=x_true, record_iterates=record_iterates)
+    return _run_kernel(p, Schedule(sched.gamma, sched.lam, None), u0, stop, ref=ref,
+                       x_true=x_true, record_iterates=record_iterates)
 
 
 def pdfp2o_dsn(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
@@ -491,8 +494,8 @@ def pdfp2o_dsn(p, sched, u0=None, stop=None, ref=None, x_true=None, record_itera
     with all three parameter sequences drawn from ``sched``. ``alpha_n = 0``
     reproduces :func:`pdfp2o_ds` exactly.
     """
-    return _run_kernel(p, sched.gamma, sched.lam, sched.alpha, u0, stop,
-                       ref=ref, x_true=x_true, record_iterates=record_iterates)
+    return _run_kernel(p, sched, u0, stop, ref=ref, x_true=x_true,
+                       record_iterates=record_iterates)
 
 
 def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
@@ -517,7 +520,7 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
         raise ValueError("pfbs_fp2o needs inner_stop.max_iter >= 1: with no inner step "
                          "the dual variable never moves and the run minimizes f2 alone")
     _check_alpha(kappa, 0)
-    return _run_kernel(p, _const(gamma), _const(lam), None, u0, stop, ref=ref, x_true=x_true,
+    return _run_kernel(p, _const(gamma, lam), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
                        warm_start=warm_start)
 

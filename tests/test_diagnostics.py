@@ -8,6 +8,7 @@ import pytest
 
 import pdfp.diagnostics
 from pdfp import (
+    CertificateNotApplicable,
     InvariantViolationError,
     PDState,
     RunTrace,
@@ -278,13 +279,14 @@ class TestRateCertificate:
         M = SparseMatrix(2, 2, ([0], [0], [1.0]))  # singular D D^T
         f2 = quadratic_fn(identity_op(2), np.ones(2))
         p = make_problem(l1_norm_fn(2, weight=0.1), f2, matrix_op(M))
-        assert rate_certificate(p, p.beta, 0.5, 0.1, 0.9, sigma=1.0) is None
+        with pytest.raises(CertificateNotApplicable, match=r"contraction factors reach 1: mu=1\.0"):
+            rate_certificate(p, p.beta, 0.5, 0.1, 0.9, sigma=1.0)
 
     def test_wide_relaxation_clamp_not_applicable(self):
         # eta too large for the loose relaxation clamp: theta reaches 1
         p = synthetic_certifiable_problem(scale=3.0)
-        cert = rate_certificate(p, 0.3 * p.beta, 1.0, 0.1, 0.9, sigma=1.0)
-        assert cert is None
+        with pytest.raises(CertificateNotApplicable, match=r"theta = .* reaches 1, eta="):
+            rate_certificate(p, 0.3 * p.beta, 1.0, 0.1, 0.9, sigma=1.0)
 
     def test_rejects_bad_sigma(self):
         p = synthetic_certifiable_problem()
