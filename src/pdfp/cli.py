@@ -169,6 +169,8 @@ class ExperimentConfig(dict):
             raise ConfigError("problem.size must be at least 16")
         if not 0.0 <= v["problem.noise"] < math.inf:
             raise ConfigError("problem.noise must be a nonnegative finite number")
+        if v["run.seed"] < 0:
+            raise ConfigError("run.seed must be a nonnegative integer")
         for prefix in ("run.", "solver.inner_"):
             if v[prefix + "max_iter"] < 1:
                 raise ConfigError(f"{prefix}max_iter must be positive")

@@ -1,6 +1,7 @@
 """Linear operators, spectral estimation, and the one owner of vector reductions."""
 
 import math
+import operator
 
 import numpy as np
 from dataclasses import dataclass
@@ -63,6 +64,14 @@ def _vector(x, n):
     if x.shape != (n,):
         raise ValueError(f"expected a vector of length {n}, got shape {x.shape}")
     return x
+
+
+def _integer(value, name):
+    """``value`` as an int, from a Python or numpy integer; a ValueError naming ``name`` else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} must be an integer") from None
 
 
 def _split_rows(chunk, cols, parts):
@@ -226,11 +235,11 @@ def diff_op_2d(height, width, variant="anisotropic"):
     ("anisotropic" pairs an l1 penalty, "isotropic-pair" an l2 penalty over
     each pixel's difference pair); the operator itself is identical.
     """
-    if height < 2 or width < 2:
+    h, w = _integer(height, "height"), _integer(width, "width")
+    if h < 2 or w < 2:
         raise ValueError("diff_op_2d needs height >= 2 and width >= 2")
     if variant not in ("anisotropic", "isotropic-pair"):
         raise ValueError(f"unknown variant {variant!r}")
-    h, w = int(height), int(width)
     hw = h * w
 
     def forward(x):
@@ -281,7 +290,7 @@ def gaussian_blur_op(height, width, radius, sigma):
         raise ValueError("sigma must be a positive finite number")
     if radius < 1 or int(radius) != radius:
         raise ValueError("radius must be a positive integer")
-    h, w = int(height), int(width)
+    h, w = _integer(height, "height"), _integer(width, "width")
     if radius >= min(h, w):
         raise ValueError("radius must be smaller than both image dimensions")
     import scipy.ndimage

@@ -577,35 +577,41 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
     return x_of(v), trace
 
 
-def _quadratic_resolvent(f2, tau, w, x0):
-    """Solve ``x + tau * grad f2(x) = w`` for a quadratic ``f2``: in closed
-    form for the identity data operator, else by conjugate gradient on
-    ``(I + tau A^T A) x = w + tau A^T b`` from ``x0``, to a residual of
-    ``1e-10 ||rhs||``, a non-finite one or 1000 steps. Its dot products go through
-    :func:`dot`, so the bits do not depend on the BLAS thread count."""
+def _quadratic_resolvent(f2, tau):
+    """``(w, x0) -> x`` solving ``x + tau * grad f2(x) = w`` for a quadratic ``f2``:
+    in closed form for the identity data operator, else by conjugate gradient
+    on ``(I + tau A^T A) x = w + tau A^T b`` from ``x0``, to a residual of
+    ``1e-10 ||rhs||``, a non-finite one or 1000 steps. ``A^T b`` is applied
+    once, here. Its dot products go through :func:`dot`, so the bits do not
+    depend on the BLAS thread count."""
     A, b = _quadratic(f2, "the primal resolvent")
     if A.tag == "identity":
-        return (w + tau * b) / (1.0 + tau)
-    rhs = w + tau * A.adjoint(b)
+        return lambda w, x0: (w + tau * b) / (1.0 + tau)
+    tau_Atb = tau * A.adjoint(b)
     apply_M = lambda y: y + tau * A.adjoint(A.forward(y))
-    x = x0.copy()
-    r = rhs - apply_M(x)
-    d = r.copy()
-    rs = dot(r, r)
-    target = 1e-10 * max(norm(rhs), 1e-300)
-    for _ in range(1000):
-        if math.sqrt(rs) <= target:
-            break
-        Md = apply_M(d)
-        alpha = rs / dot(d, Md)
-        x += alpha * d
-        r -= alpha * Md
-        rs_new = dot(r, r)
-        if not math.isfinite(rs_new):  # NaN never meets the target; x carries it out
-            break
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    return x
+
+    def resolve(w, x0):
+        rhs = w + tau_Atb
+        x = x0.copy()
+        r = rhs - apply_M(x)
+        d = r.copy()
+        rs = dot(r, r)
+        target = 1e-10 * max(norm(rhs), 1e-300)
+        for _ in range(1000):
+            if math.sqrt(rs) <= target:
+                break
+            Md = apply_M(d)
+            alpha = rs / dot(d, Md)
+            x += alpha * d
+            r -= alpha * Md
+            rs_new = dot(r, r)
+            if not math.isfinite(rs_new):  # NaN never meets the target; x carries it out
+                break
+            d = r + (rs_new / rs) * d
+            rs = rs_new
+        return x
+
+    return resolve
 
 
 def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
@@ -633,13 +639,14 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
     if not (sig > 0.0 and tau > 0.0 and lam_ref < p.lambda_hi):
         raise ValueError(f"sigma={sig} and tau={tau} must be positive with "
                          f"sigma*tau < {p.lambda_hi}")
+    resolve = _quadratic_resolvent(p.f2, tau)
     vbar, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
     y = x.copy()
 
     def step(n):
         nonlocal vbar, x, y
         vbar_new = conjugate_prox(p.f1, sig, vbar + sig * p.D.forward(y))
-        x_new = _quadratic_resolvent(p.f2, tau, x - tau * p.D.adjoint(vbar_new), x)
+        x_new = resolve(x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
         change = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
         size = _lnorm(vbar, x, lam_ref)

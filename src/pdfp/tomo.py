@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import atomic_write
-from .linops import SparseMatrix, diff_op_2d, gaussian_blur_op, identity_op, matrix_op, norm
+from .linops import SparseMatrix, _integer, diff_op_2d, gaussian_blur_op, identity_op, matrix_op, norm
 from .prox import group_l2_norm_fn, l1_norm_fn, quadratic_fn
 from .solvers import make_problem
 
@@ -73,9 +73,9 @@ class TomoGeometry:
     detector_spacing: float = 1.0
 
     def __post_init__(self):
-        if self.image_side < 2:
+        if _integer(self.image_side, "image_side") < 2:
             raise ValueError("image_side must be at least 2")
-        if self.rays_per_angle < 1:
+        if _integer(self.rays_per_angle, "rays_per_angle") < 1:
             raise ValueError("rays_per_angle must be positive")
         if len(self.angles_deg) == 0:
             raise ValueError("angles_deg must hold at least one angle")
@@ -230,10 +230,9 @@ def _tv_prox_fn(h, w, reg_weight, variant):
     hw = h * w
     if variant == "anisotropic":
         return l1_norm_fn(2 * hw, weight=reg_weight)
-    if variant == "isotropic-pair":
-        k = np.arange(hw)
-        return group_l2_norm_fn(2 * hw, np.stack([k, hw + k], axis=1), weight=reg_weight)
-    raise ValueError(f"unknown variant {variant!r}")
+    # "isotropic-pair": make_tv_problem's diff_op_2d has refused every other variant
+    k = np.arange(hw)
+    return group_l2_norm_fn(2 * hw, np.stack([k, hw + k], axis=1), weight=reg_weight)
 
 
 def make_tv_problem(t, reg_weight, variant="anisotropic", power_seed=0):

@@ -556,6 +556,15 @@ REJECTED_CONFIGS = {
     "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",
                        "ifp2o supports identity data operators only"),
     "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify", "solver.sigma_strong=auto"),
+    # once numpy's "expected non-negative integer", which names no key
+    "negative-seed": ({"run.seed": "-1"}, "solve", "run.seed must be a nonnegative integer"),
+    "alpha-clamp-order": ({"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic",
+                           "schedule.alpha_lo": "0.7", "schedule.alpha_hi": "0.3"}, "solve",
+                          "alpha clamp [0.7, 0.3] must sit strictly inside (0, 1)"),
+    # the certificate's reason, which certify once worked out again as
+    # "contraction factors reach 1"; here nu = 0.8 and mu = 0
+    "certify-theta": (dict(_LASSO, **{"solver.gamma": "0.2"}), "certify",
+                      "theta = alpha_hi + (1 - alpha_lo) * eta = 1.62 reaches 1"),
     # once an OverflowError traceback, an unnamed NaN error, numpy's "Maximum
     # allowed size exceeded", and a silent run with 2 rays
     **{f"rays-{value}": ({"problem.kind": "ct", "problem.rays": value}, "solve",
@@ -570,6 +579,13 @@ REJECTED_CONFIGS = {
                                   f"alpha={value} out of range")
        for value in ("nan", "-0.3", "1.5")},
 }
+
+
+def test_negative_seed_flag_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg")
+    assert main(["solve", str(cfg), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: run.seed must be a nonnegative integer\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED_CONFIGS))

@@ -392,3 +392,22 @@ class TestAtomicWrite:
         assert (synced, moved) == ("fsync", "replace")
         # the file synced holds all the data and is the one renamed
         assert (size, moved_ino, dst) == (4, ino, "out.txt")
+
+
+# Calls refused with a ValueError, and the words that name what is wrong.
+NAMED_ERRORS = {
+    "m-seminorm-lam": (lambda: m_seminorm(np.ones(2), identity_op(2), 0.0), "lam must be positive"),
+    "rel-err-snr-shape": (lambda: rel_err_snr(np.ones(3), np.ones(4)),
+                          "images must have the same shape"),
+    # D = I: lambda_max(D D^T) = 1 admits lam up to 1 + 1e-9
+    "certificate-lam-above-dense-bound": (
+        lambda: rate_certificate(synthetic_certifiable_problem(), 0.5, 2.0, 0.1, 0.9, 1.0),
+        "lam=2.0 out of range (0, "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case):
+    call, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

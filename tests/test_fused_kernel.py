@@ -29,7 +29,6 @@ from pdfp import (
     l1_norm_fn,
     make_problem,
     make_tomo_problem,
-    mann_combine,
     matrix_op,
     pdfp2o,
     pdfp2o_ds,
@@ -149,7 +148,8 @@ def unfused_steps(p, sched, relaxed, lam_ref):
         vt = dual_proj(p.f1, g / l, w)
         xt = z - l * p.D.adjoint(vt)
         res = math.sqrt(dot(xt - x, xt - x) + lam_ref * dot(vt - v, vt - v))
-        v_new, x_new = (vt, xt) if a == 0.0 else (mann_combine(a, v, vt), mann_combine(a, x, xt))
+        # the Mann step written out, independent of the package's own
+        v_new, x_new = (vt, xt) if a == 0.0 else (a * v + (1 - a) * vt, a * x + (1 - a) * xt)
         step, denom = lnorm(v_new - v, x_new - x, lam_ref), max(1.0, lnorm(v, x, lam_ref))
         v, x = v_new, x_new
         yield Step(v, x, p.objective(x), res, step, denom, g, l, a)
@@ -263,7 +263,7 @@ def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
         for _ in range(inner_stop.max_iter):
             w = Dz + (vi - lam * p.D.forward(p.D.adjoint(vi)))
             Hv = dual_proj(p.f1, gamma / lam, w)
-            vi_new = Hv if kappa == 0.0 else mann_combine(kappa, vi, Hv)
+            vi_new = Hv if kappa == 0.0 else kappa * vi + (1 - kappa) * Hv
             inner += 1
             dv = norm(vi_new - vi)
             ref_v = max(1.0, norm(vi))
@@ -328,6 +328,18 @@ class TestSplitSolverOperatorCounts:
             "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
             "D_fwd": k + 2 * N_ITER, "D_adj": k + int(warm),
         }
+
+    def test_cp_applies_A_transpose_to_b_once_per_run(self, builder):
+        p, counter = BUILDERS[builder]()
+        chambolle_pock(p, 0.99 * p.lambda_hi / p.beta, p.beta, 1.0, stop=STOP)
+        counts = counter.counts
+        # the objective applies A once per step, and each conjugate-gradient
+        # product A then A^T; A^T b takes one more A^T per run, not one per
+        # step (none in closed form, for the identity A)
+        cg = counts["A_fwd"] - N_ITER
+        assert (cg > 0) == (builder == "ct16")
+        assert counts == {"A_fwd": N_ITER + cg, "D_fwd": 2 * N_ITER, "D_adj": N_ITER,
+                          **({"A_adj": cg + 1} if cg else {})}
 
     def test_siu_applies_each_operator_once(self, builder):
         p, counter = BUILDERS[builder]()
@@ -612,7 +624,7 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
     while True:
         w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
         Hv = dual_proj(f1, 1.0 / lam, w)
-        v_new = mann_combine(kappa, v, Hv)
+        v_new = kappa * v + (1 - kappa) * Hv
         res = norm(Hv - v)
         step, denom = norm(v_new - v), max(1.0, norm(v))
         v = v_new

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -331,3 +332,31 @@ def test_every_constructed_operator_satisfies_adjoint_and_linearity():
             lin = op.forward(a * x + b * y) - a * op.forward(x) - b * op.forward(y)
             scale = max(np.linalg.norm(op.forward(x)), 1.0)
             assert np.linalg.norm(lin) <= 1e-12 * scale
+
+
+# Calls refused with a ValueError, and the words that name what is wrong.
+# A float side once built the operator of its int() silently.
+NAMED_ERRORS = {
+    "diff-height-float": (lambda: diff_op_2d(4.5, 4), "height=4.5 must be an integer"),
+    "diff-width-float": (lambda: diff_op_2d(4, 4.5), "width=4.5 must be an integer"),
+    "blur-height-float": (lambda: gaussian_blur_op(8.7, 8, 2, 1.5),
+                          "height=8.7 must be an integer"),
+    "blur-width-float": (lambda: gaussian_blur_op(8, 8.7, 2, 1.5), "width=8.7 must be an integer"),
+    "matrix-dimensions": (lambda: SparseMatrix(0, 3, (np.zeros(0, int), np.zeros(0, int), [])),
+                          "matrix dimensions must be positive"),
+    "row-chunks": (lambda: SparseMatrix._from_row_chunks(
+        4, 2, [(np.ones(1), np.zeros(1, np.int32), np.array([0, 1, 1, 1]))]),
+        "row chunks cover 3 rows, not 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case):
+    call, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
+
+
+def test_image_sides_take_numpy_integers():
+    assert diff_op_2d(np.int64(4), np.int32(5)).in_dim == 20
+    assert gaussian_blur_op(np.int64(8), np.uint8(6), 2, 1.5).in_dim == 48

@@ -352,14 +352,31 @@ def test_l1_conj_proj_lies_in_the_box_exactly(data):
     assert np.all(np.abs(f.conj_proj(t, w)) <= t * weight)
 
 
+def one_long_group_case():
+    """``draw_conj_case``'s tuple for a case hypothesis found: one group of 12
+    entries whose projection ``la.norm`` put 7 ulps (5 eps) over its radius
+    ``t * weight = 0.01171875``."""
+    groups = [tuple(range(12))]
+    return (group_l2_norm_fn(12, groups, weight=0.75), groups, 0.75, 0.015625,
+            np.array([377772.0] + [1.90234375] * 11))
+
+
 @pytest.mark.parametrize("kind", ["group-strided", "group-bincount"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+@example(data=None)  # one_long_group_case()
 def test_group_conj_proj_lies_in_the_balls(kind, data):
-    f, groups, weight, t, w = draw_conj_case(data, kind)
+    f, groups, weight, t, w = one_long_group_case() if data is None else draw_conj_case(data, kind)
     r = f.conj_proj(t, w)
     for g in groups:
-        assert la.norm(r[list(g)]) <= t * weight * (1.0 + 4.0 * EPS)
+        # First-order rounding bound for a group of n entries, u = eps / 2 per
+        # operation: the group's norm sums n squares (n u) and takes a root
+        # (half that, plus u); the scale t / ||w_g|| and each product add u;
+        # la.norm measures the result with n u / 2 + u more. In all,
+        # (n / 2 + 2) eps, which is the 4 eps of the strided layouts and TV
+        # pairs at 4 entries; no fixed multiple of eps bounds every n.
+        slack = max(4.0, len(g) / 2.0 + 2.0) * EPS
+        assert la.norm(r[list(g)]) <= t * weight * (1.0 + slack)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

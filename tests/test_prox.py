@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,19 @@ def test_prox_optimality_against_random_probes():
                 y = rng.standard_normal(4) * 2
                 rhs = f.value(y) + float((y - z) @ (y - z)) / (2 * t)
                 assert lhs <= rhs + 1e-9
+
+
+# Calls refused with a ValueError, and the words that name what is wrong.
+NAMED_ERRORS = {
+    "resolvent-nu": (lambda: resolvent_identity_check(l1_norm_fn(2), 0.0, 1.0, np.ones(2)),
+                     "nu and mu must be positive"),
+    "quadratic-zero-A": (lambda: quadratic_fn(matrix_op(SparseMatrix(
+        2, 2, (np.zeros(1, int), np.zeros(1, int), [0.0]))), np.ones(2)), "A must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case):
+    call, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

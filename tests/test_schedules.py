@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,22 @@ class TestScheduleSpec:
         sched = ScheduleSpec(kind="constant").build(lasso1d)
         assert sched.gamma(0, None) == pytest.approx(1.99 * lasso1d.beta)
         assert sched.lam(0, None) == lasso1d.lambda_hi
+
+
+# Clamps refused with a ValueError, and the words that name what is wrong;
+# each is (gamma_lo, gamma_hi, lambda_lo, lambda_hi, alpha_lo, alpha_hi).
+NAMED_ERRORS = {
+    "gamma-order": ((0.4, 0.2, None, None, None, None),
+                    "gamma clamp must have gamma_lo <= gamma_hi"),
+    "lambda-order": ((None, None, 0.5, 0.1, None, None),
+                     "lambda clamp must have lambda_lo <= lambda_hi"),
+    "alpha-order": ((None, None, None, None, 0.7, 0.3),
+                    "alpha clamp [0.7, 0.3] must sit strictly inside (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case, quad2):
+    clamp, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        bb_dynamic_schedule(quad2, clamp=clamp)

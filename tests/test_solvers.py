@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -354,7 +355,7 @@ class TestChambollePock:
             for x0 in (np.zeros(n), rng.standard_normal(n)):
                 w = rng.standard_normal(n)
                 x0_before = x0.copy()
-                x = _quadratic_resolvent(p.f2, tau, w, x0)
+                x = _quadratic_resolvent(p.f2, tau)(w, x0)
                 rhs = w + tau * A.adjoint(b)
                 res = x + tau * A.adjoint(A.forward(x)) - rhs
                 assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)
@@ -630,3 +631,39 @@ def test_same_bits_at_one_and_two_blas_threads():
 def test_chambolle_pock_resolvent_same_bits_at_one_and_two_blas_threads():
     hashes = hashes_at_one_and_two_blas_threads(_CP_THREADS_SCRIPT)
     assert hashes[0] == hashes[1] != ""
+
+
+def tiny_problem():
+    return make_problem(l1_norm_fn(2), quadratic_fn(identity_op(2), np.ones(2)), identity_op(2))
+
+
+def flat_f2(dim):
+    return pdfp.SmoothFn(dim=dim, value=lambda x: 0.0, grad=np.zeros_like, lipschitz=0.0)
+
+
+# Calls refused with a ValueError, and the words that name what is wrong.
+NAMED_ERRORS = {
+    "f1-dim": (lambda: make_problem(l1_norm_fn(3), tiny_problem().f2, identity_op(2)),
+               "f1 acts on R^3 but D maps into R^2"),
+    "f2-dim": (lambda: make_problem(l1_norm_fn(2), quadratic_fn(identity_op(3), np.ones(3)),
+                                    identity_op(2)), "f2 acts on R^3 but D maps from R^2"),
+    "f2-lipschitz": (lambda: make_problem(l1_norm_fn(2), flat_f2(2), identity_op(2)),
+                     "f2 must have a positive Lipschitz constant"),
+    "ifp2o-shape": (lambda: ifp2o(np.eye(2), np.ones(3), l1_norm_fn(2), identity_op(2), 1.0, 0.5),
+                    "Q must be square and b must match its size"),
+    "ifp2o-symmetry": (lambda: ifp2o(np.array([[2.0, 1.0], [0.0, 2.0]]), np.ones(2),
+                                     l1_norm_fn(2), identity_op(2), 1.0, 0.5),
+                       "Q must be symmetric"),
+    # D Q^{-1} D^T = I admits lam up to 2 / lambda_max = 2
+    "ifp2o-lam": (lambda: ifp2o(np.eye(2), np.ones(2), l1_norm_fn(2), identity_op(2), 3.0, 0.5),
+                  "lam=3.0 out of range (0, "),
+    "cp-theta": (lambda: chambolle_pock(tiny_problem(), 0.5, 0.5, 1.5),
+                 "theta must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case):
+    call, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -404,3 +405,44 @@ NON_FINITE_CALLS = {
 def test_non_finite_parameters_are_refused(call, bad):
     with pytest.raises(ValueError, match="finite number|must lie in"):
         NON_FINITE_CALLS[call](bad)
+
+
+def read_pgm_of(tmp, data):
+    path = tmp / "x.pgm"
+    path.write_bytes(data)
+    return read_pgm(path)
+
+
+def geometry(**changes):
+    return TomoGeometry(**{"image_side": 8, "angles_deg": (0.0,), "rays_per_angle": 11, **changes})
+
+
+# Calls refused with a ValueError, and the words that name what is wrong; each
+# takes a scratch directory. A float side or ray count once failed inside
+# numpy's matrix build with "'float' object cannot be interpreted as an integer".
+NAMED_ERRORS = {
+    "image-side-float": (lambda tmp: geometry(image_side=16.5),
+                         "image_side=16.5 must be an integer"),
+    "rays-float": (lambda tmp: geometry(rays_per_angle=2.5),
+                   "rays_per_angle=2.5 must be an integer"),
+    "image-side-small": (lambda tmp: geometry(image_side=1), "image_side must be at least 2"),
+    "tv-variant": (lambda tmp: make_tv_problem(
+        TomoProblem(A=pdfp.identity_op(16), b=np.zeros(16), x_true=np.zeros((4, 4)),
+                    noise_level=0.0), 0.1, "bogus"), "unknown variant 'bogus'"),
+    "write-pgm-1d": (lambda tmp: write_pgm(tmp / "x.pgm", np.zeros(4)), "image must be 2-D"),
+    "read-pgm-magic": (lambda tmp: read_pgm_of(tmp, b"P2\n2 2\n65535\n"), "not a binary PGM file"),
+    "read-pgm-maxval": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\n255\n" + bytes(4)),
+                        "expected a 16-bit PGM (maxval 65535)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_ERRORS))
+def test_named_errors(case, tmp_path):
+    call, named = NAMED_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call(tmp_path)
+
+
+def test_geometry_takes_numpy_integers():
+    g = geometry(image_side=np.int64(8), rays_per_angle=np.int32(11))
+    assert build_projection_matrix(g).shape == (11, 64)
