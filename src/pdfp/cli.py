@@ -156,26 +156,25 @@ class ExperimentConfig(dict):
         return cfg
 
     def _validate(self):
-        v = self
-        if v["problem.kind"] not in PROBLEM_KINDS:
-            raise ConfigError(f"unknown problem kind: {v['problem.kind']}")
-        if v["solver.name"] not in SOLVER_NAMES:
-            raise ConfigError(f"unknown solver: {v['solver.name']}")
-        if v["schedule.kind"] not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind: {v['schedule.kind']}")
-        if v["problem.tv"] not in ("anisotropic", "isotropic"):
+        if self["problem.kind"] not in PROBLEM_KINDS:
+            raise ConfigError(f"unknown problem kind: {self['problem.kind']}")
+        if self["solver.name"] not in SOLVER_NAMES:
+            raise ConfigError(f"unknown solver: {self['solver.name']}")
+        if self["schedule.kind"] not in SCHEDULE_KINDS:
+            raise ConfigError(f"unknown schedule kind: {self['schedule.kind']}")
+        if self["problem.tv"] not in ("anisotropic", "isotropic"):
             raise ConfigError("problem.tv must be anisotropic or isotropic")
-        if v["problem.size"] < 16:
+        if self["problem.size"] < 16:
             raise ConfigError("problem.size must be at least 16")
-        if not 0.0 <= v["problem.noise"] < math.inf:
+        if not 0.0 <= self["problem.noise"] < math.inf:
             raise ConfigError("problem.noise must be a nonnegative finite number")
-        if v["run.seed"] < 0:
+        if self["run.seed"] < 0:
             raise ConfigError("run.seed must be a nonnegative integer")
         for prefix in ("run.", "solver.inner_"):
-            if v[prefix + "max_iter"] < 1:
+            if self[prefix + "max_iter"] < 1:
                 raise ConfigError(f"{prefix}max_iter must be positive")
             try:
-                StoppingRule(tol=v[prefix + "tol"], max_iter=v[prefix + "max_iter"])
+                StoppingRule(tol=self[prefix + "tol"], max_iter=self[prefix + "max_iter"])
             except ValueError as exc:
                 raise ConfigError(f"bad {prefix}tol or {prefix}max_iter: {exc}") from exc
 
@@ -400,8 +399,8 @@ def certify(config_path, overrides=None):
     """Emit the geometric-rate certificate for a configured problem as CSV.
 
     Needs strong convexity of the data term and full row rank of the
-    analysis operator (the ``lasso`` problem kind satisfies both). Exits 1,
-    writing nothing, when the certificate does not apply, naming the reason.
+    analysis operator (the ``lasso`` problem kind satisfies both). Returns
+    exit code 1, writing nothing, when the certificate does not apply.
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)

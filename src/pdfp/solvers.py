@@ -328,8 +328,8 @@ def apply_Tn(p, sched, n, u):
 class _Row:
     """What one solver step hands the driver: the new state ``(v, x)``, the
     state ``change`` and the ``size`` of the state it started from, which
-    the stop test reads, and the step's own :class:`RunTrace` columns; the
-    driver fills the other four.
+    the stop test reads, then :class:`RunTrace` columns, each field named
+    as its column: the step's own, and four that the driver fills.
     """
 
     v: np.ndarray

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import atomic_write
-from .linops import SparseMatrix, _integer, diff_op_2d, gaussian_blur_op, identity_op, matrix_op, norm
+from .linops import SparseMatrix, _integer, diff_op_2d, gaussian_blur_op, identity_op, \
+    matrix_op, norm
 from .prox import group_l2_norm_fn, l1_norm_fn, quadratic_fn
 from .solvers import make_problem
 
@@ -35,13 +36,16 @@ POWER_CHANNEL = 1
 
 
 def seed_stream(seed, channel):
-    """Independent, named random stream derived from one experiment seed."""
+    """Independent, named random stream derived from one experiment seed, a
+    nonnegative integer."""
+    if _integer(seed, "seed") < 0:
+        raise ValueError(f"seed={seed!r} must be a nonnegative integer")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=(int(channel),))
 
 
 def shepp_logan(n):
     """The standard 10-ellipse head phantom on an n x n grid, values in [0, 1]."""
-    if n < 16:
+    if _integer(n, "n") < 16:
         raise ValueError("n must be at least 16")
     half = (n - 1) / 2.0
     xs = (np.arange(n) - half) / half

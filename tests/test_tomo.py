@@ -433,6 +433,13 @@ NAMED_ERRORS = {
     "read-pgm-magic": (lambda tmp: read_pgm_of(tmp, b"P2\n2 2\n65535\n"), "not a binary PGM file"),
     "read-pgm-maxval": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\n255\n" + bytes(4)),
                         "expected a 16-bit PGM (maxval 65535)"),
+    # once numpy's "expected non-negative integer", which names no argument,
+    # and a seed of 1.5 ran as 1
+    "seed-negative": (lambda tmp: make_denoise_problem(16, 0.05, -1, 0.1),
+                      "seed=-1 must be a nonnegative integer"),
+    "seed-float": (lambda tmp: make_denoise_problem(16, 0.05, 1.5, 0.1),
+                   "seed=1.5 must be an integer"),
+    "phantom-side-float": (lambda tmp: shepp_logan(16.5), "n=16.5 must be an integer"),
 }
 
 
