@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solvers
+from . import schedules, solvers
 from .linops import dot, norm
 
 TRACE_CSV_HEADER = "iter,gamma,lambda,alpha,objective,residual,snr,relerr,wall_ms"
@@ -67,24 +67,7 @@ def rel_err(x, x_true):
 
 def rel_err_snr(x, x_true):
     """``(rel_err(x, x_true), snr(x, x_true))`` from one difference and one norm each."""
-    return _quality(x_true)(x)
-
-
-def _quality(x_true):
-    """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here."""
-    x_true = np.asarray(x_true, dtype=np.float64)
-    nt = norm(x_true)
-    if nt == 0.0:
-        raise ValueError("x_true must be nonzero")
-
-    def quality(x):
-        if np.shape(x) != x_true.shape:
-            raise ValueError("images must have the same shape")
-        nd = norm(np.subtract(x, x_true))
-        snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
-        return (nd * nd) / (nt * nt), snr_db
-
-    return quality
+    return solvers._quality(x_true)(x)
 
 
 def fixed_point_residual(p, gamma, lam, u):
@@ -170,10 +153,10 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite number")
-    solvers._check_alpha_clamp(alpha_lo, alpha_hi)
+    schedules._check_alpha_clamp(alpha_lo, alpha_hi)
     a0 = alpha_lo if alpha0 is None else float(alpha0)
-    solvers._check_alpha(a0, 0)
-    solvers._check_gamma(gamma, p.beta, 0)
+    schedules._check_alpha(a0, 0)
+    schedules._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")
     if p.D.out_dim > CERTIFICATE_MAX_DUAL_DIM:

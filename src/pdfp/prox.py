@@ -55,6 +55,17 @@ class QuadraticFn(SmoothFn):
         return 0.5 * dot(r, r), self.A.adjoint(r)
 
 
+class UnsupportedProblemError(ValueError):
+    """Raised when a solver cannot handle the supplied problem structure."""
+
+
+def _quadratic(f2, what):
+    """``(A, b)`` of a quadratic ``f2``; otherwise an error saying ``what`` needs one."""
+    if not isinstance(f2, QuadraticFn):
+        raise UnsupportedProblemError(f"{what} needs a quadratic data term")
+    return f2.A, f2.b
+
+
 def _positive(t):
     """``t``, once checked to be positive."""
     if t <= 0:

@@ -1,18 +1,86 @@
-"""Iteration-indexed stepsize sources, including the adaptive quotient rule."""
+"""The step layer under the solvers: the :class:`Iterate` a step starts from,
+the :class:`Schedule` it draws its stepsizes from, the range checks every
+drawn step passes, and the schedules, including the adaptive quotient rule."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from .linops import dot
-from .solvers import Iterate, Schedule, _check_alpha, _check_alpha_clamp, _check_gamma, \
-    _check_lambda, _quadratic
+from .prox import _quadratic
 
 # Step defaults: clamps relative to the admissible ranges, gamma in [0.01, 1.99] * beta
 # (the upper end is also the default gamma) and alpha in [0.1, 0.9], and the relaxation weight.
 GAMMA_CLAMP_FRACTIONS = (0.01, 1.99)
 ALPHA_CLAMP = (0.1, 0.9)
 RELAXATION_WEIGHT = 0.5
+
+
+@dataclass(frozen=True)
+class Iterate:
+    """The primal iterate ``x`` with ``value = f2(x)`` and ``grad = grad f2(x)``.
+
+    The fixed-point driver evaluates ``f2`` once per iterate and hands this
+    record to the schedule sources and to the next step, so neither repeats
+    the operator calls behind ``f2``.
+    """
+
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+
+    @classmethod
+    def at(cls, f2, x):
+        """Evaluate ``f2`` and its gradient at ``x`` in one pass."""
+        value, grad = f2.value_and_grad(x)
+        return cls(x, value, grad)
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Per-iteration parameter sources ``(n, it) -> value`` for the solvers.
+
+    ``it`` is the :class:`Iterate` the n-th step starts from.
+    """
+
+    gamma: Callable
+    lam: Callable
+    alpha: Callable
+
+
+def _check_gamma(g, beta, n):
+    eps = 1e-12 * beta
+    if not (eps < g < 2.0 * beta - eps):
+        raise ValueError(f"gamma={g} out of range (0, {2.0 * beta}) at iteration {n}")
+
+
+def _check_lambda(l, lam_hi, n):
+    eps = 0.0 if math.isinf(lam_hi) else 1e-12 * lam_hi
+    if not (eps < l) or l > lam_hi:
+        raise ValueError(f"lambda={l} out of range (0, {lam_hi}] at iteration {n}")
+
+
+def _check_alpha(a, n):
+    if not (0.0 <= a < 1.0):
+        raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
+
+
+def _check_alpha_clamp(a_lo, a_hi):
+    if not (0.0 < a_lo <= a_hi < 1.0):
+        raise ValueError(f"alpha clamp [{a_lo}, {a_hi}] must sit strictly inside (0, 1)")
+
+
+def _steps(p, sched, n, it):
+    """``(gamma, lambda, alpha)`` of step ``n`` from ``it``, drawn from ``sched``
+    in that order and range-checked; ``alpha`` is 0 when ``sched.alpha`` is None."""
+    g, l = float(sched.gamma(n, it)), float(sched.lam(n, it))
+    a = 0.0 if sched.alpha is None else float(sched.alpha(n, it))
+    _check_gamma(g, p.beta, n)
+    _check_lambda(l, p.lambda_hi, n)
+    _check_alpha(a, n)
+    return g, l, a
 
 
 def _clip(value, lo, hi):

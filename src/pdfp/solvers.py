@@ -13,17 +13,13 @@ import math
 import operator
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from . import diagnostics
 from .linops import LinearOp, dot, norm, norm_sq_bound
-from .prox import QuadraticFn, conjugate_prox
-
-
-class UnsupportedProblemError(ValueError):
-    """Raised when a solver cannot handle the supplied problem structure."""
+from .prox import _quadratic, conjugate_prox
+from .schedules import Iterate, Schedule, _check_alpha, _steps, constant_schedule
 
 
 @dataclass
@@ -78,38 +74,6 @@ def make_problem(f1, f2, D, power_seed=0):
         raise ValueError("f2 must have a positive Lipschitz constant")
     return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz,
                    lambda_max_ddt=norm_sq_bound(D, power_seed))
-
-
-@dataclass(frozen=True)
-class Iterate:
-    """The primal iterate ``x`` with ``value = f2(x)`` and ``grad = grad f2(x)``.
-
-    The fixed-point driver evaluates ``f2`` once per iterate and hands this
-    record to the schedule sources and to the next step, so neither repeats
-    the operator calls behind ``f2``.
-    """
-
-    x: np.ndarray
-    value: float
-    grad: np.ndarray
-
-    @classmethod
-    def at(cls, f2, x):
-        """Evaluate ``f2`` and its gradient at ``x`` in one pass."""
-        value, grad = f2.value_and_grad(x)
-        return cls(x, value, grad)
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Per-iteration parameter sources ``(n, it) -> value`` for the solvers.
-
-    ``it`` is the :class:`Iterate` the n-th step starts from.
-    """
-
-    gamma: Callable
-    lam: Callable
-    alpha: Callable
 
 
 @dataclass(frozen=True)
@@ -181,33 +145,21 @@ def _lnorm(v, x, lam, vv=None):
     return math.sqrt(dot(x, x) + lam * (dot(v, v) if vv is None else vv))
 
 
-def _check_gamma(g, beta, n):
-    eps = 1e-12 * beta
-    if not (eps < g < 2.0 * beta - eps):
-        raise ValueError(f"gamma={g} out of range (0, {2.0 * beta}) at iteration {n}")
+def _quality(x_true):
+    """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here."""
+    x_true = np.asarray(x_true, dtype=np.float64)
+    nt = norm(x_true)
+    if nt == 0.0:
+        raise ValueError("x_true must be nonzero")
 
+    def quality(x):
+        if np.shape(x) != x_true.shape:
+            raise ValueError("images must have the same shape")
+        nd = norm(np.subtract(x, x_true))
+        snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
+        return (nd * nd) / (nt * nt), snr_db
 
-def _check_lambda(l, lam_hi, n):
-    eps = 0.0 if math.isinf(lam_hi) else 1e-12 * lam_hi
-    if not (eps < l) or l > lam_hi:
-        raise ValueError(f"lambda={l} out of range (0, {lam_hi}] at iteration {n}")
-
-
-def _check_alpha(a, n):
-    if not (0.0 <= a < 1.0):
-        raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
-
-
-def _check_alpha_clamp(a_lo, a_hi):
-    if not (0.0 < a_lo <= a_hi < 1.0):
-        raise ValueError(f"alpha clamp [{a_lo}, {a_hi}] must sit strictly inside (0, 1)")
-
-
-def _quadratic(f2, what):
-    """``(A, b)`` of a quadratic ``f2``; otherwise an error saying ``what`` needs one."""
-    if not isinstance(f2, QuadraticFn):
-        raise UnsupportedProblemError(f"{what} needs a quadratic data term")
-    return f2.A, f2.b
+    return quality
 
 
 def _dual_step(f1, t, l, Dz, v, DDt_v, w=None):
@@ -288,23 +240,6 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
     return v, z, Dt_v, k
 
 
-def _const(gamma, lam, alpha=None):
-    """The :class:`Schedule` of constant steps; with no ``alpha``, an unrelaxed one."""
-    g, l, a = float(gamma), float(lam), None if alpha is None else float(alpha)
-    return Schedule(lambda n, it: g, lambda n, it: l, None if a is None else lambda n, it: a)
-
-
-def _steps(p, sched, n, it):
-    """``(gamma, lambda, alpha)`` of step ``n`` from ``it``, drawn from ``sched``
-    in that order and range-checked; ``alpha`` is 0 when ``sched.alpha`` is None."""
-    g, l = float(sched.gamma(n, it)), float(sched.lam(n, it))
-    a = 0.0 if sched.alpha is None else float(sched.alpha(n, it))
-    _check_gamma(g, p.beta, n)
-    _check_lambda(l, p.lambda_hi, n)
-    _check_alpha(a, n)
-    return g, l, a
-
-
 def apply_T(p, gamma, lam, u):
     """Apply the fixed-point operator once at constant stepsizes.
 
@@ -313,7 +248,7 @@ def apply_T(p, gamma, lam, u):
     by the adjoint of the new dual. Parameters outside the admissible
     ranges raise ``ValueError``.
     """
-    return apply_Tn(p, _const(gamma, lam), 0, u)
+    return apply_Tn(p, constant_schedule(gamma, lam), 0, u)
 
 
 def apply_Tn(p, sched, n, u):
@@ -359,7 +294,7 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     ``inner`` asks for the ``inner_iters`` column.
     """
     stop = StoppingRule() if stop is None else stop
-    quality = None if x_true is None else diagnostics._quality(x_true)
+    quality = None if x_true is None else _quality(x_true)
     cols = {f.name: [] for f in fields(_Row)[4:] if inner or f.name != "inner_iters"}
     iterates = [u0.copy()] if record_iterates else None
     # the caller's starting arrays must not outlive its first step
@@ -457,7 +392,7 @@ def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iter
         The final state and the per-iteration trace, whose ``stop_reason``
         tells a converged run from one that ran out of budget or diverged.
     """
-    return _run_kernel(p, _const(gamma, lam), u0, stop, ref=ref, x_true=x_true,
+    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates)
 
 
@@ -467,8 +402,7 @@ def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None
 
     ``kappa = 0`` reproduces :func:`pdfp2o` exactly.
     """
-    _check_alpha(kappa, 0)
-    return _run_kernel(p, _const(gamma, lam, kappa), u0, stop, ref=ref, x_true=x_true,
+    return _run_kernel(p, constant_schedule(gamma, lam, kappa), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates)
 
 
@@ -520,7 +454,7 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
         raise ValueError("pfbs_fp2o needs inner_stop.max_iter >= 1: with no inner step "
                          "the dual variable never moves and the run minimizes f2 alone")
     _check_alpha(kappa, 0)
-    return _run_kernel(p, _const(gamma, lam), u0, stop, ref=ref, x_true=x_true,
+    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
                        warm_start=warm_start)
 
