@@ -12,8 +12,9 @@ comments. The full key table is documented in the README. Subcommands:
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
 3 when ``solve`` diverged (a step's change came out non-finite), 1 on
-configuration errors (including unknown keys and mismatched compares), when
-a spectral bound cannot be estimated and when the certificate does not apply.
+command-line usage errors, on configuration errors (including unknown keys
+and mismatched compares), when a spectral bound cannot be estimated and
+when the certificate does not apply.
 """
 
 import argparse
@@ -101,6 +102,12 @@ _SCHEDULE_READS = {"constant": ("solver.gamma",), "bb_dynamic": _CLAMP,
                    "convergent_perturbation": ("solver.gamma", "schedule.decay")}
 _CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
                            "schedule.alpha_hi")
+# The problem keys each problem kind reads besides problem.kind, size, noise
+# and reg_weight, which every kind reads.
+_TV = ("problem.tv",)
+_PROBLEM_READS = {"ct": ("problem.angle_step", "problem.angle_count", "problem.rays") + _TV,
+                  "denoise": _TV, "deblur": _TV + ("problem.blur_radius", "problem.blur_sigma"),
+                  "lasso": ()}
 # reg_weight = auto, per problem kind; the keys name the problem kinds. Deblur's
 # is near the SNR peak of 2000 default-step pdfp2o iterations at sizes 16 to 64.
 _AUTO_REG_WEIGHT = {"ct": DEFAULT_CT_REG_WEIGHT, "denoise": 0.1, "deblur": 3e-5, "lasso": 0.05}
@@ -237,9 +244,22 @@ class ExperimentConfig(dict):
         )
 
 
+def _reject_unread(cfg, who, section, reads):
+    """A ConfigError naming the keys of ``section`` that ``cfg`` sets away from
+    their defaults and ``who`` never reads, if there are any."""
+    unread = [k for k, (_, default) in CONFIG_KEYS.items()
+              if k.startswith(section) and k not in reads and cfg[k] != default]
+    if unread:
+        raise ConfigError(f"{who} never reads {', '.join(unread)}")
+
+
 def _keys_read(cfg, for_certify=False):
-    """``cfg``; a ConfigError if it sets a solver or schedule key its run (or
-    ``certify``) never reads."""
+    """``cfg``; a ConfigError if it sets a problem key its problem kind never
+    reads, or a solver or schedule key its run (or ``certify``) never reads."""
+    problem = cfg["problem.kind"]
+    _reject_unread(cfg, f"problem.kind {problem}", "problem.",
+                   ("problem.kind", "problem.size", "problem.noise", "problem.reg_weight")
+                   + _PROBLEM_READS[problem])
     name, kind = cfg["solver.name"], cfg["schedule.kind"]
     who, reads = f"{name} (schedule.kind {kind})", {"solver.name", *_SOLVER_READS[name]}
     if for_certify:
@@ -247,10 +267,7 @@ def _keys_read(cfg, for_certify=False):
     elif "schedule.kind" in reads:
         reads.update(k for k in _SCHEDULE_READS[kind]
                      if "alpha" not in k or "schedule.alpha" in reads)
-    unread = [k for k, (_, default) in CONFIG_KEYS.items()
-              if k.startswith(("solver.", "schedule.")) and k not in reads and cfg[k] != default]
-    if unread:
-        raise ConfigError(f"{who} never reads {', '.join(unread)}")
+    _reject_unread(cfg, who, ("solver.", "schedule."), reads)
     return cfg
 
 
@@ -429,8 +446,17 @@ def certify(config_path, overrides=None):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors exit 1, as every other user error
+    does; argparse's own 2 is the code of a run whose budget ran out."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="pdfp", description=__doc__)
+    parser = _Parser(prog="pdfp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "compare", "certify"):
         sp = sub.add_parser(name)

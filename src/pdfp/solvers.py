@@ -156,7 +156,9 @@ def _quality(x_true):
         if np.shape(x) != x_true.shape:
             raise ValueError("images must have the same shape")
         nd = norm(np.subtract(x, x_true))
-        snr_db = math.inf if nd == 0.0 else 20.0 * math.log10(nt / nd)
+        ratio = math.inf if nd == 0.0 else nt / nd
+        # the ratio is 0 once ||x - x_true|| overflows, on a diverging run
+        snr_db = -math.inf if ratio == 0.0 else 20.0 * math.log10(ratio)
         return (nd * nd) / (nt * nt), snr_db
 
     return quality

@@ -259,7 +259,7 @@ def test_07_rate_certificate_dominates_error():
     p = make_problem(l1_norm_fn(n, weight=0.05), f2, identity_op(n))
     gamma, lam, sigma = p.beta, 1.0, 1.0
     cert = rate_certificate(p, gamma, lam, 0.1, 0.9, sigma, alpha0=0.5)
-    ok = cert is not None and 0.0 < cert.theta < 1.0
+    ok = 0.0 < cert.theta < 1.0
     if ok:
         sched = constant_schedule(gamma, lam, alpha=0.5, problem=p)
         u_bar, _ = pdfp2o_dsn(p, sched, stop=TIGHT)
@@ -268,7 +268,7 @@ def test_07_rate_certificate_dominates_error():
         for k, u in enumerate(tr.iterates):
             ok = ok and float(np.linalg.norm(u.x - u_bar.x)) <= cert.bound(k) + 1e-12
     report(7, "geometric-rate certificate dominates the observed error", ok, t0,
-           extra="" if cert is None else f"theta={cert.theta:.4f}")
+           extra=f"theta={cert.theta:.4f}")
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_sch
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, \
     rate_certificate, siu, write_trace_csv
 from pdfp.cli import CONFIG_KEYS, SOLVER_NAMES, ExperimentConfig, ConfigError, certify, \
-    compare, main, parse_config_text, run_experiment
+    _keys_read, compare, main, parse_config_text, run_experiment
 from pdfp.diagnostics import rel_err_snr
 
 
@@ -439,6 +441,79 @@ def test_keys_the_run_never_reads_are_rejected(tmp_path, monkeypatch, capsys, ca
     assert err.startswith("error: certify never reads " if command == "certify" else "error: ")
     assert err.split(" never reads ")[1].rstrip("\n").split(", ") == unread
     assert not built and not (tmp_path / "out").exists() and not (tmp_path / "m.csv").exists()
+
+
+# Problem keys that the problem kind never reads, each set away from its
+# default: each once wrote the same artifacts as the config without it.
+PROBLEM_UNREAD_KEYS = {
+    "blur-denoise": ({"problem.blur_sigma": "3.0", "problem.blur_radius": "3"},
+                     "denoise", ["problem.blur_radius", "problem.blur_sigma"]),
+    "ct-keys-denoise": ({"problem.angle_step": "5", "problem.angle_count": "9",
+                         "problem.rays": "7"},
+                        "denoise", ["problem.angle_step", "problem.angle_count", "problem.rays"]),
+    "tv-lasso": ({"problem.kind": "lasso", "problem.tv": "isotropic"}, "lasso", ["problem.tv"]),
+    "blur-ct": ({"problem.kind": "ct", "problem.blur_sigma": "0.8"}, "ct",
+                ["problem.blur_sigma"]),
+    "ct-keys-deblur": ({"problem.kind": "deblur", "problem.rays": "15"}, "deblur",
+                       ["problem.rays"]),
+}
+_PROBLEM_UNREAD_CASES = [(command, case) for case in sorted(PROBLEM_UNREAD_KEYS)
+                         for command in ("certify", "compare", "solve")]
+
+
+@pytest.mark.parametrize("command,case", _PROBLEM_UNREAD_CASES,
+                         ids=["-".join(c) for c in _PROBLEM_UNREAD_CASES])
+def test_problem_keys_the_kind_never_reads_are_rejected(tmp_path, monkeypatch, capsys, case,
+                                                        command):
+    extra, kind, unread = PROBLEM_UNREAD_KEYS[case]
+    cfg = write_cfg(tmp_path / "c.cfg", **extra)
+    monkeypatch.setattr(ExperimentConfig, "build_problem",
+                        lambda self: pytest.fail("problem built"))
+    argv = [command, str(cfg)]
+    if command == "compare":
+        # the same keys in both configs, so only the read check can refuse them
+        argv += [str(cfg), "--out", str(tmp_path / "m.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: problem.kind {kind} never reads {', '.join(unread)}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m.csv").exists()
+
+
+def test_every_problem_key_some_kind_reads_is_accepted(tmp_path):
+    # the problem keys each kind reads, each set away from its default
+    reads = {"ct": {"problem.tv": "isotropic", "problem.angle_step": "5",
+                    "problem.angle_count": "9", "problem.rays": "15"},
+             "denoise": {"problem.tv": "isotropic"},
+             "deblur": {"problem.tv": "isotropic", "problem.blur_radius": "1",
+                        "problem.blur_sigma": "0.8"},
+             "lasso": {}}
+    for kind, extra in reads.items():
+        cfg = write_cfg(tmp_path / f"{kind}.cfg", **{"problem.kind": kind, **extra})
+        assert _keys_read(ExperimentConfig.load(cfg)) is not None
+
+
+@pytest.mark.parametrize("argv", [["solve", "CFG", "--max-iter", "x"], ["solve", "CFG", "--bogus"],
+                                  ["solve"], [], ["compare", "CFG", "CFG"]],
+                         ids=["bad-int", "unknown-flag", "no-config", "no-command", "no-out"])
+def test_usage_errors_exit_1_with_argparse_message(tmp_path, capsys, argv):
+    # argparse exits 2, which pdfp keeps for a run whose budget ran out
+    cfg = str(write_cfg(tmp_path / "c.cfg"))
+    with pytest.raises(SystemExit) as exc:
+        main([cfg if a == "CFG" else a for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pdfp") and "error: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_usage_error_exits_1_from_the_command_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(pdfp.linops.__file__).parents[1]))
+    cfg = write_cfg(tmp_path / "c.cfg")
+    done = subprocess.run([sys.executable, "-m", "pdfp.cli", "solve", str(cfg), "--max-iter", "x"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "argument --max-iter: invalid int value: 'x'" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # One row per config key: the key's non-default value and the context in

@@ -210,7 +210,6 @@ def test_rate_certificate_mu_matches_dense_eigenvalues(m, extra, density, frac, 
     p = Problem(f1=l1_norm_fn(m, weight=0.1), f2=quadratic_fn(identity_op(n), rng.standard_normal(n)),
                 D=matrix_op(M), beta=1.0, lambda_max_ddt=float(eigs[-1]))
     cert = rate_certificate(p, 1.0, lam, 0.1, 0.1, sigma=1.0)
-    assert cert is not None
     assert cert.mu == pytest.approx(math.sqrt(max(1.0 - lam * eigs[0], 0.0)), rel=1e-9, abs=1e-7)
     assert cert.mu ** 2 == pytest.approx(1.0 - lam * eigs[0], abs=1e-12)
 

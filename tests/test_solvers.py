@@ -565,6 +565,28 @@ class TestDivergence:
         assert tr.stop_reason == "diverged" and tr.n_iter == 1
         assert not np.isfinite(tr.residuals[0])
 
+    @pytest.mark.parametrize("hint_div,steps", [(1.5, 522), (4.0, 185)])
+    def test_overflowing_run_given_x_true_stops_as_diverged(self, hint_div, steps):
+        # A's norm hint is too small, so 1.99 beta lies past the convergent
+        # range and the iterates overflow. Given x_true, the SNR once raised
+        # "math domain error" from log10(||x_true|| / inf) before the
+        # finiteness test could stop the run.
+        M = np.random.default_rng(0).standard_normal((60, 256))
+        x_true = pdfp.shepp_logan(16).ravel()
+        A = pdfp.LinearOp(256, 60, lambda x: M @ x, lambda r: M.T @ r,
+                          norm_sq_hint=np.linalg.norm(M, 2) ** 2 / hint_div)
+        p = make_problem(l1_norm_fn(512, 0.01), quadratic_fn(A, M @ x_true),
+                         pdfp.diff_op_2d(16, 16))
+        stop = StoppingRule(0.0, 5000)
+        _, blind = pdfp2o(p, 1.99 * p.beta, p.lambda_hi, stop=stop)
+        _, tr = pdfp2o(p, 1.99 * p.beta, p.lambda_hi, stop=stop, x_true=x_true)
+        for t in (blind, tr):
+            assert (t.stop_reason, t.n_iter) == ("diverged", steps)
+        assert (tr.relerrs[-1], tr.snrs[-1]) == (np.inf, -np.inf)
+        assert np.isfinite(tr.snrs[:-1]).all()
+        overflowed = np.full(256, 1e200)
+        assert (pdfp.rel_err(overflowed, x_true), pdfp.snr(overflowed, x_true)) == (np.inf, -np.inf)
+
     def test_ifp2o_rejects_nan_data_in_its_solves(self):
         # every step solves with Q, and the Cholesky solve refuses NaN input
         p = self.nan_problem()
