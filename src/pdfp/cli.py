@@ -76,8 +76,6 @@ CONFIG_KEYS = {
     "schedule.decay": (float, 0.0),
     "schedule.gamma_lo": (_auto_or(float), _AUTO),
     "schedule.gamma_hi": (_auto_or(float), _AUTO),
-    "schedule.lambda_lo": (_auto_or(float), _AUTO),
-    "schedule.lambda_hi": (_auto_or(float), _AUTO),
     "schedule.alpha_lo": (float, ALPHA_CLAMP[0]),
     "schedule.alpha_hi": (float, ALPHA_CLAMP[1]),
     "run.max_iter": (int, 2000),
@@ -87,8 +85,8 @@ CONFIG_KEYS = {
 }
 
 # The solver and schedule keys each solver reads; a solver that reads
-# schedule.kind reads that kind's keys too, and the alpha clamp with alpha.
-# certify reads its own row. The keys name the solvers and schedule kinds.
+# schedule.kind reads that kind's keys too. certify reads its own row. The
+# keys name the solvers and schedule kinds.
 _STEPS = ("solver.gamma", "solver.lambda")
 _SOLVER_READS = {
     "pdfp2o": _STEPS, "pdfp2o_kappa": _STEPS + ("solver.kappa",),
@@ -97,8 +95,8 @@ _SOLVER_READS = {
     "pfbs_fp2o": _STEPS + ("solver.kappa", "solver.inner_tol", "solver.inner_max_iter"),
     "ifp2o": ("solver.lambda", "solver.kappa"), "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
 }
-_CLAMP = tuple(f"schedule.{k}_{e}" for k in ("gamma", "lambda", "alpha") for e in ("lo", "hi"))
-_SCHEDULE_READS = {"constant": ("solver.gamma",), "bb_dynamic": _CLAMP,
+_SCHEDULE_READS = {"constant": ("solver.gamma",),
+                   "bb_dynamic": ("schedule.gamma_lo", "schedule.gamma_hi"),
                    "convergent_perturbation": ("solver.gamma", "schedule.decay")}
 _CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
                            "schedule.alpha_hi")
@@ -230,17 +228,14 @@ class ExperimentConfig(dict):
         return gamma, lam
 
     def schedule_spec(self, gamma, lam, alpha):
-        ends = [self[k] for k in ("schedule.gamma_lo", "schedule.gamma_hi",
-                                  "schedule.lambda_lo", "schedule.lambda_hi")]
-        if _AUTO in ends and ends != [_AUTO] * 4:
-            raise ConfigError("set all of schedule.gamma_lo/gamma_hi/lambda_lo/lambda_hi together")
-        # ends left at auto take the schedule's defaults; the alpha ends always apply
-        clamp = tuple(None if e == _AUTO else e for e in ends) + (
-            self["schedule.alpha_lo"], self["schedule.alpha_hi"],
-        )
+        ends = [self["schedule.gamma_lo"], self["schedule.gamma_hi"]]
+        if ends.count(_AUTO) == 1:
+            raise ConfigError("set schedule.gamma_lo and schedule.gamma_hi together")
+        # ends left at auto take the schedule's defaults
         return ScheduleSpec(
             kind=self["schedule.kind"], gamma0=gamma, lambda0=lam,
-            alpha0=None if alpha == _AUTO else alpha, decay=self["schedule.decay"], clamp=clamp,
+            alpha0=None if alpha == _AUTO else alpha, decay=self["schedule.decay"],
+            clamp=tuple(None if e == _AUTO else e for e in ends),
         )
 
 
@@ -265,8 +260,7 @@ def _keys_read(cfg, for_certify=False):
     if for_certify:
         who, reads = "certify", {"solver.name", *_CERTIFY_READS}
     elif "schedule.kind" in reads:
-        reads.update(k for k in _SCHEDULE_READS[kind]
-                     if "alpha" not in k or "schedule.alpha" in reads)
+        reads.update(_SCHEDULE_READS[kind])
     _reject_unread(cfg, who, ("solver.", "schedule."), reads)
     return cfg
 

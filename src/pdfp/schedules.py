@@ -11,8 +11,9 @@ import numpy as np
 from .linops import dot
 from .prox import _quadratic
 
-# Step defaults: clamps relative to the admissible ranges, gamma in [0.01, 1.99] * beta
-# (the upper end is also the default gamma) and alpha in [0.1, 0.9], and the relaxation weight.
+# Step defaults: the adaptive rule's gamma clamp [0.01, 1.99] * beta (the upper end is
+# also the default gamma), the rate certificate's relaxation clamp [0.1, 0.9], and the
+# relaxation weight.
 GAMMA_CLAMP_FRACTIONS = (0.01, 1.99)
 ALPHA_CLAMP = (0.1, 0.9)
 RELAXATION_WEIGHT = 0.5
@@ -83,10 +84,6 @@ def _steps(p, sched, n, it):
     return g, l, a
 
 
-def _clip(value, lo, hi):
-    return min(max(value, lo), hi)
-
-
 def constant_schedule(gamma, lam, alpha=0.0, problem=None):
     """Schedule emitting the same (gamma, lambda, alpha) every iteration.
 
@@ -124,54 +121,46 @@ def _bb_quotient(it):
 def bb_dynamic_schedule(p, lambda0=None, alpha0=RELAXATION_WEIGHT, clamp=None):
     """Adaptive stepsize schedule: ``gamma_n`` from the residual/gradient quotient.
 
-    ``gamma_n`` is the clamped quotient of the (unhalved) residual norm
-    squared over the squared gradient norm at the current iterate, read
-    from the iterate's cached ``f2`` value and gradient;
-    ``lambda_n`` and ``alpha_n`` are held constant at ``lambda0`` in
+    ``gamma_n`` is the quotient of the (unhalved) residual norm squared over
+    the squared gradient norm at the current iterate, read from the
+    iterate's cached ``f2`` value and gradient, clipped into the clamp
+    ``[gamma_lo, gamma_hi]``. A vanishing residual emits the lower end; a
+    vanishing gradient (iterate already stationary for the data term) emits
+    the upper end. ``lambda_n`` and ``alpha_n`` are held at ``lambda0`` in
     ``(0, 1/lambda_max(D D^T)]`` (default the upper end) and ``alpha0`` in
-    ``[0, 1)``; each is range-checked, then clipped into its clamp.
-    A vanishing residual emits the lower gamma clamp; a vanishing gradient
-    (iterate already stationary for the data term) emits the upper clamp.
+    ``[0, 1)``, range-checked and emitted as given.
 
-    ``clamp`` is ``(gamma_lo, gamma_hi, lambda_lo, lambda_hi, alpha_lo,
-    alpha_hi)`` in absolute units; an end given as ``None``, or every end
-    when ``clamp`` is ``None``, takes its default, derived from the
-    problem's admissible ranges.
+    ``clamp`` is ``(gamma_lo, gamma_hi)`` in absolute units; an end given as
+    ``None``, or both when ``clamp`` is ``None``, takes its default,
+    ``GAMMA_CLAMP_FRACTIONS`` times ``beta``.
     """
     _quadratic(p.f2, "the adaptive stepsize rule")
-    g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = _resolve_clamp(p, clamp)
-    lam = p.lambda_hi if lambda0 is None else float(lambda0)
+    g_lo, g_hi = _resolve_clamp(p, clamp)
+    lam, alpha = p.lambda_hi if lambda0 is None else float(lambda0), float(alpha0)
     _check_lambda(lam, p.lambda_hi, 0)
-    _check_alpha(float(alpha0), 0)
-    lam, alpha = _clip(lam, l_lo, l_hi), _clip(float(alpha0), a_lo, a_hi)
+    _check_alpha(alpha, 0)
 
     def gamma(n, it):
         raw = _bb_quotient(it)
         if math.isnan(raw):
             return g_hi
-        return _clip(raw, g_lo, g_hi)
+        return min(max(raw, g_lo), g_hi)
 
     return Schedule(gamma=gamma, lam=lambda n, it: lam, alpha=lambda n, it: alpha)
 
 
 def _resolve_clamp(p, clamp):
-    l_hi = p.lambda_hi
-    defaults = (GAMMA_CLAMP_FRACTIONS[0] * p.beta, GAMMA_CLAMP_FRACTIONS[1] * p.beta,
-                1e-12 if math.isinf(l_hi) else 1e-6 * l_hi, l_hi) + ALPHA_CLAMP
-    clamp = (None,) * 6 if clamp is None else clamp
-    g_lo, g_hi, l_lo, l_hi, a_lo, a_hi = (
-        d if c is None else float(c) for c, d in zip(clamp, defaults, strict=True))
+    clamp = (None, None) if clamp is None else tuple(clamp)
+    if len(clamp) != 2:
+        raise ValueError(f"clamp must be (gamma_lo, gamma_hi), got {len(clamp)} ends")
+    g_lo, g_hi = (f * p.beta if c is None else float(c)
+                  for c, f in zip(clamp, GAMMA_CLAMP_FRACTIONS))
     if not g_lo <= g_hi:
         raise ValueError("gamma clamp must have gamma_lo <= gamma_hi")
-    if not l_lo <= l_hi:
-        raise ValueError("lambda clamp must have lambda_lo <= lambda_hi")
-    # the ends must pass the checks the solver applies to every emitted step
+    # the ends must pass the check the solver applies to every emitted gamma
     for g in (g_lo, g_hi):
         _check_gamma(g, p.beta, 0)
-    for l in (l_lo, l_hi):
-        _check_lambda(l, p.lambda_hi, 0)
-    _check_alpha_clamp(a_lo, a_hi)
-    return g_lo, g_hi, l_lo, l_hi, a_lo, a_hi
+    return g_lo, g_hi
 
 
 def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=None):
@@ -204,7 +193,8 @@ def convergent_perturbation_schedule(gamma, lam, alpha=0.0, decay=0.0, problem=N
 @dataclass(frozen=True)
 class ScheduleSpec:
     """Declarative schedule description, constructible from a config file.
-    A step left at ``None`` takes its default, as ``auto`` does in a config."""
+    A step left at ``None`` takes its default, as ``auto`` does in a config;
+    ``clamp`` is ``bb_dynamic``'s ``(gamma_lo, gamma_hi)``."""
 
     kind: str = "constant"
     gamma0: Optional[float] = None

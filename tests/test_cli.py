@@ -360,17 +360,17 @@ class TestScheduleClamp:
                 "solver.name": "pdfp2o_ds",
                 "schedule.kind": "bb_dynamic",
                 "schedule.gamma_lo": "0.1",
-                "schedule.gamma_hi": "1.5",
-                "schedule.lambda_lo": "0.01",
-                "schedule.lambda_hi": "0.1",
+                "schedule.gamma_hi": "0.5",
+                "solver.lambda": "0.1",
                 "run.max_iter": "20",
                 "run.tol": "0",
             },
         )
         assert run_experiment(cfg) == 2
-        trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-        lams = {row.split(",")[2] for row in trace[1:]}
-        assert lams == {"0.1"}
+        # the quotient is 1 on a denoise problem, so the clamp decides gamma
+        rows = list(csv.DictReader((tmp_path / "out" / "trace.csv").read_text().splitlines()))
+        assert all(0.1 <= float(row["gamma"]) <= 0.5 for row in rows)
+        assert {row["lambda"] for row in rows} == {"0.1"}
 
     def test_partial_clamp_rejected(self, tmp_path):
         cfg = write_cfg(
@@ -397,10 +397,11 @@ UNREAD_KEYS = {
                             "solver.inner_max_iter": "7"},
                            ["solver.inner_tol", "solver.inner_max_iter"]),
     "clamp-outside-bb": ({"solver.name": "pdfp2o_dsn", "schedule.gamma_lo": "0.1",
-                          "schedule.gamma_hi": "1.5", "schedule.lambda_lo": "0.01",
-                          "schedule.lambda_hi": "0.1", "schedule.alpha_lo": "0.2"},
-                         ["schedule.gamma_lo", "schedule.gamma_hi", "schedule.lambda_lo",
-                          "schedule.lambda_hi", "schedule.alpha_lo"]),
+                          "schedule.gamma_hi": "1.5", "schedule.alpha_lo": "0.2"},
+                         ["schedule.gamma_lo", "schedule.gamma_hi", "schedule.alpha_lo"]),
+    # once the relaxation clamp that bb_dynamic clipped schedule.alpha into
+    "alpha-clamp-dsn-bb": ({"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic",
+                            "schedule.alpha_lo": "0.2"}, ["schedule.alpha_lo"]),
 }
 
 
@@ -412,10 +413,8 @@ CERTIFY_UNREAD_KEYS = {
     "kappa-inner-tol": ({"solver.kappa": "0.3", "solver.inner_tol": "1e-3"},
                         ["solver.kappa", "solver.inner_tol"]),
     "schedule-kind-and-ends": ({"schedule.kind": "bb_dynamic", "schedule.gamma_lo": "0.1",
-                                "schedule.gamma_hi": "1.5", "schedule.lambda_lo": "0.01",
-                                "schedule.lambda_hi": "0.1"},
-                               ["schedule.kind", "schedule.gamma_lo", "schedule.gamma_hi",
-                                "schedule.lambda_lo", "schedule.lambda_hi"]),
+                                "schedule.gamma_hi": "1.5"},
+                               ["schedule.kind", "schedule.gamma_lo", "schedule.gamma_hi"]),
 }
 _UNREAD_CASES = ([(command, case) for case in sorted(UNREAD_KEYS)
                   for command in ("compare", "solve")]
@@ -518,12 +517,12 @@ def test_usage_errors_exit_1_with_argparse_message(tmp_path, capsys, case):
 # One row per config key: the key's non-default value and the context in
 # which it acts. Each run is 16x16 with 20 iterations.
 _CLAMP = {"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",
-          "schedule.gamma_lo": "0.01", "schedule.gamma_hi": "1.99",
-          "schedule.lambda_lo": "0.001", "schedule.lambda_hi": "0.1"}
+          "schedule.gamma_lo": "0.01", "schedule.gamma_hi": "1.99"}
 _CT = {"problem.kind": "ct"}
 _DEBLUR = {"problem.kind": "deblur"}
 _PFBS = {"solver.name": "pfbs_fp2o"}
-_DSN_BB = {"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic"}
+# certify, on a problem the certificate covers
+_CERTIFY = {"problem.kind": "lasso", "solver.gamma": "1.0"}
 KEY_EFFECTS = {
     "problem.kind": ("deblur", {}),
     "problem.size": ("16", {}),
@@ -542,20 +541,17 @@ KEY_EFFECTS = {
     "solver.theta": ("0.5", {"solver.name": "cp"}),
     "solver.inner_tol": ("1e-2", _PFBS),
     "solver.inner_max_iter": ("3", _PFBS),
-    # certify, on a problem the certificate covers
-    "solver.sigma_strong": ("0.99", {"problem.kind": "lasso", "solver.gamma": "1.0"}),
+    "solver.sigma_strong": ("0.99", _CERTIFY),
     "schedule.kind": ("bb_dynamic", {"solver.name": "pdfp2o_ds"}),
     "schedule.alpha": ("0.3", {"solver.name": "pdfp2o_dsn"}),
     "schedule.decay": ("0.5", {"solver.name": "pdfp2o_ds",
                                "schedule.kind": "convergent_perturbation"}),
-    # the four clamp ends are set together, so each is compared with the
+    # the two clamp ends are set together, so each is compared with the
     # context's value rather than with auto
     "schedule.gamma_lo": ("1.5", _CLAMP),
     "schedule.gamma_hi": ("0.5", _CLAMP),
-    "schedule.lambda_lo": ("0.05", dict(_CLAMP, **{"solver.lambda": "0.01"})),
-    "schedule.lambda_hi": ("0.05", _CLAMP),
-    "schedule.alpha_lo": ("0.6", _DSN_BB),
-    "schedule.alpha_hi": ("0.4", _DSN_BB),
+    "schedule.alpha_lo": ("0.6", _CERTIFY),
+    "schedule.alpha_hi": ("0.4", _CERTIFY),
     "run.max_iter": ("10", {}),
     "run.tol": ("0.1", {"solver.gamma": "1.0"}),
     "run.seed": ("3", {}),
@@ -584,7 +580,7 @@ def test_key_table_has_one_row_per_config_key():
 @pytest.mark.parametrize("key", list(KEY_EFFECTS))
 def test_every_config_key_has_an_effect(tmp_path, monkeypatch, key):
     value, context = KEY_EFFECTS[key]
-    command = "certify" if key == "solver.sigma_strong" else "solve"
+    command = "certify" if context is _CERTIFY else "solve"
     base = dict({"problem.size": "16", "run.max_iter": "20"}, **context)
     with_key = dict(base, **{key: value})
     # a key the context sets (a clamp end) keeps the context's value
@@ -632,9 +628,12 @@ REJECTED_CONFIGS = {
     "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify", "solver.sigma_strong=auto"),
     # once numpy's "expected non-negative integer", which names no key
     "negative-seed": ({"run.seed": "-1"}, "solve", "run.seed must be a nonnegative integer"),
-    "alpha-clamp-order": ({"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic",
-                           "schedule.alpha_lo": "0.7", "schedule.alpha_hi": "0.3"}, "solve",
+    "alpha-clamp-order": (dict(_LASSO, **{"schedule.alpha_lo": "0.7",
+                                          "schedule.alpha_hi": "0.3"}), "certify",
                           "alpha clamp [0.7, 0.3] must sit strictly inside (0, 1)"),
+    # a lambda clamp end, which once clipped solver.lambda under bb_dynamic
+    "lambda-clamp-key": ({"schedule.lambda_lo": "0.01"}, "solve",
+                         "unknown config key: schedule.lambda_lo"),
     # the certificate's reason, which certify once worked out again as
     # "contraction factors reach 1"; here nu = 0.8 and mu = 0
     "certify-theta": (dict(_LASSO, **{"solver.gamma": "0.2"}), "certify",
@@ -680,15 +679,23 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsy
 # overrides, the command, and what the run must give. That is a text the
 # error names, the trace.csv of the base config with other overrides, the
 # certificate of the first-step weight alpha0 (None: schedule.alpha_lo's),
-# or the dual step sigma = lambda / gamma of cp. On the 16x16 denoise
-# problem 1/lambda_max(DD^T) is 0.12621. Each once ran at another value:
-# alpha 0 at 0.5 (solve) or at schedule.alpha_lo (certify), a cp lambda at
-# 0.99/lambda_max, an inadmissible bb_dynamic lambda at 1/lambda_max.
-_CERTIFY = {"problem.kind": "lasso", "solver.gamma": "1.0"}
+# the dual step sigma = lambda / gamma of cp, or the value of a trace.csv
+# column on every row. On the 16x16 denoise problem 1/lambda_max(DD^T) is
+# 0.12621. Each once ran at another value: alpha 0 at 0.5 (solve) or at
+# schedule.alpha_lo (certify), a cp lambda at 0.99/lambda_max, an
+# inadmissible bb_dynamic lambda at 1/lambda_max, and a bb_dynamic alpha
+# outside [0.1, 0.9] or lambda below 1e-6/lambda_max clipped into that range.
+_BB = {"schedule.kind": "bb_dynamic"}
 STEP_VALUES = {
     # the relaxed iteration at alpha = 0 is the unrelaxed one, bit for bit
     "dsn-alpha-0": ({"solver.name": "pdfp2o_dsn", "schedule.alpha": "0"}, "solve",
                     ("trace", {"solver.name": "pdfp2o_ds"})),
+    "dsn-bb-alpha-0": (dict(_BB, **{"solver.name": "pdfp2o_dsn", "schedule.alpha": "0"}),
+                       "solve", ("trace", dict(_BB, **{"solver.name": "pdfp2o_ds"}))),
+    "dsn-bb-alpha-0.95": (dict(_BB, **{"solver.name": "pdfp2o_dsn", "schedule.alpha": "0.95"}),
+                          "solve", ("alpha", 0.95)),
+    "bb-lambda-1e-9": (dict(_BB, **{"solver.name": "pdfp2o_ds", "solver.lambda": "1e-9"}),
+                       "solve", ("lambda", 1e-9)),
     "certify-alpha-0": (dict(_CERTIFY, **{"schedule.alpha": "0"}), "certify", ("d", 0.0)),
     "certify-alpha-auto": (_CERTIFY, "certify", ("d", None)),
     "cp-lambda-inside-the-bound": ({"solver.name": "cp", "solver.lambda": "0.1255"}, "solve",
@@ -728,9 +735,11 @@ def test_step_value_runs_as_written_or_exits_1(tmp_path, monkeypatch, capsys, ca
         cert = rate_certificate(problem, gamma, lam, 0.1, 0.9, 1.0, alpha0=value)
         assert f" d={cert.d!r}\n" in printed.out
     else:
-        assert 0.99 * problem.lambda_hi < value < problem.lambda_hi
+        if what == "sigma":  # cp's lambda column holds sigma
+            assert 0.99 * problem.lambda_hi < value < problem.lambda_hi
+            what, value = "lambda", value / gamma
         rows = read_trace_without_wall(tmp_path / "out" / "trace.csv")
-        assert {row[rows[0].index("lambda")] for row in rows[1:]} == {repr(value / gamma)}
+        assert {row[rows[0].index(what)] for row in rows[1:]} == {repr(value)}
 
 
 class TestErrors:

@@ -52,9 +52,8 @@ class TestConstantSchedule:
 
 
 def bb_dynamic_clamped_at(gamma, lam, problem):
-    """``bb_dynamic_schedule`` whose clamp tops out at ``gamma`` and ``lam``."""
-    clamp = (0.01 * problem.beta, gamma, 1e-6 * lam, lam, 0.1, 0.9)
-    return bb_dynamic_schedule(problem, clamp=clamp)
+    """``bb_dynamic_schedule`` at ``lam`` whose clamp tops out at ``gamma``."""
+    return bb_dynamic_schedule(problem, lambda0=lam, clamp=(0.01 * problem.beta, gamma))
 
 
 def certificate_at(gamma, lam, problem):
@@ -121,19 +120,21 @@ class TestAdaptiveGamma:
 
     @pytest.mark.parametrize("alpha0", [float("nan"), -0.3, 1.0, 1.5])
     def test_alpha0_outside_unit_interval_rejected(self, quad2, alpha0):
-        # once clipped into the clamp, NaN to its upper end
+        # once clipped into a clamp, NaN to its upper end; an admissible
+        # alpha0 once ran clipped into [0.1, 0.9], and now runs as given
         with pytest.raises(ValueError, match="alpha="):
             bb_dynamic_schedule(quad2, alpha0=alpha0)
-        assert bb_dynamic_schedule(quad2, alpha0=0.95).alpha(0, None) == 0.9
+        assert bb_dynamic_schedule(quad2, alpha0=0.95).alpha(0, None) == 0.95
 
     @pytest.mark.parametrize("scale", [float("nan"), -1.0, 0.0, 1.5, 40.0])
     def test_lambda0_outside_its_range_rejected(self, quad2, scale):
-        # once clipped into the clamp, so 40 times the bound ran at the bound
+        # once clipped into a clamp, so 40 times the bound ran at the bound; an
+        # admissible lambda0 once ran clipped into [1e-6, 1] * lambda_hi, and
+        # now runs as given
         with pytest.raises(ValueError, match="lambda="):
             bb_dynamic_schedule(quad2, lambda0=scale * quad2.lambda_hi)
-        clamp = (None, None, None, 0.5 * quad2.lambda_hi, None, None)
-        assert bb_dynamic_schedule(quad2, lambda0=quad2.lambda_hi,
-                                   clamp=clamp).lam(0, None) == 0.5 * quad2.lambda_hi
+        for lam in (1e-9 * quad2.lambda_hi, 0.5 * quad2.lambda_hi):
+            assert bb_dynamic_schedule(quad2, lambda0=lam).lam(0, None) == lam
 
     def test_requires_quadratic_data_term(self):
         from pdfp import SmoothFn
@@ -192,8 +193,8 @@ class TestScheduleSpec:
     def test_explicit_zero_alpha0_is_used(self, quad2, lasso1d):
         assert ScheduleSpec(kind="constant", alpha0=0.0).build(lasso1d).alpha(0, None) == 0.0
         assert ScheduleSpec(kind="constant").build(lasso1d).alpha(0, None) == 0.5
-        # bb_dynamic clips it into its clamp; it once ran at 0.5
-        assert ScheduleSpec(kind="bb_dynamic", alpha0=0.0).build(quad2).alpha(0, None) == 0.1
+        # bb_dynamic once ran it at 0.5, then clipped it to 0.1
+        assert ScheduleSpec(kind="bb_dynamic", alpha0=0.0).build(quad2).alpha(0, None) == 0.0
 
     def test_defaults_derive_from_problem(self, lasso1d):
         sched = ScheduleSpec(kind="constant").build(lasso1d)
@@ -202,14 +203,12 @@ class TestScheduleSpec:
 
 
 # Clamps refused with a ValueError, and the words that name what is wrong;
-# each is (gamma_lo, gamma_hi, lambda_lo, lambda_hi, alpha_lo, alpha_hi).
+# a clamp is (gamma_lo, gamma_hi).
 NAMED_ERRORS = {
-    "gamma-order": ((0.4, 0.2, None, None, None, None),
-                    "gamma clamp must have gamma_lo <= gamma_hi"),
-    "lambda-order": ((None, None, 0.5, 0.1, None, None),
-                     "lambda clamp must have lambda_lo <= lambda_hi"),
-    "alpha-order": ((None, None, None, None, 0.7, 0.3),
-                    "alpha clamp [0.7, 0.3] must sit strictly inside (0, 1)"),
+    "gamma-order": ((0.4, 0.2), "gamma clamp must have gamma_lo <= gamma_hi"),
+    # the lambda and alpha ends of a former six-end clamp, which clipped
+    # lambda and alpha, are refused rather than dropped
+    "six-ends": ((None,) * 6, "clamp must be (gamma_lo, gamma_hi), got 6 ends"),
 }
 
 
