@@ -25,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import rate_certificate, rel_err_snr, write_csv, write_lines, \
-    write_trace_csv
+from .diagnostics import rate_certificate, write_csv, write_lines, write_trace_csv
 from .linops import PowerIterationError
 from .schedules import ALPHA_CLAMP, GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
@@ -295,8 +294,8 @@ def _run_solver(cfg, problem, x_true):
             raise ConfigError("ifp2o needs a dense system; use problem.size <= 32")
         if problem.f2.A.tag != "identity":
             raise ConfigError("ifp2o supports identity data operators only (denoise/lasso)")
-        x, tr = ifp2o(np.eye(n), problem.f2.b, problem.f1, problem.D, lam, kappa, stop=stop)
-        return x, tr
+        return ifp2o(np.eye(n), problem.f2.b, problem.f1, problem.D, lam, kappa, stop=stop,
+                     x_true=xt)
     if name == "cp":
         # auto sits inside Chambolle-Pock's strict bound sigma*tau < 1/lambda_max
         lam_cp = 0.99 * problem.lambda_hi if cfg["solver.lambda"] == _AUTO else lam
@@ -313,14 +312,22 @@ def _run_solver(cfg, problem, x_true):
 
 
 def _output_dir(cfg):
-    """The run's output directory, ``PDFP_OUTPUT_DIR`` or ``run.output_dir``, made if missing."""
+    """The run's output directory, ``PDFP_OUTPUT_DIR`` or ``run.output_dir``, checked by
+    :func:`_makeable_dir`."""
     env = os.environ.get("PDFP_OUTPUT_DIR")
-    out = Path(env) if env else Path(cfg["run.output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    return _makeable_dir(Path(env) if env else Path(cfg["run.output_dir"]))
+
+
+def _makeable_dir(out):
+    """``out``; a ConfigError unless it, or else its nearest existing ancestor, is a
+    directory. Nothing is made here, so a run refused later leaves no directory."""
+    there = next((p for p in (out, *out.parents) if p.exists()), Path("."))
+    if not there.is_dir():
+        raise ConfigError(f"output directory {out} cannot be made: {there} is not a directory")
     return out
 
 
-def _write_summary(path, cfg, trace, final_snr, final_rel):
+def _write_summary(path, cfg, trace):
     write_lines(path, [
         f"solver={cfg['solver.name']}",
         f"problem={cfg['problem.kind']}",
@@ -328,8 +335,8 @@ def _write_summary(path, cfg, trace, final_snr, final_rel):
         f"converged={'true' if trace.converged else 'false'}",
         f"stop_reason={trace.stop_reason}",
         f"objective={float(trace.objectives[-1])!r}",
-        f"snr_db={float(final_snr)!r}",
-        f"relerr={float(final_rel)!r}",
+        f"snr_db={float(trace.snrs[-1])!r}",
+        f"relerr={float(trace.relerrs[-1])!r}",
         f"wall_ms={float(trace.wall_ms[-1])!r}",
     ])
 
@@ -342,16 +349,16 @@ def run_experiment(config_path, overrides=None):
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides))
+        out = _output_dir(cfg)
         problem, x_true, _ = cfg.build_problem()
         x_final, trace = _run_solver(cfg, problem, x_true)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _output_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out / "trace.csv")
     write_pgm(out / "recon.pgm", x_final.reshape(x_true.shape))
-    final_rel, final_snr = rel_err_snr(x_final, x_true.ravel())
-    _write_summary(out / "summary.txt", cfg, trace, final_snr, final_rel)
+    _write_summary(out / "summary.txt", cfg, trace)
     return {"converged": 0, "budget": 2, "diverged": 3}[trace.stop_reason]
 
 
@@ -379,6 +386,7 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
                 raise ConfigError(
                     f"configs disagree on {key}: {cfg_a[key]!r} vs {cfg_b[key]!r}"
                 )
+        out_dir = _makeable_dir(Path(out_path).parent)
         # the identity keys match and assembly is deterministic, so one
         # problem serves both runs
         problem, x_true, _ = cfg_a.build_problem()
@@ -388,7 +396,7 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = max(len(tr_a.iters), len(tr_b.iters))
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def col(arr):
         out = np.full(rows, math.nan)
@@ -415,6 +423,7 @@ def certify(config_path, overrides=None):
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)
+        out = _output_dir(cfg)
         problem, x_true, _ = cfg.build_problem()
         gamma, lam = cfg.resolve_steps(problem)
         sig = cfg["solver.sigma_strong"]
@@ -433,7 +442,7 @@ def certify(config_path, overrides=None):
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = _output_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "certificate.csv", "mu,nu,eta,theta,d",
               [[cert.mu], [cert.nu], [cert.eta], [cert.theta], [cert.d]])
     print(f"mu={cert.mu!r} nu={cert.nu!r} theta={cert.theta!r} d={cert.d!r}")

@@ -461,13 +461,16 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
                        warm_start=warm_start)
 
 
-def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
+def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     """Fixed-point scheme for ``min f1(D x) + 0.5 x^T Q x - b^T x`` with dense SPD ``Q``.
 
     Iterates ``v_{n+1} = kappa v_n + (1 - kappa) H(v_n)`` with
     ``H(v) = (I - prox_{f1/lam})(D Q^{-1} b + (I - lam D Q^{-1} D^T) v)``
     and returns ``x* = Q^{-1}(b - lam D^T v*)``. Requires
     ``0 < lam <= 2 / lambda_max(D Q^{-1} D^T)`` and ``kappa`` in (0, 1).
+    The trace's objective adds the constant ``0.5 b^T Q^{-1} b``, so it reads
+    ``f1(D x) + 0.5 ||Q^{1/2} x - Q^{-1/2} b||^2``: with ``Q = I`` that is
+    ``Problem.objective``.
     """
     Q = np.asarray(Q, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -491,14 +494,14 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
     if not (0.0 < lam <= hi):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
     c = solve(b)
-    Dc = D.forward(c)
+    Dc, half_bc = D.forward(c), 0.5 * dot(b, c)
     v, scratch = np.zeros(D.out_dim), np.empty(D.out_dim)
 
     def x_of(vv):
         return solve(b - lam * D.adjoint(vv))
 
     def obj(xx):
-        return f1.value(D.forward(xx)) + 0.5 * dot(xx, Q @ xx) - dot(b, xx)
+        return f1.value(D.forward(xx)) + 0.5 * dot(xx, Q @ xx) - dot(b, xx) + half_bc
 
     def step(n):
         nonlocal v
@@ -509,7 +512,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None):
         x = x_of(v)
         return _Row(v, x, (1.0 - kappa) * res, size, obj(x), res, lams=lam, alphas=kappa)
 
-    trace = _drive(step, stop, lam, None)
+    trace = _drive(step, stop, lam, None, x_true)
     return x_of(v), trace
 
 

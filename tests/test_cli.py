@@ -6,12 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pdfp.cli
 import pdfp.linops
 from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, \
     rate_certificate, siu, write_trace_csv
-from pdfp.cli import CONFIG_KEYS, SOLVER_NAMES, ExperimentConfig, ConfigError, certify, \
-    _keys_read, compare, main, parse_config_text, run_experiment
+from pdfp.cli import CONFIG_KEYS, SCHEDULE_KINDS, SOLVER_NAMES, ExperimentConfig, ConfigError, \
+    certify, _CERTIFY_READS, _SCHEDULE_READS, _SOLVER_READS, _keys_read, _run_solver, compare, \
+    main, parse_config_text, run_experiment
 from pdfp.diagnostics import rel_err_snr
 
 
@@ -79,6 +81,11 @@ NON_FINITE_KEYS = {
     "certify-sigma-strong-nan": (dict(_LASSO, **{"solver.sigma_strong": "nan"}),
                                  "sigma must be a positive finite"),
 }
+
+
+# ifp2o on a 32x32 denoise problem, 300 iterations
+_IFP2O_32 = {"solver.name": "ifp2o", "problem.size": "32", "problem.reg_weight": "0.02",
+             "run.max_iter": "300", "run.tol": "0"}
 
 
 class TestSolve:
@@ -197,7 +204,7 @@ class TestSolve:
             "pdfp2o_ds": lambda: pdfp2o_ds(p, constant_schedule(g, l, problem=p), **kw),
             "pdfp2o_dsn": lambda: pdfp2o_dsn(p, constant_schedule(g, l, 0.5, problem=p), **kw),
             "pfbs_fp2o": lambda: pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-10, 200), **kw),
-            "ifp2o": lambda: ifp2o(np.eye(256), p.f2.b, p.f1, p.D, l, 0.5, stop=kw["stop"]),
+            "ifp2o": lambda: ifp2o(np.eye(256), p.f2.b, p.f1, p.D, l, 0.5, **kw),
             "cp": lambda: chambolle_pock(p, min(l, 0.99 * p.lambda_hi) / g, g, 1.0, **kw),
             "siu": lambda: siu(p, 0.9 / (p.f2.lipschitz + l / g * p.lambda_max_ddt), l / g,
                                **kw),
@@ -215,6 +222,13 @@ class TestSolve:
         snrs = [float(r["snr"]) for r in rows]
         assert objectives[-1] < objectives[0]
         assert all(math.isfinite(s) for s in snrs) and snrs[-1] > 0.0
+
+    def test_ifp2o_objective_is_the_problem_objective(self, tmp_path):
+        # it once left out the constant 0.5 ||b||^2: -20.42 against 2.7222 here
+        cfg = ExperimentConfig.load(write_cfg(tmp_path / "c.cfg", **_IFP2O_32))
+        problem, x_true, _ = cfg.build_problem()
+        x, tr = _run_solver(cfg, problem, x_true)
+        assert tr.objectives[-1] == pytest.approx(problem.objective(x), rel=1e-12)
 
     def test_ifp2o_on_lasso(self, tmp_path):
         cfg = write_cfg(
@@ -275,6 +289,16 @@ class TestCompare:
         a = write_cfg(tmp_path / "a.cfg", **{"problem.size": "16"})
         b = write_cfg(tmp_path / "b.cfg", **{"problem.size": "24"})
         assert compare(a, b, tmp_path / "m.csv") == 1
+
+    def test_ifp2o_crossings_read_its_snr(self, tmp_path, capsys):
+        # ifp2o once took no x_true: its snr column was NaN, so compare said it
+        # never crossed 15 dB on a run that ends above 23 dB
+        a = write_cfg(tmp_path / "a.cfg", **_IFP2O_32)
+        b = write_cfg(tmp_path / "b.cfg", **dict(_IFP2O_32, **{"solver.name": "pdfp2o"}))
+        assert compare(a, b, tmp_path / "m.csv") == 0
+        assert "run_a crosses 15 dB at iteration " in capsys.readouterr().out
+        rows = list(csv.DictReader((tmp_path / "m.csv").read_text().splitlines()))
+        assert all(math.isfinite(float(row["snr_a"])) for row in rows)
 
     def test_missing_output_directory_is_created(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg", **{"run.max_iter": "5", "run.tol": "0"})
@@ -740,6 +764,83 @@ def test_step_value_runs_as_written_or_exits_1(tmp_path, monkeypatch, capsys, ca
             what, value = "lambda", value / gamma
         rows = read_trace_without_wall(tmp_path / "out" / "trace.csv")
         assert {row[rows[0].index(what)] for row in rows[1:]} == {repr(value)}
+
+
+# Output paths that cannot be made because a file stands in the way: the
+# command, the config keys beside run.output_dir, and the path under the
+# file. Each once ran the whole solve or certificate, then raised
+# FileExistsError as a traceback.
+BLOCKED_OUTPUTS = {
+    "solve-dir-is-a-file": ("solve", {}, ""),
+    "solve-parent-is-a-file": ("solve", {}, "sub"),
+    "compare-parent-is-a-file": ("compare", {}, "m.csv"),
+    "certify-parent-is-a-file": ("certify", _LASSO, "sub"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_OUTPUTS))
+def test_blocked_output_path_exits_1_before_building(tmp_path, monkeypatch, capsys, case):
+    command, extra, below = BLOCKED_OUTPUTS[case]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    target = blocker / below if below else blocker
+    cfg = write_cfg(tmp_path / "c.cfg", **extra, **{"run.output_dir": str(target)})
+    monkeypatch.setattr(ExperimentConfig, "build_problem",
+                        lambda self: pytest.fail("problem built"))
+    argv = [command, str(cfg)]
+    if command == "compare":
+        argv += [str(cfg), "--out", str(target)]
+        target = blocker
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: output directory {target} cannot be made: "
+                                       f"{blocker} is not a directory\n")
+    assert blocker.read_text() == ""
+
+
+def _keys_read_by(monkeypatch, run):
+    """The config keys ``run()`` reads through ``ExperimentConfig.__getitem__``."""
+    read = set()
+
+    def getitem(cfg, key):
+        read.add(key)
+        return dict.__getitem__(cfg, key)
+
+    with monkeypatch.context() as m:
+        m.setattr(ExperimentConfig, "__getitem__", getitem)
+        run()
+    return read
+
+
+# Each solver, under each schedule kind when it reads schedule.kind.
+_DISPATCH_CASES = [(name, kind) for name in SOLVER_NAMES
+                   for kind in (SCHEDULE_KINDS if "schedule.kind" in _SOLVER_READS[name]
+                                else (None,))]
+
+
+@pytest.mark.parametrize("name,kind", _DISPATCH_CASES,
+                         ids=[f"{n}-{k}" if k else n for n, k in _DISPATCH_CASES])
+def test_dispatch_reads_every_key_its_table_declares(tmp_path, monkeypatch, name, kind):
+    # the read check accepts every declared key, so one the dispatch never
+    # reads would be accepted and then do nothing
+    overrides = {"solver.name": name, "run.max_iter": "1"}
+    if kind is not None:
+        overrides["schedule.kind"] = kind
+    cfg = ExperimentConfig.load(write_cfg(tmp_path / "c.cfg", **overrides))
+    problem, x_true, _ = cfg.build_problem()
+    read = _keys_read_by(monkeypatch, lambda: _run_solver(cfg, problem, x_true))
+    declared = {"solver.name", *_SOLVER_READS[name], *_SCHEDULE_READS.get(kind, ())}
+    assert declared - read == set()
+
+
+def test_certify_reads_every_key_its_table_declares(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path / "c.cfg", **_LASSO)
+    monkeypatch.setenv("PDFP_OUTPUT_DIR", str(tmp_path / "out"))
+    # certify's body only: the read check itself looks at every key
+    monkeypatch.setattr(pdfp.cli, "_keys_read", lambda cfg, for_certify: cfg)
+    codes = []
+    read = _keys_read_by(monkeypatch, lambda: codes.append(certify(cfg)))
+    assert codes == [0]
+    assert set(_CERTIFY_READS) - read == set()
 
 
 class TestErrors:

@@ -619,7 +619,8 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
     read off by a Cholesky solve. ``final`` gets the latest primal."""
     cho = scipy.linalg.cho_factor(Q)
     solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
-    Dc = D.forward(solve(b))
+    c = solve(b)
+    Dc, half_bc = D.forward(c), 0.5 * dot(b, c)
     v = np.zeros(D.out_dim)
     while True:
         w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
@@ -630,7 +631,7 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
         v = v_new
         x = solve(b - lam * D.adjoint(v))
         final[:] = [x]
-        obj = f1.value(D.forward(x)) + 0.5 * dot(x, Q @ x) - dot(b, x)
+        obj = f1.value(D.forward(x)) + 0.5 * dot(x, Q @ x) - dot(b, x) + half_bc
         yield Step(v, x, obj, res, step, denom, math.nan, lam, kappa)
 
 

@@ -30,7 +30,10 @@ cases:
   stop test decides the run's length: the exit code, ``trace.csv`` and
   ``summary.txt`` (both without ``wall_ms``) and ``recon.pgm``;
 * ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, likewise
-  written into the case's directory: the exit code and ``certificate.csv``.
+  written into the case's directory: the exit code and ``certificate.csv``;
+* ``pdfp compare`` of ``ifp2o`` against ``pdfp2o`` on a 32x32 denoise
+  problem (``reg_weight`` 0.02, 300 iterations), with ``--out`` inside the
+  case's output directory: the exit code and the merged CSV.
 
 For each case and column it prints ``equal``, or ``differs`` with the
 largest difference in units in the last place (ulps; plain differences for
@@ -109,18 +112,24 @@ def _numbers(values):
         return np.array(values)
 
 
-def _cli(command, config, *flags):
-    """``pdfp COMMAND`` on ``configs/CONFIG.cfg``, or on the keys ``config``
-    written into a temporary directory: the exit code and every artifact."""
+def _cli(command, *configs, flags=()):
+    """``pdfp COMMAND`` on each of ``configs``, a name in ``configs/`` or keys
+    written into a temporary directory (``compare`` writes ``--out`` into the
+    output directory): the exit code and every artifact."""
     from pdfp.cli import main
     with tempfile.TemporaryDirectory() as tmp:
-        out, path = Path(tmp) / "out", Path(tmp) / "c.cfg"
-        if isinstance(config, dict):
-            path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
-        else:
-            path = f"configs/{config}.cfg"
+        out, paths = Path(tmp) / "out", []
+        for i, config in enumerate(configs):
+            path = Path(tmp) / f"c{i}.cfg"
+            if isinstance(config, dict):
+                path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+            else:
+                path = f"configs/{config}.cfg"
+            paths.append(str(path))
+        if command == "compare":
+            flags = ("--out", str(out / "merged.csv"), *flags)
         os.environ["PDFP_OUTPUT_DIR"] = str(out)
-        cols = {"exit_code": np.asarray(main([command, str(path), *flags]))}
+        cols = {"exit_code": np.asarray(main([command, *paths, *flags]))}
         for artifact in sorted(out.iterdir()):
             if artifact.suffix == ".pgm":
                 cols[artifact.name] = np.frombuffer(artifact.read_bytes(), np.uint8)
@@ -141,6 +150,8 @@ _DEBLUR = dict(_SMALL, **{"problem.kind": "deblur"})
 _LASSO_CERTIFY = {"problem.kind": "lasso", "problem.size": 16, "problem.noise": 0.05,
                   "problem.reg_weight": 0.05, "solver.name": "pdfp2o_dsn", "solver.gamma": 1.0,
                   "schedule.alpha": 0.5, "run.seed": 3}
+_COMPARE = {"problem.size": 32, "problem.noise": 0.05, "problem.reg_weight": 0.02,
+            "run.max_iter": 300, "run.tol": 0.0}
 _SOLVE_CASES = {
     "cp_deblur32": dict(_DEBLUR, **{"solver.name": "cp", "solver.theta": 0.8}),
     "siu": dict(_SMALL, **{"solver.name": "siu"}),
@@ -169,11 +180,14 @@ CASES = {
                                                                  "schedule.alpha": 0.5}),
     "denoise256_pfbs_fp2o": _denoise_run,
     "denoise64_pfbs_fp2o_cold": _cold_pfbs_run,
-    **{f"solve_{name}": functools.partial(_cli, "solve", name, "--max-iter", "300")
+    **{f"solve_{name}": functools.partial(_cli, "solve", name, flags=("--max-iter", "300"))
        for name in ("ct_constant", "ct_dynamic", "denoise_small", "lasso_certify")},
     **{f"solve_{name}": functools.partial(_cli, "solve", keys)
        for name, keys in _SOLVE_CASES.items()},
     "certify_lasso": functools.partial(_cli, "certify", _LASSO_CERTIFY),
+    "compare_ifp2o_pdfp2o": functools.partial(_cli, "compare",
+                                              dict(_COMPARE, **{"solver.name": "ifp2o"}),
+                                              dict(_COMPARE, **{"solver.name": "pdfp2o"})),
 }
 
 
