@@ -767,24 +767,30 @@ def test_step_value_runs_as_written_or_exits_1(tmp_path, monkeypatch, capsys, ca
 
 
 # Output paths that cannot be made because a file stands in the way: the
-# command, the config keys beside run.output_dir, and the path under the
-# file. Each once ran the whole solve or certificate, then raised
-# FileExistsError as a traceback.
+# command, the config keys it runs, the path under the file, and where the
+# path is given (run.output_dir, PDFP_OUTPUT_DIR or --out). Each once ran
+# the whole solve or certificate, then raised FileExistsError as a traceback.
 BLOCKED_OUTPUTS = {
-    "solve-dir-is-a-file": ("solve", {}, ""),
-    "solve-parent-is-a-file": ("solve", {}, "sub"),
-    "compare-parent-is-a-file": ("compare", {}, "m.csv"),
-    "certify-parent-is-a-file": ("certify", _LASSO, "sub"),
+    "solve-dir-is-a-file": ("solve", {}, "", "run.output_dir"),
+    "solve-parent-is-a-file": ("solve", {}, "sub", "run.output_dir"),
+    "solve-env-parent-is-a-file": ("solve", {}, "sub", "PDFP_OUTPUT_DIR"),
+    "compare-parent-is-a-file": ("compare", {}, "m.csv", "--out"),
+    "certify-parent-is-a-file": ("certify", _LASSO, "sub", "run.output_dir"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BLOCKED_OUTPUTS))
 def test_blocked_output_path_exits_1_before_building(tmp_path, monkeypatch, capsys, case):
-    command, extra, below = BLOCKED_OUTPUTS[case]
+    command, extra, below, given_as = BLOCKED_OUTPUTS[case]
     blocker = tmp_path / "file"
     blocker.write_text("")
     target = blocker / below if below else blocker
-    cfg = write_cfg(tmp_path / "c.cfg", **extra, **{"run.output_dir": str(target)})
+    monkeypatch.delenv("PDFP_OUTPUT_DIR", raising=False)
+    if given_as == "PDFP_OUTPUT_DIR":
+        monkeypatch.setenv(given_as, str(target))
+    elif given_as == "run.output_dir":
+        extra = dict(extra, **{given_as: str(target)})
+    cfg = write_cfg(tmp_path / "c.cfg", **extra)
     monkeypatch.setattr(ExperimentConfig, "build_problem",
                         lambda self: pytest.fail("problem built"))
     argv = [command, str(cfg)]
