@@ -7,8 +7,8 @@ comments. The full key table is documented in the README. Subcommands:
   ``summary.txt`` into the output directory.
 * ``compare <config_a> <config_b> --out <path>``: run two configs on the
   same problem and write an iteration-aligned quality CSV.
-* ``certify <config>``: emit the geometric-rate certificate as CSV when the
-  problem supports one.
+* ``certify <config>``: emit the geometric-rate certificate of the configured
+  run as CSV when the problem supports one.
 
 Exit codes: 0 on success/convergence, 2 when the iteration budget ran out,
 3 when ``solve`` diverged (a step's change came out non-finite), 1 on
@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import rate_certificate, write_csv, write_lines, write_trace_csv
 from .linops import PowerIterationError
-from .schedules import ALPHA_CLAMP, GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
+from .schedules import GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
 from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
     pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu
 from .tomo import DEFAULT_CT_REG_WEIGHT, POWER_CHANNEL, TomoGeometry, \
@@ -69,14 +69,11 @@ CONFIG_KEYS = {
     "solver.theta": (float, 1.0),
     "solver.inner_tol": (float, 1e-10),
     "solver.inner_max_iter": (int, 200),
-    "solver.sigma_strong": (_auto_or(float), _AUTO),
     "schedule.kind": (str, "constant"),
     "schedule.alpha": (_auto_or(float), _AUTO),
     "schedule.decay": (float, 0.0),
     "schedule.gamma_lo": (_auto_or(float), _AUTO),
     "schedule.gamma_hi": (_auto_or(float), _AUTO),
-    "schedule.alpha_lo": (float, ALPHA_CLAMP[0]),
-    "schedule.alpha_hi": (float, ALPHA_CLAMP[1]),
     "run.max_iter": (int, 2000),
     "run.tol": (float, 1e-8),
     "run.seed": (int, 0),
@@ -97,8 +94,7 @@ _SOLVER_READS = {
 _SCHEDULE_READS = {"constant": ("solver.gamma",),
                    "bb_dynamic": ("schedule.gamma_lo", "schedule.gamma_hi"),
                    "convergent_perturbation": ("solver.gamma", "schedule.decay")}
-_CERTIFY_READS = _STEPS + ("solver.sigma_strong", "schedule.alpha", "schedule.alpha_lo",
-                           "schedule.alpha_hi")
+_CERTIFY_READS = _STEPS + ("schedule.alpha",)
 # The problem keys each problem kind reads besides problem.kind, size, noise
 # and reg_weight, which every kind reads.
 _TV = ("problem.tv",)
@@ -415,30 +411,25 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
 
 
 def certify(config_path, overrides=None):
-    """Emit the geometric-rate certificate for a configured problem as CSV.
+    """Emit the geometric-rate certificate of the configured run as CSV.
 
-    Needs strong convexity of the data term and full row rank of the
-    analysis operator (the ``lasso`` problem kind satisfies both). Returns
-    exit code 1, writing nothing, when the certificate does not apply.
+    The run is the constant-step one the keys describe: ``solver.gamma``,
+    ``solver.lambda`` and the relaxation weight ``schedule.alpha`` (``auto``:
+    0.5) on every step, the first included. The data operator must be the
+    identity, whose strong-convexity modulus is 1, and the analysis operator
+    of full row rank (the ``lasso`` problem kind has both). Returns exit
+    code 1, writing nothing, when the certificate does not apply.
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)
         out = _output_dir(cfg)
         problem, x_true, _ = cfg.build_problem()
+        if problem.f2.A.tag != "identity":
+            raise ConfigError("certify needs an identity data operator (strong convexity 1)")
         gamma, lam = cfg.resolve_steps(problem)
-        sig = cfg["solver.sigma_strong"]
-        if sig == _AUTO:
-            if problem.f2.A.tag != "identity":
-                raise ConfigError(
-                    "solver.sigma_strong=auto needs an identity data operator; set it explicitly"
-                )
-            sig = 1.0
-        alpha0 = cfg["schedule.alpha"]
-        cert = rate_certificate(
-            problem, gamma, lam,
-            cfg["schedule.alpha_lo"], cfg["schedule.alpha_hi"], sig,
-            alpha0=None if alpha0 == _AUTO else alpha0,
-        )
+        alpha = cfg["schedule.alpha"]
+        alpha = RELAXATION_WEIGHT if alpha == _AUTO else alpha
+        cert = rate_certificate(problem, gamma, lam, alpha, alpha, 1.0, alpha0=alpha)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

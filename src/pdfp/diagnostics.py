@@ -110,8 +110,9 @@ class RateCertificate:
 
     ``mu`` and ``nu`` are the contraction factors of the dual weighting and
     of the forward step, ``eta = max(mu, nu)``, and ``theta`` folds in the
-    relaxation clamp ``[alpha_lo, alpha_hi]`` as
-    ``theta = alpha_hi + (1 - alpha_lo) eta``.
+    relaxation range ``[alpha_lo, alpha_hi]`` as
+    ``theta = alpha_hi + (1 - alpha_lo) eta``; at one weight ``alpha`` it is
+    ``alpha + (1 - alpha) eta``, the factor of the relaxed step itself.
     """
 
     mu: float
@@ -141,21 +142,26 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     The contraction factors are ``mu^2 = 1 - lam * lambda_min(D D^T)`` and
     ``nu^2 = 1 - gamma sigma (2 beta - gamma) / beta`` where ``sigma`` is
     the strong-convexity modulus of ``f2`` (supplied by the caller, who
-    asserts full row rank of ``D``). ``d`` is the length of the first step
-    taken from zero with relaxation ``alpha0``, which must lie in ``[0, 1)``.
+    asserts full row rank of ``D``). The bound holds for a run whose every
+    relaxation weight, the first one's ``alpha0`` (default ``alpha_lo``)
+    included, lies in ``[alpha_lo, alpha_hi]`` inside ``[0, 1)``; ``d`` is
+    the length of that first step, taken from zero.
 
     Raises :class:`CertificateNotApplicable`, naming the condition and its
     numbers, when the dual dimension exceeds ``CERTIFICATE_MAX_DUAL_DIM``
     (the extreme eigenvalues come from a dense symmetric eigensolver), when
-    ``mu`` or ``nu`` reaches 1, or when ``theta`` reaches 1. ``gamma``, by
-    the solvers' own range check, and that ``lam`` is positive and finite,
-    are checked before the size; ``lam``'s upper end after it.
+    ``mu`` or ``nu`` reaches 1, or when ``theta`` reaches 1. The weights
+    (``alpha0`` first), ``gamma``, by the solvers' own range check, and
+    that ``lam`` is positive and finite are checked before the size;
+    ``lam``'s upper end after it.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite number")
-    schedules._check_alpha_clamp(alpha_lo, alpha_hi)
     a0 = alpha_lo if alpha0 is None else float(alpha0)
-    schedules._check_alpha(a0, 0)
+    for a in (a0, alpha_lo, alpha_hi):
+        schedules._check_alpha(a, 0)
+    if not alpha_lo <= a0 <= alpha_hi:
+        raise ValueError(f"alpha0={a0} outside the relaxation range [{alpha_lo}, {alpha_hi}]")
     schedules._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")
@@ -184,8 +190,10 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
     vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x))
-    # the first step starts from zero, so its length is the norm of the relaxed state
-    d = solvers._lnorm(solvers.mann_combine(a0, u0.v, vt), solvers.mann_combine(a0, u0.x, xt), lam)
+    # the first step starts from zero, so its length is the norm of the relaxed state;
+    # it relaxes over vt and xt, which are this call's own
+    d = solvers._lnorm(solvers._mann(a0, u0.v, vt, np.empty_like(vt)),
+                       solvers._mann(a0, u0.x, xt, np.empty_like(xt)), lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)
 
 

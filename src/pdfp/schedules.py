@@ -12,10 +12,8 @@ from .linops import dot
 from .prox import _quadratic
 
 # Step defaults: the adaptive rule's gamma clamp [0.01, 1.99] * beta (the upper end is
-# also the default gamma), the rate certificate's relaxation clamp [0.1, 0.9], and the
-# relaxation weight.
+# also the default gamma) and the relaxation weight.
 GAMMA_CLAMP_FRACTIONS = (0.01, 1.99)
-ALPHA_CLAMP = (0.1, 0.9)
 RELAXATION_WEIGHT = 0.5
 
 
@@ -66,11 +64,6 @@ def _check_lambda(l, lam_hi, n):
 def _check_alpha(a, n):
     if not (0.0 <= a < 1.0):
         raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
-
-
-def _check_alpha_clamp(a_lo, a_hi):
-    if not (0.0 < a_lo <= a_hi < 1.0):
-        raise ValueError(f"alpha clamp [{a_lo}, {a_hi}] must sit strictly inside (0, 1)")
 
 
 def _steps(p, sched, n, it):

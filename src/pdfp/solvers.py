@@ -130,12 +130,6 @@ class RunTrace:
     stop_reason: str = "budget"
 
 
-def mann_combine(alpha, a, b):
-    """Convex combination ``alpha * a + (1 - alpha) * b``: :func:`_mann` on a float64 copy."""
-    b = np.array(b, dtype=np.float64)
-    return _mann(alpha, a, b, np.empty_like(b))
-
-
 def _mann(alpha, a, b, scratch):
     """The one Mann step ``alpha*a + (1 - alpha)*b``, over ``b``, ``alpha * a`` in ``scratch``."""
     return np.add(np.multiply(a, alpha, out=scratch), np.multiply(b, 1.0 - alpha, out=b), out=b)

@@ -78,8 +78,6 @@ NON_FINITE_KEYS = {
     "run-tol-inf": ({"run.tol": "inf"}, "tol=inf must be a nonnegative finite"),
     "angle-step-nan": ({"problem.kind": "ct", "problem.angle_step": "nan"},
                        "angles must lie in [0, 180)"),
-    "certify-sigma-strong-nan": (dict(_LASSO, **{"solver.sigma_strong": "nan"}),
-                                 "sigma must be a positive finite"),
 }
 
 
@@ -328,9 +326,30 @@ class TestCertify:
     def test_tv_problem_not_certifiable(self, tmp_path, capsys):
         # the stacked difference operator is rank deficient, so the
         # strong-convexity route does not apply
-        cfg = write_cfg(tmp_path / "d.cfg", **{"solver.sigma_strong": "1.0"})
+        cfg = write_cfg(tmp_path / "d.cfg")
         assert certify(cfg) == 1
         assert "contraction factors reach 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["0", "0.5", "0.95"])
+    @pytest.mark.parametrize("gamma", ["1.0", "0.5", "0.2"])
+    def test_certificate_bounds_the_run_it_describes(self, tmp_path, capsys, gamma, alpha):
+        # certify once took its relaxation range from keys of its own, (0.1, 0.9) by
+        # default: it certified alpha 0.95 at theta 0.9, which that run breaks from
+        # the first iterate, and at alpha 0.5 found gammas 0.5 and 0.2 not applicable
+        cfg = write_cfg(tmp_path / "l.cfg",
+                        **dict(_LASSO, **{"solver.gamma": gamma, "schedule.alpha": alpha}))
+        assert certify(cfg) == 0
+        printed = dict(field.split("=") for field in capsys.readouterr().out.split())
+        theta, d = float(printed["theta"]), float(printed["d"])
+        problem, _, _ = ExperimentConfig.load(cfg).build_problem()
+        lam = problem.lambda_hi
+        # at gamma = beta the lasso run is at its fixed point after one step
+        x_star = pdfp2o(problem, problem.beta, lam, stop=StoppingRule(0.0, 2000))[0].x
+        sched = constant_schedule(float(gamma), lam, float(alpha), problem=problem)
+        _, tr = pdfp2o_dsn(problem, sched, stop=StoppingRule(0.0, 200), record_iterates=True)
+        assert len(tr.iterates) == 201
+        for n, u in enumerate(tr.iterates):
+            assert np.linalg.norm(u.x - x_star) <= d * theta ** n / (1.0 - theta) + 1e-12
 
     def test_size_limit_named_as_the_reason(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "d.cfg", **{"problem.size": "64"})
@@ -421,11 +440,8 @@ UNREAD_KEYS = {
                             "solver.inner_max_iter": "7"},
                            ["solver.inner_tol", "solver.inner_max_iter"]),
     "clamp-outside-bb": ({"solver.name": "pdfp2o_dsn", "schedule.gamma_lo": "0.1",
-                          "schedule.gamma_hi": "1.5", "schedule.alpha_lo": "0.2"},
-                         ["schedule.gamma_lo", "schedule.gamma_hi", "schedule.alpha_lo"]),
-    # once the relaxation clamp that bb_dynamic clipped schedule.alpha into
-    "alpha-clamp-dsn-bb": ({"solver.name": "pdfp2o_dsn", "schedule.kind": "bb_dynamic",
-                            "schedule.alpha_lo": "0.2"}, ["schedule.alpha_lo"]),
+                          "schedule.gamma_hi": "1.5"},
+                         ["schedule.gamma_lo", "schedule.gamma_hi"]),
 }
 
 
@@ -545,8 +561,6 @@ _CLAMP = {"solver.name": "pdfp2o_ds", "schedule.kind": "bb_dynamic",
 _CT = {"problem.kind": "ct"}
 _DEBLUR = {"problem.kind": "deblur"}
 _PFBS = {"solver.name": "pfbs_fp2o"}
-# certify, on a problem the certificate covers
-_CERTIFY = {"problem.kind": "lasso", "solver.gamma": "1.0"}
 KEY_EFFECTS = {
     "problem.kind": ("deblur", {}),
     "problem.size": ("16", {}),
@@ -565,7 +579,6 @@ KEY_EFFECTS = {
     "solver.theta": ("0.5", {"solver.name": "cp"}),
     "solver.inner_tol": ("1e-2", _PFBS),
     "solver.inner_max_iter": ("3", _PFBS),
-    "solver.sigma_strong": ("0.99", _CERTIFY),
     "schedule.kind": ("bb_dynamic", {"solver.name": "pdfp2o_ds"}),
     "schedule.alpha": ("0.3", {"solver.name": "pdfp2o_dsn"}),
     "schedule.decay": ("0.5", {"solver.name": "pdfp2o_ds",
@@ -574,8 +587,6 @@ KEY_EFFECTS = {
     # context's value rather than with auto
     "schedule.gamma_lo": ("1.5", _CLAMP),
     "schedule.gamma_hi": ("0.5", _CLAMP),
-    "schedule.alpha_lo": ("0.6", _CERTIFY),
-    "schedule.alpha_hi": ("0.4", _CERTIFY),
     "run.max_iter": ("10", {}),
     "run.tol": ("0.1", {"solver.gamma": "1.0"}),
     "run.seed": ("3", {}),
@@ -604,7 +615,6 @@ def test_key_table_has_one_row_per_config_key():
 @pytest.mark.parametrize("key", list(KEY_EFFECTS))
 def test_every_config_key_has_an_effect(tmp_path, monkeypatch, key):
     value, context = KEY_EFFECTS[key]
-    command = "certify" if context is _CERTIFY else "solve"
     base = dict({"problem.size": "16", "run.max_iter": "20"}, **context)
     with_key = dict(base, **{key: value})
     # a key the context sets (a clamp end) keeps the context's value
@@ -613,7 +623,7 @@ def test_every_config_key_has_an_effect(tmp_path, monkeypatch, key):
     def run(name, values):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
-        assert main([command, str(cfg)]) in ((0,) if command == "certify" else (0, 2))
+        assert main(["solve", str(cfg)]) in (0, 2)
 
     if key == "run.output_dir":
         monkeypatch.delenv("PDFP_OUTPUT_DIR", raising=False)
@@ -649,19 +659,21 @@ REJECTED_CONFIGS = {
                    "problem.size <= 32"),
     "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",
                        "ifp2o supports identity data operators only"),
-    "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify", "solver.sigma_strong=auto"),
+    "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify",
+                           "certify needs an identity data operator"),
     # once numpy's "expected non-negative integer", which names no key
     "negative-seed": ({"run.seed": "-1"}, "solve", "run.seed must be a nonnegative integer"),
+    # the relaxation range certify once read in place of the run's own
     "alpha-clamp-order": (dict(_LASSO, **{"schedule.alpha_lo": "0.7",
                                           "schedule.alpha_hi": "0.3"}), "certify",
-                          "alpha clamp [0.7, 0.3] must sit strictly inside (0, 1)"),
+                          "unknown config key: schedule.alpha_lo"),
+    # keys only certify once read; each made it certify a run other than the configured one
+    **{f"certify-only-{key}": (dict(_LASSO, **{key: "0.5"}), "certify",
+                               f"unknown config key: {key}")
+       for key in ("solver.sigma_strong", "schedule.alpha_lo", "schedule.alpha_hi")},
     # a lambda clamp end, which once clipped solver.lambda under bb_dynamic
     "lambda-clamp-key": ({"schedule.lambda_lo": "0.01"}, "solve",
                          "unknown config key: schedule.lambda_lo"),
-    # the certificate's reason, which certify once worked out again as
-    # "contraction factors reach 1"; here nu = 0.8 and mu = 0
-    "certify-theta": (dict(_LASSO, **{"solver.gamma": "0.2"}), "certify",
-                      "theta = alpha_hi + (1 - alpha_lo) * eta = 1.62 reaches 1"),
     # once an OverflowError traceback, an unnamed NaN error, numpy's "Maximum
     # allowed size exceeded", and a silent run with 2 rays
     **{f"rays-{value}": ({"problem.kind": "ct", "problem.rays": value}, "solve",
@@ -702,14 +714,15 @@ def test_rejected_config_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsy
 # Step values a config sets, each run as written or refused by name: the
 # overrides, the command, and what the run must give. That is a text the
 # error names, the trace.csv of the base config with other overrides, the
-# certificate of the first-step weight alpha0 (None: schedule.alpha_lo's),
+# certificate of the relaxation weight alpha on every step (None: auto's 0.5),
 # the dual step sigma = lambda / gamma of cp, or the value of a trace.csv
 # column on every row. On the 16x16 denoise problem 1/lambda_max(DD^T) is
 # 0.12621. Each once ran at another value: alpha 0 at 0.5 (solve) or at
-# schedule.alpha_lo (certify), a cp lambda at 0.99/lambda_max, an
+# 0.1 (certify), a cp lambda at 0.99/lambda_max, an
 # inadmissible bb_dynamic lambda at 1/lambda_max, and a bb_dynamic alpha
 # outside [0.1, 0.9] or lambda below 1e-6/lambda_max clipped into that range.
 _BB = {"schedule.kind": "bb_dynamic"}
+_CERTIFY = {"problem.kind": "lasso", "solver.gamma": "1.0"}
 STEP_VALUES = {
     # the relaxed iteration at alpha = 0 is the unrelaxed one, bit for bit
     "dsn-alpha-0": ({"solver.name": "pdfp2o_dsn", "schedule.alpha": "0"}, "solve",
@@ -756,7 +769,8 @@ def test_step_value_runs_as_written_or_exits_1(tmp_path, monkeypatch, capsys, ca
         assert (read_trace_without_wall(tmp_path / "out" / "trace.csv")
                 == read_trace_without_wall(tmp_path / "ref" / "trace.csv"))
     elif what == "d":
-        cert = rate_certificate(problem, gamma, lam, 0.1, 0.9, 1.0, alpha0=value)
+        alpha = 0.5 if value is None else value
+        cert = rate_certificate(problem, gamma, lam, alpha, alpha, 1.0, alpha0=alpha)
         assert f" d={cert.d!r}\n" in printed.out
     else:
         if what == "sigma":  # cp's lambda column holds sigma

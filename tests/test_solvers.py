@@ -27,7 +27,6 @@ from pdfp import (
     lambda_norm,
     make_deblur_problem,
     make_problem,
-    mann_combine,
     matrix_op,
     optimality_residual,
     pdfp2o,
@@ -46,7 +45,7 @@ from pdfp import (
     make_tomo_problem,
     make_tv_problem,
 )
-from pdfp.solvers import _quadratic_resolvent
+from pdfp.solvers import _mann, _quadratic_resolvent
 from conftest import DENOISE4_REF_OBJECTIVE, build_deblur8, build_denoise4, build_lasso1d
 
 TIGHT = StoppingRule(tol=1e-13, max_iter=200000)
@@ -457,7 +456,7 @@ class TestKernelArithmetic:
             alpha = float(rng.uniform(0.0, 1.0))
             x = rng.standard_normal(12)
             y = rng.standard_normal(12)
-            lhs = float(np.linalg.norm(mann_combine(alpha, x, y)) ** 2)
+            lhs = float(np.linalg.norm(_mann(alpha, x.copy(), y.copy(), np.empty(12))) ** 2)
             rhs = (alpha * float(x @ x) + (1 - alpha) * float(y @ y)
                    - alpha * (1 - alpha) * float((x - y) @ (x - y)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
