@@ -307,19 +307,23 @@ def _run_solver(cfg, problem, x_true):
     return state.x, tr
 
 
-def _output_dir(cfg):
+def _output_dir(cfg, *names):
     """The run's output directory, ``PDFP_OUTPUT_DIR`` or ``run.output_dir``, checked by
-    :func:`_makeable_dir`."""
+    :func:`_makeable_dir` for the files ``names``."""
     env = os.environ.get("PDFP_OUTPUT_DIR")
-    return _makeable_dir(Path(env) if env else Path(cfg["run.output_dir"]))
+    return _makeable_dir(Path(env) if env else Path(cfg["run.output_dir"]), *names)
 
 
-def _makeable_dir(out):
+def _makeable_dir(out, *names):
     """``out``; a ConfigError unless it, or else its nearest existing ancestor, is a
-    directory. Nothing is made here, so a run refused later leaves no directory."""
+    directory, and none of the files ``names`` to be written in it is one. Nothing
+    is made here, so a run refused later leaves no directory."""
     there = next((p for p in (out, *out.parents) if p.exists()), Path("."))
     if not there.is_dir():
         raise ConfigError(f"output directory {out} cannot be made: {there} is not a directory")
+    for path in (out / name for name in names):
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
     return out
 
 
@@ -345,7 +349,7 @@ def run_experiment(config_path, overrides=None):
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides))
-        out = _output_dir(cfg)
+        out = _output_dir(cfg, "trace.csv", "recon.pgm", "summary.txt")
         problem, x_true, _ = cfg.build_problem()
         x_final, trace = _run_solver(cfg, problem, x_true)
     except _USER_ERRORS as exc:
@@ -382,7 +386,7 @@ def compare(config_path_a, config_path_b, out_path, overrides=None):
                 raise ConfigError(
                     f"configs disagree on {key}: {cfg_a[key]!r} vs {cfg_b[key]!r}"
                 )
-        out_dir = _makeable_dir(Path(out_path).parent)
+        out_dir = _makeable_dir(Path(out_path).parent, Path(out_path).name)
         # the identity keys match and assembly is deterministic, so one
         # problem serves both runs
         problem, x_true, _ = cfg_a.build_problem()
@@ -422,7 +426,7 @@ def certify(config_path, overrides=None):
     """
     try:
         cfg = _keys_read(ExperimentConfig.load(config_path, overrides), for_certify=True)
-        out = _output_dir(cfg)
+        out = _output_dir(cfg, "certificate.csv")
         problem, x_true, _ = cfg.build_problem()
         if problem.f2.A.tag != "identity":
             raise ConfigError("certify needs an identity data operator (strong convexity 1)")

@@ -11,9 +11,9 @@ import pdfp.linops
 from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, \
     rate_certificate, siu, write_trace_csv
-from pdfp.cli import CONFIG_KEYS, SCHEDULE_KINDS, SOLVER_NAMES, ExperimentConfig, ConfigError, \
-    certify, _CERTIFY_READS, _SCHEDULE_READS, _SOLVER_READS, _keys_read, _run_solver, compare, \
-    main, parse_config_text, run_experiment
+from pdfp.cli import CONFIG_KEYS, PROBLEM_KINDS, SCHEDULE_KINDS, SOLVER_NAMES, \
+    ExperimentConfig, ConfigError, certify, _CERTIFY_READS, _PROBLEM_READS, _SCHEDULE_READS, \
+    _SOLVER_READS, _keys_read, _run_solver, compare, main, parse_config_text, run_experiment
 from pdfp.diagnostics import rel_err_snr
 
 
@@ -817,6 +817,36 @@ def test_blocked_output_path_exits_1_before_building(tmp_path, monkeypatch, caps
     assert blocker.read_text() == ""
 
 
+# Artifacts in whose place a directory stands: the command, its config keys
+# and the artifact. Each once ran the whole solve or certificate, then raised
+# IsADirectoryError as a traceback; solve had replaced trace.csv by then.
+DIRECTORY_ARTIFACTS = {
+    "solve-recon": ("solve", {}, "recon.pgm"),
+    "compare-out": ("compare", {}, "m.csv"),
+    "certify-certificate": ("certify", _LASSO, "certificate.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_ARTIFACTS))
+def test_directory_in_place_of_an_artifact_exits_1_before_building(tmp_path, monkeypatch,
+                                                                   capsys, case):
+    command, extra, artifact = DIRECTORY_ARTIFACTS[case]
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    (out / "trace.csv").write_text("earlier\n")
+    monkeypatch.setenv("PDFP_OUTPUT_DIR", str(out))
+    cfg = write_cfg(tmp_path / "c.cfg", **extra)
+    monkeypatch.setattr(ExperimentConfig, "build_problem",
+                        lambda self: pytest.fail("problem built"))
+    argv = [command, str(cfg)]
+    if command == "compare":
+        argv += [str(cfg), "--out", str(out / artifact)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out / artifact}: it is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted([artifact, "trace.csv"])
+    assert (out / "trace.csv").read_text() == "earlier\n" and not any((out / artifact).iterdir())
+
+
 def _keys_read_by(monkeypatch, run):
     """The config keys ``run()`` reads through ``ExperimentConfig.__getitem__``."""
     read = set()
@@ -829,6 +859,17 @@ def _keys_read_by(monkeypatch, run):
         m.setattr(ExperimentConfig, "__getitem__", getitem)
         run()
     return read
+
+
+def test_problem_table_names_the_keys_each_kind_reads(tmp_path, monkeypatch):
+    # the read check accepts every key the table declares and refuses the
+    # rest, so the two must agree with what build_problem reads
+    for kind in PROBLEM_KINDS:
+        cfg = ExperimentConfig.load(write_cfg(tmp_path / "c.cfg", **{"problem.kind": kind}))
+        read = _keys_read_by(monkeypatch, cfg.build_problem)
+        assert {k for k in read if k.startswith("problem.")} == {
+            "problem.kind", "problem.size", "problem.noise", "problem.reg_weight",
+            *_PROBLEM_READS[kind]}, kind
 
 
 # Each solver, under each schedule kind when it reads schedule.kind.

@@ -403,6 +403,15 @@ NAMED_ERRORS = {
     "certificate-lam-above-dense-bound": (
         lambda: rate_certificate(synthetic_certifiable_problem(), 0.5, 2.0, 0.1, 0.9, 1.0),
         "lam=2.0 out of range (0, "),
+    # a first step outside the relaxation range once got the range's bound, which
+    # its run breaks (on the lasso problem, alpha0 = 0.95 was certified at theta = 0.9)
+    **{f"certificate-first-step-{a0}": (
+        lambda a0=a0: rate_certificate(synthetic_certifiable_problem(), 0.99, 1.0, 0.1, 0.9, 1.0,
+                                       alpha0=a0),
+        f"alpha0={a0} outside the relaxation range [0.1, 0.9]") for a0 in (0.05, 0.95)},
+    "certificate-range-order": (
+        lambda: rate_certificate(synthetic_certifiable_problem(), 0.99, 1.0, 0.7, 0.3, 1.0),
+        "alpha0=0.7 outside the relaxation range [0.7, 0.3]"),
 }
 
 

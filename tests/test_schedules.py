@@ -57,7 +57,7 @@ def bb_dynamic_clamped_at(gamma, lam, problem):
 
 
 def certificate_at(gamma, lam, problem):
-    """``rate_certificate`` at ``gamma`` and ``lam``, alpha clamp (0.1, 0.9), sigma 1."""
+    """``rate_certificate`` at ``gamma`` and ``lam``, relaxation range (0.1, 0.9), sigma 1."""
     return rate_certificate(problem, gamma, lam, 0.1, 0.9, 1.0)
 
 

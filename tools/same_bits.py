@@ -29,8 +29,10 @@ cases:
   ``run.tol = 3e-3``, which stops them at iterations 93 and 109, so the
   stop test decides the run's length: the exit code, ``trace.csv`` and
   ``summary.txt`` (both without ``wall_ms``) and ``recon.pgm``;
-* ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, likewise
-  written into the case's directory: the exit code and ``certificate.csv``;
+* ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, and on them
+  with ``schedule.alpha`` left at ``auto``, with ``schedule.alpha = 0`` and
+  with ``solver.gamma = 0.5``, likewise written into the case's directory:
+  the exit code and ``certificate.csv``;
 * ``pdfp compare`` of ``ifp2o`` against ``pdfp2o`` on a 32x32 denoise
   problem (``reg_weight`` 0.02, 300 iterations), with ``--out`` inside the
   case's output directory: the exit code and the merged CSV.
@@ -150,6 +152,12 @@ _DEBLUR = dict(_SMALL, **{"problem.kind": "deblur"})
 _LASSO_CERTIFY = {"problem.kind": "lasso", "problem.size": 16, "problem.noise": 0.05,
                   "problem.reg_weight": 0.05, "solver.name": "pdfp2o_dsn", "solver.gamma": 1.0,
                   "schedule.alpha": 0.5, "run.seed": 3}
+_CERTIFY_CASES = {
+    "lasso": _LASSO_CERTIFY,
+    "lasso_alpha_auto": {k: v for k, v in _LASSO_CERTIFY.items() if k != "schedule.alpha"},
+    "lasso_alpha_0": dict(_LASSO_CERTIFY, **{"schedule.alpha": 0}),
+    "lasso_gamma_0.5": dict(_LASSO_CERTIFY, **{"solver.gamma": 0.5}),
+}
 _COMPARE = {"problem.size": 32, "problem.noise": 0.05, "problem.reg_weight": 0.02,
             "run.max_iter": 300, "run.tol": 0.0}
 _SOLVE_CASES = {
@@ -184,7 +192,8 @@ CASES = {
        for name in ("ct_constant", "ct_dynamic", "denoise_small", "lasso_certify")},
     **{f"solve_{name}": functools.partial(_cli, "solve", keys)
        for name, keys in _SOLVE_CASES.items()},
-    "certify_lasso": functools.partial(_cli, "certify", _LASSO_CERTIFY),
+    **{f"certify_{name}": functools.partial(_cli, "certify", keys)
+       for name, keys in _CERTIFY_CASES.items()},
     "compare_ifp2o_pdfp2o": functools.partial(_cli, "compare",
                                               dict(_COMPARE, **{"solver.name": "ifp2o"}),
                                               dict(_COMPARE, **{"solver.name": "pdfp2o"})),
