@@ -150,18 +150,18 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     Raises :class:`CertificateNotApplicable`, naming the condition and its
     numbers, when the dual dimension exceeds ``CERTIFICATE_MAX_DUAL_DIM``
     (the extreme eigenvalues come from a dense symmetric eigensolver), when
-    ``mu`` or ``nu`` reaches 1, or when ``theta`` reaches 1. The weights
-    (``alpha0`` first), ``gamma``, by the solvers' own range check, and
-    that ``lam`` is positive and finite are checked before the size;
-    ``lam``'s upper end after it.
+    ``mu`` or ``nu`` reaches 1, or when ``theta`` reaches 1. ``alpha0``,
+    then the range, ``gamma``, by the solvers' own range check, and that
+    ``lam`` is positive and finite are checked before the size; ``lam``'s
+    upper end after it.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be a positive finite number")
     a0 = alpha_lo if alpha0 is None else float(alpha0)
-    for a in (a0, alpha_lo, alpha_hi):
-        schedules._check_alpha(a, 0)
-    if not alpha_lo <= a0 <= alpha_hi:
-        raise ValueError(f"alpha0={a0} outside the relaxation range [{alpha_lo}, {alpha_hi}]")
+    schedules._check_alpha(a0, 0)
+    if not 0.0 <= alpha_lo <= a0 <= alpha_hi < 1.0:
+        raise ValueError(f"relaxation range [{alpha_lo}, {alpha_hi}] must hold alpha0={a0} "
+                         f"and lie in [0, 1)")
     schedules._check_gamma(gamma, p.beta, 0)
     if not (0.0 < lam < math.inf):
         raise ValueError(f"lam={lam} must be positive and finite")

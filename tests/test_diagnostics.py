@@ -408,10 +408,14 @@ NAMED_ERRORS = {
     **{f"certificate-first-step-{a0}": (
         lambda a0=a0: rate_certificate(synthetic_certifiable_problem(), 0.99, 1.0, 0.1, 0.9, 1.0,
                                        alpha0=a0),
-        f"alpha0={a0} outside the relaxation range [0.1, 0.9]") for a0 in (0.05, 0.95)},
+        f"relaxation range [0.1, 0.9] must hold alpha0={a0}") for a0 in (0.05, 0.95)},
     "certificate-range-order": (
         lambda: rate_certificate(synthetic_certifiable_problem(), 0.99, 1.0, 0.7, 0.3, 1.0),
-        "alpha0=0.7 outside the relaxation range [0.7, 0.3]"),
+        "relaxation range [0.7, 0.3] must hold alpha0=0.7"),
+    "certificate-range-end": (
+        lambda: rate_certificate(synthetic_certifiable_problem(), 0.99, 1.0, 0.1, 1.0, 1.0,
+                                 alpha0=0.5),
+        "relaxation range [0.1, 1.0] must hold alpha0=0.5 and lie in [0, 1)"),
 }
 
 

@@ -132,7 +132,8 @@ def _cli(command, *configs, flags=()):
             flags = ("--out", str(out / "merged.csv"), *flags)
         os.environ["PDFP_OUTPUT_DIR"] = str(out)
         cols = {"exit_code": np.asarray(main([command, *paths, *flags]))}
-        for artifact in sorted(out.iterdir()):
+        # a command that exits 1 writes nothing, so its case has the exit code alone
+        for artifact in sorted(out.iterdir()) if out.exists() else ():
             if artifact.suffix == ".pgm":
                 cols[artifact.name] = np.frombuffer(artifact.read_bytes(), np.uint8)
                 continue
