@@ -158,18 +158,16 @@ def _quality(x_true):
     return quality
 
 
-def _dual_step(f1, t, l, Dz, v, DDt_v, w=None):
-    """The dual update ``v' = (I - prox_{t f1})(D z + (v - l D D^T v))``.
+def _dual_step(f1, t, Dy, v, w=None):
+    """The dual update ``v' = (I - prox_{t f1})(D y + v)``, with
+    ``y = z - l D^T v`` (for ``ifp2o``, ``y = x(v)``): in exact arithmetic
+    the paper's ``D z + (v - l D D^T v)``, with one ``D`` where that has two.
 
-    Takes ``Dz = D z`` and ``DDt_v = D D^T v`` (for ``ifp2o``, the product
-    with its ``D Q^{-1} D^T``) and works in ``w`` (a new array when None),
-    which it returns; every sum rounds as the expression above does.
-    ``I - prox_{t f1}`` is ``f1.conj_proj``, the projection onto
+    Takes ``Dy = D y`` and works in ``w`` (a new array when None), which it
+    returns. ``I - prox_{t f1}`` is ``f1.conj_proj``, the projection onto
     ``t * dom f1*`` in place, when ``f1`` has one, else ``w - f1.prox(t, w)``.
     """
-    w = np.multiply(DDt_v, l, out=w)
-    np.subtract(v, w, out=w)
-    np.add(Dz, w, out=w)
+    w = np.add(Dy, v, out=w)
     if f1.conj_proj is not None:
         return f1.conj_proj(t, w)
     w -= f1.prox(t, w)
@@ -213,15 +211,15 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
     budget, tol = (1, 0.0) if inner_stop is None else (inner_stop.max_iter, inner_stop.tol)
     v_outer, k, ws.dots = v, 0, None
     if not warm:
-        # D^T 0 = 0, so the cold start needs no operator call
-        v, Dt_v = np.zeros_like(v), np.zeros_like(x)
+        # D^T 0 = 0, so the cold start's first y is z, with no operator call
+        v, Dt_v = np.zeros_like(v), None
     elif Dt_v is None:
         Dt_v = p.D.adjoint(v)
     tmp = ws.take("tmp")
     z = np.subtract(x, np.multiply(grad, g, out=tmp), out=ws.take("primal", x))
-    Dz = p.D.forward(z)
     for k in range(1, budget + 1):
-        v_new = _dual_step(p.f1, g / l, l, Dz, v, p.D.forward(Dt_v), ws.take("dual", v, v_outer))
+        y = z if Dt_v is None else np.subtract(z, np.multiply(Dt_v, l, out=tmp), out=tmp)
+        v_new = _dual_step(p.f1, g / l, p.D.forward(y), v, ws.take("dual", v, v_outer))
         if kappa != 0.0:
             _mann(kappa, v, v_new, ws.take("diff"))
         Dt_v = p.D.adjoint(v_new)
@@ -408,7 +406,8 @@ def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterat
     Each iteration performs::
 
         z   = x - gamma_n * grad f2(x)
-        v'  = (I - prox_{(gamma_n/lambda_n) f1})(D z + (I - lambda_n D D^T) v)
+        y   = z - lambda_n * D^T v
+        v'  = (I - prox_{(gamma_n/lambda_n) f1})(D y + v)
         x'  = z - lambda_n * D^T v'
 
     A constant schedule reproduces :func:`pdfp2o` exactly.
@@ -435,7 +434,7 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     After the forward step ``z = x - gamma * grad f2(x)``, the dual variable
     is iterated to (approximate) convergence of::
 
-        H(v) = (I - prox_{(gamma/lam) f1})(D z + (I - lam D D^T) v)
+        H(v) = (I - prox_{(gamma/lam) f1})(D (z - lam D^T v) + v)
 
     relaxed by ``kappa``, and the primal update is ``x' = z - lam D^T v*``.
     The trace records the inner-iteration count per outer step; with a
@@ -459,8 +458,9 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     """Fixed-point scheme for ``min f1(D x) + 0.5 x^T Q x - b^T x`` with dense SPD ``Q``.
 
     Iterates ``v_{n+1} = kappa v_n + (1 - kappa) H(v_n)`` with
-    ``H(v) = (I - prox_{f1/lam})(D Q^{-1} b + (I - lam D Q^{-1} D^T) v)``
-    and returns ``x* = Q^{-1}(b - lam D^T v*)``. Requires
+    ``H(v) = (I - prox_{f1/lam})(D Q^{-1} b + (I - lam D Q^{-1} D^T) v)``, taken
+    as ``(I - prox_{f1/lam})(D x(v) + v)`` for ``x(v) = Q^{-1}(b - lam D^T v)``,
+    and returns the last ``x(v)``. Requires
     ``0 < lam <= 2 / lambda_max(D Q^{-1} D^T)`` and ``kappa`` in (0, 1).
     The trace's objective adds the constant ``0.5 b^T Q^{-1} b``, so it reads
     ``f1(D x) + 0.5 ||Q^{1/2} x - Q^{-1/2} b||^2``: with ``Q = I`` that is
@@ -487,27 +487,23 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     hi = math.inf if lam_max_K == 0.0 else 2.0 / lam_max_K
     if not (0.0 < lam <= hi):
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
-    c = solve(b)
-    Dc, half_bc = D.forward(c), 0.5 * dot(b, c)
+    x = solve(b)
+    Dx, half_bc = D.forward(x), 0.5 * dot(b, x)
     v, scratch = np.zeros(D.out_dim), np.empty(D.out_dim)
 
-    def x_of(vv):
-        return solve(b - lam * D.adjoint(vv))
-
-    def obj(xx):
-        return f1.value(D.forward(xx)) + 0.5 * dot(xx, Q @ xx) - dot(b, xx) + half_bc
-
     def step(n):
-        nonlocal v
-        Hv = _dual_step(f1, 1.0 / lam, lam, Dc, v, K.forward(v))
+        nonlocal v, x, Dx
+        Hv = _dual_step(f1, 1.0 / lam, Dx, v)
         res, size = norm(Hv - v), norm(v)
         # Hv is this step's own array: relax it in place; v' - v = (1 - kappa)(Hv - v)
         v = _mann(kappa, v, Hv, scratch)
-        x = x_of(v)
-        return _Row(v, x, (1.0 - kappa) * res, size, obj(x), res, lams=lam, alphas=kappa)
+        x = solve(b - lam * D.adjoint(v))
+        Dx = D.forward(x)
+        obj = f1.value(Dx) + 0.5 * dot(x, Q @ x) - dot(b, x) + half_bc
+        return _Row(v, x, (1.0 - kappa) * res, size, obj, res, lams=lam, alphas=kappa)
 
     trace = _drive(step, stop, lam, None, x_true)
-    return x_of(v), trace
+    return x, trace
 
 
 def _quadratic_resolvent(f2, tau):
@@ -668,8 +664,8 @@ def saddle_step(p, gamma, lam, vbar, x, y):
         x'    = x - gamma grad f2(x) - gamma D^T vbar'
         y'    = x' - gamma grad f2(x') - gamma D^T vbar'
 
-    Seeding ``y = x - gamma grad f2(x) - lam D^T v`` makes this reproduce
-    one iteration of :func:`pdfp2o_ds` exactly (up to rounding).
+    Seeding the kernel's ``y = x - gamma grad f2(x) - lam D^T v`` makes this
+    reproduce one iteration of :func:`pdfp2o_ds` exactly (up to rounding).
     """
     sigma = lam / gamma
     vbar_new = conjugate_prox(p.f1, sigma, vbar + sigma * p.D.forward(y))

@@ -137,14 +137,15 @@ def dual_proj(f1, t, w):
 def unfused_steps(p, sched, relaxed, lam_ref):
     """The driver before fusion: every step evaluates ``grad f2`` and
     ``D^T v`` afresh, the schedule reads a fresh ``f2`` evaluation, and the
-    objective comes from ``Problem.objective``."""
+    objective comes from ``Problem.objective``. The dual step is written
+    out as ``w = D(z - l D^T v) + v``."""
     v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
     for n in itertools.count():
         g = float(sched.gamma(n, Iterate.at(p.f2, x)))
         l = float(sched.lam(n, None))
         a = float(sched.alpha(n, None)) if relaxed else 0.0
         z = x - g * p.f2.grad(x)
-        w = p.D.forward(z) + (v - l * p.D.forward(p.D.adjoint(v)))
+        w = p.D.forward(z - l * p.D.adjoint(v)) + v
         vt = dual_proj(p.f1, g / l, w)
         xt = z - l * p.D.adjoint(vt)
         res = math.sqrt(dot(xt - x, xt - x) + lam_ref * dot(vt - v, vt - v))
@@ -173,7 +174,7 @@ class TestOperatorCounts:
             # the run start adds one f2 evaluation (A, A^T) and one D^T
             assert counter.counts == {
                 "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
-                "D_fwd": 3 * N_ITER, "D_adj": N_ITER + 1,
+                "D_fwd": 2 * N_ITER, "D_adj": N_ITER + 1,
             }, kind
 
     def test_relaxed_steps_add_one_adjoint(self, builder):
@@ -182,7 +183,7 @@ class TestOperatorCounts:
             _run(kind, p)
             assert counter.counts == {
                 "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
-                "D_fwd": 3 * N_ITER, "D_adj": 2 * N_ITER,
+                "D_fwd": 2 * N_ITER, "D_adj": 2 * N_ITER,
             }, kind
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
@@ -253,15 +254,14 @@ def _pfbs(p, warm, kappa):
 def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
     """``pfbs_fp2o`` before fusion: ``grad f2`` and ``D^T v_i`` afresh at every
     use, both norms of the inner test afresh, the objective from
-    ``Problem.objective``."""
+    ``Problem.objective``; each inner step's ``w = D(z - lam D^T v_i) + v_i``."""
     v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
     while True:
         z = x - gamma * p.f2.grad(x)
-        Dz = p.D.forward(z)
         vi = v if warm_start else np.zeros_like(v)
         inner = 0
         for _ in range(inner_stop.max_iter):
-            w = Dz + (vi - lam * p.D.forward(p.D.adjoint(vi)))
+            w = p.D.forward(z - lam * p.D.adjoint(vi)) + vi
             Hv = dual_proj(p.f1, gamma / lam, w)
             vi_new = Hv if kappa == 0.0 else kappa * vi + (1 - kappa) * Hv
             inner += 1
@@ -326,8 +326,28 @@ class TestSplitSolverOperatorCounts:
         # the run start adds one f2 evaluation, and a warm start one D^T
         assert counter.counts == {
             "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
-            "D_fwd": k + 2 * N_ITER, "D_adj": k + int(warm),
+            "D_fwd": k + N_ITER, "D_adj": k + int(warm),
         }
+
+    def test_ifp2o_step_applies_D_D_transpose_and_one_solve(self, builder, monkeypatch):
+        # H(v) = P(D x(v) + v) reads the D x(v) of the trace's objective, so
+        # a step solves once for x(v) and applies D^T and D once each; the
+        # setup (the spectral bound of D Q^{-1} D^T, x(0) and D x(0)) is
+        # the same for any budget
+        p, counter = BUILDERS[builder]()
+        Q, b = dense_ifp2o_data(p)
+        solves, cho_solve = [], scipy.linalg.cho_solve
+        monkeypatch.setattr(scipy.linalg, "cho_solve",
+                            lambda *args: solves.append(1) or cho_solve(*args))
+        counts = []
+        for budget in (0, N_ITER):
+            counter.counts.clear()
+            solves.clear()
+            ifp2o(Q, b, p.f1, p.D, p.lambda_hi, 0.3, stop=StoppingRule(0.0, budget))
+            counts.append(dict(counter.counts, solve=len(solves)))
+        setup, run = counts
+        assert {k: n - setup[k] for k, n in run.items()} == {
+            "D_fwd": N_ITER, "D_adj": N_ITER, "solve": N_ITER}
 
     def test_cp_applies_A_transpose_to_b_once_per_run(self, builder):
         p, counter = BUILDERS[builder]()
@@ -615,15 +635,16 @@ def cp_steps(p, sigma, tau, theta, lam_ref):
 
 
 def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
-    """``ifp2o``'s loop: the relaxed dual iteration on ``H``, each primal
-    read off by a Cholesky solve. ``final`` gets the latest primal."""
+    """``ifp2o``'s loop: the relaxed dual iteration on ``H(v) = P(D x(v) + v)``,
+    each primal ``x(v) = Q^{-1}(b - lam D^T v)`` read off by a Cholesky
+    solve, the first at ``v = 0``. ``final`` gets the latest primal."""
     cho = scipy.linalg.cho_factor(Q)
     solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
-    c = solve(b)
-    Dc, half_bc = D.forward(c), 0.5 * dot(b, c)
+    x = solve(b)
+    half_bc = 0.5 * dot(b, x)
     v = np.zeros(D.out_dim)
     while True:
-        w = Dc + (v - lam * D.forward(solve(D.adjoint(v))))
+        w = D.forward(x) + v
         Hv = dual_proj(f1, 1.0 / lam, w)
         v_new = kappa * v + (1 - kappa) * Hv
         res = norm(Hv - v)
@@ -747,8 +768,7 @@ def solver_case(name, p, stop):
         return (state.x, state.d, state.v), tr, tuple(final), want
     Q, b = dense_ifp2o_data(p)
     lam = 1.0 / p.lambda_max_ddt
-    final = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q),
-                                    b - lam * p.D.adjoint(np.zeros(p.D.out_dim)))]
+    final = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q), b)]
     x, tr = ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=stop)
     want = expected_trace(ifp2o_loop(Q, b, p.f1, p.D, lam, 0.3, final), stop, lam)
     return (x,), tr, tuple(final), want

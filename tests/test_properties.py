@@ -42,7 +42,7 @@ from pdfp import (  # noqa: E402
 )
 from pdfp import linops, tomo  # noqa: E402
 from pdfp.prox import _group_ids, _Partition  # noqa: E402
-from pdfp.solvers import _dual_step  # noqa: E402
+from pdfp.solvers import _dual_step, _tentative  # noqa: E402
 from test_linops import (  # noqa: E402
     diff_adjoint_reference,
     diff_forward_reference,
@@ -399,17 +399,56 @@ def test_conj_proj_keeps_non_finite_entries_non_finite(kind, bad, data):
 
 @pytest.mark.parametrize("kind", CONJ_KINDS)
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), l=st.floats(0.01, 1.0))
-def test_dual_step_without_conj_proj_keeps_the_prox_bits(kind, data, l):
-    f, _, _, t, Dz = draw_conj_case(data, kind)
-    v, DDt_v = (data.draw(arrays(np.float64, Dz.size, elements=entries)) for _ in range(2))
-    inputs = [a.copy() for a in (Dz, v, DDt_v)]
+@given(data=st.data())
+def test_dual_step_without_conj_proj_keeps_the_prox_bits(kind, data):
+    f, _, _, t, Dy = draw_conj_case(data, kind)
+    v = data.draw(arrays(np.float64, Dy.size, elements=entries))
+    inputs = [a.copy() for a in (Dy, v)]
     plain = dataclasses.replace(f, conj_proj=None)
-    w = Dz + (v - l * DDt_v)
-    assert _dual_step(plain, t, l, Dz, v, DDt_v).tobytes() == (w - f.prox(t, w)).tobytes()
-    assert _dual_step(f, t, l, Dz, v, DDt_v).tobytes() == f.conj_proj(t, w.copy()).tobytes()
-    for a, b in zip((Dz, v, DDt_v), inputs):
+    w = Dy + v
+    assert _dual_step(plain, t, Dy, v).tobytes() == (w - f.prox(t, w)).tobytes()
+    assert _dual_step(f, t, Dy, v).tobytes() == f.conj_proj(t, w.copy()).tobytes()
+    for a, b in zip((Dy, v), inputs):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       gamma_frac=st.floats(0.01, 0.99), lam_frac=st.floats(0.01, 1.0),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_dual_step_in_the_y_form_is_the_papers_within_rounding(rows, cols, seed, gamma_frac,
+                                                                lam_frac, scale):
+    """The kernel's ``v' = (I - prox)(D y + v)`` with ``y = z - l D^T v``
+    against the paper's ``(I - prox)(D z + (v - l D D^T v))``, and its
+    ``x' = z - l D^T v'``. Both forms round the exact ``w`` by at most
+    ``u (r + 2)|D||z| + u (r + s + 3) l |D||D|^T|v| + u |v|`` (the paper's:
+    ``r + 1``, ``r + s + 3`` and 2), to first order in the unit roundoff
+    ``u``, with ``r`` and ``s`` the longest row and column of ``D`` (the
+    longest sums of ``D`` and ``D^T``). Their difference is within the sum,
+    under ``c = 2 (r + s + 3)``, plus 2 for the higher-order terms; the l1
+    projection is 1-Lipschitz in each entry, so ``v'`` keeps that bound.
+    """
+    rng = np.random.default_rng(seed)
+    mask = rng.random((rows, cols)) < 0.5
+    assume(mask.any())
+    i, j = np.nonzero(mask)
+    dense = np.zeros((rows, cols))
+    dense[i, j] = rng.uniform(-2.0, 2.0, i.size)
+    D = matrix_op(SparseMatrix(rows, cols, (i, j, dense[i, j])))
+    p = make_problem(l1_norm_fn(rows, weight=rng.uniform(0.01, 1.0)),
+                     quadratic_fn(identity_op(cols), scale * rng.standard_normal(cols)), D)
+    g, l = 2.0 * p.beta * gamma_frac, p.lambda_hi * lam_frac
+    v, x = scale * rng.standard_normal(rows), scale * rng.standard_normal(cols)
+    grad = p.f2.grad(x)
+    vt, xt, Dt_vt, k = _tentative(p, g, l, v, x, grad)
+    z = x - g * grad
+    paper = p.f1.conj_proj(g / l, D.forward(z) + (v - l * D.forward(D.adjoint(v))))
+    r, s = np.bincount(i).max(), np.bincount(j).max()
+    u, absD = EPS / 2.0, np.abs(dense)
+    bound = 2 * (r + s + 4) * u * (absD @ (np.abs(z) + l * (absD.T @ np.abs(v))) + np.abs(v))
+    assert np.all(np.abs(vt - paper) <= bound)
+    assert k == 1 and Dt_vt.tobytes() == D.adjoint(vt).tobytes()
+    assert xt.tobytes() == (z - l * Dt_vt).tobytes()
 
 
 # Entries whose squares are signed zeros' +0.0 or overflow, alone or in a sum.
