@@ -61,9 +61,9 @@ def _check_lambda(l, lam_hi, n):
         raise ValueError(f"lambda={l} out of range (0, {lam_hi}] at iteration {n}")
 
 
-def _check_alpha(a, n):
+def _check_alpha(a, n, name="alpha"):
     if not (0.0 <= a < 1.0):
-        raise ValueError(f"alpha={a} out of range [0, 1) at iteration {n}")
+        raise ValueError(f"{name}={a} out of range [0, 1) at iteration {n}")
 
 
 def _steps(p, sched, n, it):

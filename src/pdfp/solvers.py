@@ -396,6 +396,7 @@ def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None
 
     ``kappa = 0`` reproduces :func:`pdfp2o` exactly.
     """
+    _check_alpha(kappa, 0, "kappa")
     return _run_kernel(p, constant_schedule(gamma, lam, kappa), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates)
 
@@ -448,7 +449,7 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
     if inner_stop.max_iter < 1:
         raise ValueError("pfbs_fp2o needs inner_stop.max_iter >= 1: with no inner step "
                          "the dual variable never moves and the run minimizes f2 alone")
-    _check_alpha(kappa, 0)
+    _check_alpha(kappa, 0, "kappa")
     return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, ref=ref, x_true=x_true,
                        record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
                        warm_start=warm_start)
@@ -460,8 +461,8 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     Iterates ``v_{n+1} = kappa v_n + (1 - kappa) H(v_n)`` with
     ``H(v) = (I - prox_{f1/lam})(D Q^{-1} b + (I - lam D Q^{-1} D^T) v)``, taken
     as ``(I - prox_{f1/lam})(D x(v) + v)`` for ``x(v) = Q^{-1}(b - lam D^T v)``,
-    and returns the last ``x(v)``. Requires
-    ``0 < lam <= 2 / lambda_max(D Q^{-1} D^T)`` and ``kappa`` in (0, 1).
+    and returns the last ``x(v)``. Requires ``kappa`` in (0, 1) and
+    ``0 < lam <= 2 / lambda_max(D Q^{-1} D^T)``, the upper end checked last.
     The trace's objective adds the constant ``0.5 b^T Q^{-1} b``, so it reads
     ``f1(D x) + 0.5 ||Q^{1/2} x - Q^{-1/2} b||^2``: with ``Q = I`` that is
     ``Problem.objective``.
@@ -471,6 +472,10 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     n = Q.shape[0]
     if Q.shape != (n, n) or b.shape != (n,):
         raise ValueError("Q must be square and b must match its size")
+    if not (0.0 < kappa < 1.0):
+        raise ValueError(f"kappa={kappa} must lie in (0, 1)")
+    if not (0.0 < lam < math.inf):
+        raise ValueError(f"lam={lam} must be positive and finite")
     if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12):
         raise ValueError("Q must be symmetric")
     import scipy.linalg
@@ -478,14 +483,12 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
         cho = scipy.linalg.cho_factor(Q)
     except np.linalg.LinAlgError as exc:
         raise ValueError("Q must be symmetric positive definite") from exc
-    if not (0.0 < kappa < 1.0):
-        raise ValueError("kappa must lie in (0, 1)")
     solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
     apply_K = lambda w: D.forward(solve(D.adjoint(w)))  # symmetric: its own adjoint
     K = LinearOp(in_dim=D.out_dim, out_dim=D.out_dim, forward=apply_K, adjoint=apply_K)
     lam_max_K = math.sqrt(norm_sq_bound(K))
     hi = math.inf if lam_max_K == 0.0 else 2.0 / lam_max_K
-    if not (0.0 < lam <= hi):
+    if not lam <= hi:
         raise ValueError(f"lam={lam} out of range (0, {hi}]")
     x = solve(b)
     Dx, half_bc = D.forward(x), 0.5 * dot(b, x)

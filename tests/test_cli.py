@@ -687,6 +687,10 @@ REJECTED_CONFIGS = {
     **{f"certify-alpha-{value}": (dict(_LASSO, **{"schedule.alpha": value}), "certify",
                                   f"alpha={value} out of range")
        for value in ("nan", "-0.3", "1.5")},
+    # once named alpha, a key the config never set
+    **{f"{solver}-kappa-{value}": ({"solver.name": solver, "solver.kappa": value}, "solve",
+                                   f"kappa={value} out of range")
+       for solver in ("pdfp2o_kappa", "pfbs_fp2o") for value in ("1.5", "nan")},
 }
 
 

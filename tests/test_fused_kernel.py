@@ -4,6 +4,7 @@ and ``siu``, and every solver checked bit for bit against a reference loop."""
 import dataclasses
 import itertools
 import math
+import re
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -348,6 +349,21 @@ class TestSplitSolverOperatorCounts:
         setup, run = counts
         assert {k: n - setup[k] for k, n in run.items()} == {
             "D_fwd": N_ITER, "D_adj": N_ITER, "solve": N_ITER}
+
+    def test_ifp2o_refuses_kappa_and_lam_before_any_operator_call(self, builder, monkeypatch):
+        p, counter = BUILDERS[builder]()
+        Q, b = dense_ifp2o_data(p)
+        counter.counts.clear()
+        factored = []
+        monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *args: factored.append(1))
+        for lam in (-1.0, 0.0, math.nan, math.inf):
+            named = f"lam={lam} must be positive and finite"
+            with pytest.raises(ValueError, match=re.escape(named)):
+                ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=STOP)
+        for kappa in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=re.escape(f"kappa={kappa} must lie in (0, 1)")):
+                ifp2o(Q, b, p.f1, p.D, p.lambda_hi, kappa, stop=STOP)
+        assert (counter.counts, factored) == ({}, [])
 
     def test_cp_applies_A_transpose_to_b_once_per_run(self, builder):
         p, counter = BUILDERS[builder]()

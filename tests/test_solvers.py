@@ -680,6 +680,11 @@ NAMED_ERRORS = {
                   "lam=3.0 out of range (0, "),
     "cp-theta": (lambda: chambolle_pock(tiny_problem(), 0.5, 0.5, 1.5),
                  "theta must lie in [0, 1]"),
+    # kappa by its own name, not as the schedule's alpha
+    "pdfp2o_kappa-kappa": (lambda: pdfp2o_kappa(tiny_problem(), 1.0, 1.0, 1.2),
+                           "kappa=1.2 out of range [0, 1)"),
+    "pfbs_fp2o-kappa": (lambda: pfbs_fp2o(tiny_problem(), 1.0, 1.0, 1.2, StoppingRule(1e-3, 5)),
+                        "kappa=1.2 out of range [0, 1)"),
 }
 
 

@@ -39,7 +39,10 @@ cases:
 
 For each case and column it prints ``equal``, or ``differs`` with the
 largest difference in units in the last place (ulps; plain differences for
-integers). A case that one tree cannot run is reported as not comparable.
+integers). A float column's difference is also given in ulps of the
+column's largest finite magnitude in ``a``, ``max|a - b| / spacing(max|a|)``:
+a change of 1e-15 on an entry near zero is millions of that entry's own
+ulps, and a fraction of one at the column's scale. A case that one tree cannot run is reported as not comparable.
 Only public names of ``pdfp`` are used, so any two revisions that have them
 compare. Exits 0 when every column of every case is equal, else 1.
 """
@@ -220,9 +223,15 @@ def verdict(a, b):
         nan_a, nan_b = np.isnan(a), np.isnan(b)
         if (nan_a != nan_b).any():
             return f"differs: NaN at {int((nan_a != nan_b).sum())} places in one tree only"
-        ka, kb = _ordered(a[~nan_a]), _ordered(b[~nan_b])
+        a, b = a[~nan_a], b[~nan_b]
+        ka, kb = _ordered(a), _ordered(b)
         diff = max((abs(int(x) - int(y)) for x, y in zip(ka, kb) if x != y), default=0)
-        return f"differs by up to {diff} ulps"
+        # the same difference in ulps of the column's largest finite magnitude
+        finite = np.abs(a[np.isfinite(a)])
+        amax = finite.max() if finite.size else 0.0
+        largest = np.max(np.abs(np.subtract(a, b, where=a != b, out=np.zeros_like(a))))
+        return (f"differs by up to {diff} ulps, "
+                f"{largest / np.spacing(amax):.3g} ulps of max|a| = {amax:.6g}")
     if a.dtype.kind in "iub":
         return f"differs by up to {int(np.abs(a.astype(np.int64) - b.astype(np.int64)).max())}"
     return f"differs: {a.ravel()[:3]} against {b.ravel()[:3]}"
