@@ -190,10 +190,8 @@ def rate_certificate(p, gamma, lam, alpha_lo, alpha_hi, sigma, alpha0=None):
     # the stepsizes were validated against the dense spectrum above, which
     # can admit the exact upper end that the cached estimate would reject
     vt, xt, _, _ = solvers._tentative(p, gamma, lam, u0.v, u0.x, p.f2.grad(u0.x))
-    # the first step starts from zero, so its length is the norm of the relaxed state;
-    # it relaxes over vt and xt, which are this call's own
-    d = solvers._lnorm(solvers._mann(a0, u0.v, vt, np.empty_like(vt)),
-                       solvers._mann(a0, u0.x, xt, np.empty_like(xt)), lam)
+    # the first step starts from zero: by the kernel's rule, (1 - alpha0) times its residual
+    d = (1.0 - a0) * solvers._lnorm(vt, xt, lam)
     return RateCertificate(mu=mu, nu=nu, eta=eta, theta=theta, d=d)
 
 

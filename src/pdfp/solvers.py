@@ -63,13 +63,17 @@ class Problem:
         return 1.0 / self.lambda_max_ddt
 
 
+def _check_sizes(f1, name, dim, D):
+    if f1.dim != D.out_dim:
+        raise ValueError(f"f1 acts on R^{f1.dim} but D maps into R^{D.out_dim}")
+    if dim != D.in_dim:
+        raise ValueError(f"{name} acts on R^{dim} but D maps from R^{D.in_dim}")
+
+
 def make_problem(f1, f2, D, power_seed=0):
     """Assemble a :class:`Problem`, caching ``linops.norm_sq_bound(D)`` as the
     spectral bound of ``D D^T``."""
-    if f1.dim != D.out_dim:
-        raise ValueError(f"f1 acts on R^{f1.dim} but D maps into R^{D.out_dim}")
-    if f2.dim != D.in_dim:
-        raise ValueError(f"f2 acts on R^{f2.dim} but D maps from R^{D.in_dim}")
+    _check_sizes(f1, "f2", f2.dim, D)
     if f2.lipschitz <= 0:
         raise ValueError("f2 must have a positive Lipschitz constant")
     return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz,
@@ -130,9 +134,11 @@ class RunTrace:
     stop_reason: str = "budget"
 
 
-def _mann(alpha, a, b, scratch):
-    """The one Mann step ``alpha*a + (1 - alpha)*b``, over ``b``, ``alpha * a`` in ``scratch``."""
-    return np.add(np.multiply(a, alpha, out=scratch), np.multiply(b, 1.0 - alpha, out=b), out=b)
+def _mann(alpha, a, b, scratch, out=None):
+    """The one combination ``alpha*a + (1 - alpha)*b`` of iterates or their ``D^T``, into ``out``
+    (``b`` when None), ``alpha * a`` in ``scratch``."""
+    out = b if out is None else out
+    return np.add(np.multiply(a, alpha, out=scratch), np.multiply(b, 1.0 - alpha, out=out), out=out)
 
 
 def _lnorm(v, x, lam, vv=None):
@@ -175,14 +181,15 @@ def _dual_step(f1, t, Dy, v, w=None):
 
 
 class _Workspace:
-    """The arrays one run of the fixed-point kernel computes into, each made
-    at first need: three "dual" buffers that dual steps fill in rotation,
-    never the current ``v`` or the outer state; two "primal" ones for ``z``,
-    which becomes ``x'``, never the current ``x``; one "diff" and one "tmp".
-    ``dots`` is the outer step's ``(||v' - v||^2, ||v||^2)`` or None: see :func:`_tentative`."""
+    """The arrays one run of the fixed-point kernel computes into, each made at first need:
+    three "dual" buffers that dual steps fill in rotation, never the current ``v`` or the
+    outer state; two "primal" ones for ``z``, which becomes ``x'``, never the current ``x``;
+    on relaxed runs two "adj" ones for the carried ``D^T v``, never the current one; one
+    "diff"; one "tmp". ``dots`` is the outer step's ``(||v' - v||^2, ||v||^2)`` or None."""
 
     def __init__(self, p):
-        self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim)
+        self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim,
+                         adj=p.D.in_dim)
         self.pools, self.dots = {kind: [] for kind in self.dims}, None
 
     def take(self, kind, *busy):
@@ -326,11 +333,11 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
 
     Each quantity is computed once (the README's cost table counts the
     operator calls): one ``f2.value_and_grad`` per iterate feeds the trace's
-    objective and the next step, and an unrelaxed step's ``D^T v'`` is the
-    next step's ``D^T v``. The residual column holds the unrelaxed change;
+    objective and the next step, and ``D^T v``, applied once at a warm start, is
+    carried from step to step. The residual column holds the unrelaxed change;
     the stop test reads the relaxed one, ``1 - alpha`` times it. The run's arrays come from one
-    :class:`_Workspace`; a relaxed step writes ``alpha u + (1 - alpha) T(u)``
-    over ``T(u)`` there with :func:`_mann`, as the inner ``kappa`` step does.
+    :class:`_Workspace`; a relaxed step writes ``alpha u + (1 - alpha) T(u)`` over ``T(u)``
+    there with :func:`_mann`, as the inner ``kappa`` step does, and ``D^T v'`` from the two ``D^T``.
 
     With ``inner_stop`` (``pfbs_fp2o``), the dual update is the inner loop
     of :func:`_tentative`, relaxed by ``kappa`` and started from ``v``
@@ -341,7 +348,7 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
     stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
     it = Iterate.at(p.f2, np.array(u0.x, dtype=np.float64))
-    Dt_v = None
+    Dt_v = p.D.adjoint(v) if warm_start else None
     lam_ref = float(sched.lam(0, it))
     ws = _Workspace(p)
 
@@ -356,9 +363,10 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
         res = _lnorm(dv, np.subtract(xt, x, out=ws.take("tmp")), lam_ref, dd)
         if a == 0.0:
             v_new, x_new, Dt_v, change = vt, xt, Dt_vt, res
-        else:  # relax the workspace arrays vt, xt in place: u' - u = (1 - a)(T(u) - u)
+        else:  # relax in place, D^T v' first (D^T may hand back vt): u' - u = (1 - a)(T(u) - u)
+            Dt_v = _mann(a, Dt_v, Dt_vt, ws.take("tmp"), ws.take("adj", Dt_v))
             v_new, x_new = _mann(a, v, vt, ws.take("diff")), _mann(a, x, xt, ws.take("tmp"))
-            Dt_v, change = None, (1.0 - a) * res
+            change = (1.0 - a) * res
         # only the stop test reads the size, and only with a tolerance
         size = _lnorm(v, x, lam_ref, vv) if stop.tol > 0.0 else math.nan
         v, it = v_new, Iterate.at(p.f2, x_new)
@@ -472,6 +480,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     n = Q.shape[0]
     if Q.shape != (n, n) or b.shape != (n,):
         raise ValueError("Q must be square and b must match its size")
+    _check_sizes(f1, "Q", n, D)
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa={kappa} must lie in (0, 1)")
     if not (0.0 < lam < math.inf):

@@ -136,22 +136,30 @@ def dual_proj(f1, t, w):
 
 
 def unfused_steps(p, sched, relaxed, lam_ref):
-    """The driver before fusion: every step evaluates ``grad f2`` and
-    ``D^T v`` afresh, the schedule reads a fresh ``f2`` evaluation, and the
-    objective comes from ``Problem.objective``. The dual step is written
-    out as ``w = D(z - l D^T v) + v``."""
+    """The driver before fusion: every step evaluates ``grad f2`` afresh, the
+    schedule reads a fresh ``f2`` evaluation, and the objective comes from
+    ``Problem.objective``. The dual step is written out as
+    ``w = D(z - l D^T v) + v``. ``D^T v`` is carried: after an unrelaxed
+    step it is the ``D^T v_T`` the primal update applied, and after a
+    relaxed one ``a D^T v + (1 - a) D^T v_T``."""
     v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
+    Dt_v = p.D.adjoint(v)
     for n in itertools.count():
         g = float(sched.gamma(n, Iterate.at(p.f2, x)))
         l = float(sched.lam(n, None))
         a = float(sched.alpha(n, None)) if relaxed else 0.0
         z = x - g * p.f2.grad(x)
-        w = p.D.forward(z - l * p.D.adjoint(v)) + v
+        w = p.D.forward(z - l * Dt_v) + v
         vt = dual_proj(p.f1, g / l, w)
-        xt = z - l * p.D.adjoint(vt)
+        Dt_vt = p.D.adjoint(vt)
+        xt = z - l * Dt_vt
         res = math.sqrt(dot(xt - x, xt - x) + lam_ref * dot(vt - v, vt - v))
         # the Mann step written out, independent of the package's own
-        v_new, x_new = (vt, xt) if a == 0.0 else (a * v + (1 - a) * vt, a * x + (1 - a) * xt)
+        if a == 0.0:
+            v_new, x_new, Dt_v = vt, xt, Dt_vt
+        else:
+            v_new, x_new = a * v + (1 - a) * vt, a * x + (1 - a) * xt
+            Dt_v = a * Dt_v + (1 - a) * Dt_vt
         step, denom = lnorm(v_new - v, x_new - x, lam_ref), max(1.0, lnorm(v, x, lam_ref))
         v, x = v_new, x_new
         yield Step(v, x, p.objective(x), res, step, denom, g, l, a)
@@ -168,23 +176,18 @@ def unfused_reference(p, sched, n_iter, relaxed):
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 class TestOperatorCounts:
-    def test_unrelaxed_steps_apply_each_operator_once(self, builder):
-        for kind in ("pdfp2o", "ds_bb"):
+    def test_each_step_applies_each_operator_once(self, builder):
+        # a relaxed step carries D^T v' as the Mann step of the two D^T, with no call
+        for kind in ("pdfp2o", "ds_bb", "dsn_const", "dsn_bb", "pdfp2o_kappa"):
             p, counter = BUILDERS[builder]()
-            _run(kind, p)
+            if kind == "pdfp2o_kappa":
+                pdfp2o_kappa(p, 1.99 * p.beta, p.lambda_hi, 0.4, stop=STOP)
+            else:
+                _run(kind, p)
             # the run start adds one f2 evaluation (A, A^T) and one D^T
             assert counter.counts == {
                 "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
                 "D_fwd": 2 * N_ITER, "D_adj": N_ITER + 1,
-            }, kind
-
-    def test_relaxed_steps_add_one_adjoint(self, builder):
-        for kind in ("dsn_const", "dsn_bb"):
-            p, counter = BUILDERS[builder]()
-            _run(kind, p)
-            assert counter.counts == {
-                "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
-                "D_fwd": 2 * N_ITER, "D_adj": 2 * N_ITER,
             }, kind
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
@@ -363,6 +366,22 @@ class TestSplitSolverOperatorCounts:
         for kappa in (0.0, 1.5, math.nan):
             with pytest.raises(ValueError, match=re.escape(f"kappa={kappa} must lie in (0, 1)")):
                 ifp2o(Q, b, p.f1, p.D, p.lambda_hi, kappa, stop=STOP)
+        assert (counter.counts, factored) == ({}, [])
+
+    def test_ifp2o_refuses_sizes_that_do_not_match_D_before_any_operator_call(self, builder,
+                                                                            monkeypatch):
+        p, counter = BUILDERS[builder]()
+        Q, b = dense_ifp2o_data(p)
+        counter.counts.clear()
+        factored = []
+        monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *args: factored.append(1))
+        n, m = p.D.in_dim, p.D.out_dim
+        with pytest.raises(ValueError, match=re.escape(f"f1 acts on R^{m // 2} but D maps "
+                                                       f"into R^{m}")):
+            ifp2o(Q, b, l1_norm_fn(m // 2), p.D, p.lambda_hi, 0.3, stop=STOP)
+        with pytest.raises(ValueError, match=re.escape(f"Q acts on R^{n // 4} but D maps "
+                                                       f"from R^{n}")):
+            ifp2o(Q[:n // 4, :n // 4], b[:n // 4], p.f1, p.D, p.lambda_hi, 0.3, stop=STOP)
         assert (counter.counts, factored) == ({}, [])
 
     def test_cp_applies_A_transpose_to_b_once_per_run(self, builder):

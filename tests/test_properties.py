@@ -34,13 +34,14 @@ from pdfp import (  # noqa: E402
     pdfp2o,
     pdfp2o_ds,
     pdfp2o_dsn,
+    pdfp2o_kappa,
     pfbs_fp2o,
     quadratic_fn,
     rate_certificate,
     subgradient_prox_check,
     zero_prox_fn,
 )
-from pdfp import linops, tomo  # noqa: E402
+from pdfp import linops, solvers, tomo  # noqa: E402
 from pdfp.prox import _group_ids, _Partition  # noqa: E402
 from pdfp.solvers import _dual_step, _tentative  # noqa: E402
 from test_linops import (  # noqa: E402
@@ -449,6 +450,53 @@ def test_dual_step_in_the_y_form_is_the_papers_within_rounding(rows, cols, seed,
     assert np.all(np.abs(vt - paper) <= bound)
     assert k == 1 and Dt_vt.tobytes() == D.adjoint(vt).tobytes()
     assert xt.tobytes() == (z - l * Dt_vt).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12), diff=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.0, 0.95),
+       gamma_frac=st.floats(0.01, 0.99), steps=st.integers(50, 200))
+def test_carried_adjoint_drifts_within_the_rounding_of_a_relaxed_step(rows, cols, diff, seed,
+                                                                       alpha, gamma_frac, steps):
+    """The kernel carries ``D^T v`` through relaxed steps as the Mann step
+    of the two ``D^T``, not by applying ``D^T``. Against a fresh ``D^T v``
+    its error obeys ``e' = alpha e + delta``, where one step's rounding
+    ``delta`` is at most ``(2 s + 4) u M`` to first order: ``s`` is the
+    longest column of ``D`` (the longest sum of ``D^T``), ``u`` the unit
+    roundoff and ``M`` the largest entry of ``|D|^T |w|`` over the run's
+    iterates ``w``, which bounds ``|D^T w|`` and, unlike it, does not
+    vanish by cancellation. So the drift stays below ``delta / (1 - alpha)``;
+    the test allows ``c = 2 (s + 4)``.
+    """
+    rng = np.random.default_rng(seed)
+    if diff:
+        D = diff_op_2d(rows + 1, cols + 1, "anisotropic")
+    else:
+        mask = rng.random((rows, cols)) < 0.5
+        assume(mask.any())
+        i, j = np.nonzero(mask)
+        D = matrix_op(SparseMatrix(rows, cols, (i, j, rng.uniform(-2.0, 2.0, i.size))))
+    absD = np.abs(np.column_stack([D.forward(e) for e in np.eye(D.in_dim)]))
+    p = make_problem(l1_norm_fn(D.out_dim, weight=rng.uniform(0.01, 1.0)),
+                     quadratic_fn(identity_op(D.in_dim), rng.standard_normal(D.in_dim)), D)
+    seen = []
+
+    def recording(p, g, l, v, x, grad, Dt_v, *rest):
+        out = _tentative(p, g, l, v, x, grad, Dt_v, *rest)
+        seen.append((v.copy(), Dt_v.copy(), out[0].copy()))
+        return out
+
+    with mock.patch.object(solvers, "_tentative", recording):
+        pdfp2o_kappa(p, 2.0 * p.beta * gamma_frac, p.lambda_hi, alpha,
+                     stop=StoppingRule(tol=0.0, max_iter=steps))
+    assert len(seen) == steps
+    s = int(np.count_nonzero(absD, axis=0).max())
+    M = max(float(np.max(absD.T @ np.abs(w))) for v, _, vt in seen for w in (v, vt))
+    bound = 2 * (s + 4) * (EPS / 2.0) * M / (1.0 - alpha)
+    drift = max(float(np.max(np.abs(Dt_v - D.adjoint(v)))) for v, Dt_v, _ in seen)
+    assert drift <= bound
+    if alpha == 0.0:  # an unrelaxed step's D^T v' is the next step's fresh D^T v
+        assert drift == 0.0
 
 
 # Entries whose squares are signed zeros' +0.0 or overflow, alone or in a sum.
