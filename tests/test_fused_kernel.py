@@ -176,19 +176,35 @@ def unfused_reference(p, sched, n_iter, relaxed):
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
 class TestOperatorCounts:
-    def test_each_step_applies_each_operator_once(self, builder):
-        # a relaxed step carries D^T v' as the Mann step of the two D^T, with no call
-        for kind in ("pdfp2o", "ds_bb", "dsn_const", "dsn_bb", "pdfp2o_kappa"):
+    # the run start adds one f2 evaluation (A, A^T) and one D^T
+    COUNTS = {"A_fwd": N_ITER + 1, "A_adj": N_ITER + 1, "D_fwd": 2 * N_ITER, "D_adj": N_ITER + 1}
+
+    def test_unrelaxed_steps_apply_each_operator_once(self, builder):
+        for kind in ("pdfp2o", "ds_bb"):
             p, counter = BUILDERS[builder]()
+            _run(kind, p)
+            assert counter.counts == self.COUNTS, kind
+
+    def test_relaxed_steps_add_one_adjoint(self, builder, monkeypatch):
+        # each relaxed step adds one D^T call, as an unrelaxed one does: it carries
+        # D^T v' as the Mann step of the two D^T, with no call
+        tentative = pdfp.solvers._tentative
+        for kind in ("dsn_const", "dsn_bb", "pdfp2o_kappa"):
+            p, counter = BUILDERS[builder]()
+            seen = []
+
+            def recording(*args, counts=counter.counts, seen=seen, **kwargs):
+                seen.append(counts.get("D_adj", 0))
+                return tentative(*args, **kwargs)
+
+            monkeypatch.setattr(pdfp.solvers, "_tentative", recording)
             if kind == "pdfp2o_kappa":
                 pdfp2o_kappa(p, 1.99 * p.beta, p.lambda_hi, 0.4, stop=STOP)
             else:
                 _run(kind, p)
-            # the run start adds one f2 evaluation (A, A^T) and one D^T
-            assert counter.counts == {
-                "A_fwd": N_ITER + 1, "A_adj": N_ITER + 1,
-                "D_fwd": 2 * N_ITER, "D_adj": N_ITER + 1,
-            }, kind
+            seen.append(counter.counts["D_adj"])
+            assert counter.counts == self.COUNTS, kind
+            assert np.diff(seen).tolist() == [1] * N_ITER, kind
 
     @pytest.mark.parametrize("tol", [0.0, 1e-12])
     def test_relaxed_steps_take_the_dot_products_of_unrelaxed_ones(self, builder, tol,
