@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import rate_certificate, write_csv, write_lines, write_trace_csv
 from .linops import PowerIterationError
 from .schedules import GAMMA_CLAMP_FRACTIONS, RELAXATION_WEIGHT, ScheduleSpec
-from .solvers import StoppingRule, chambolle_pock, ifp2o, pdfp2o, pdfp2o_ds, \
-    pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, siu
+from .solvers import StoppingRule, chambolle_pock, pdfp2o, pdfp2o_ds, pdfp2o_dsn, \
+    pdfp2o_kappa, pfbs_fp2o, siu
 from .tomo import DEFAULT_CT_REG_WEIGHT, POWER_CHANNEL, TomoGeometry, \
     make_deblur_problem, make_denoise_problem, make_lasso_problem, make_tomo_problem, \
     make_tv_problem, seed_stream, write_pgm
@@ -89,7 +89,7 @@ _SOLVER_READS = {
     "pdfp2o_ds": ("solver.lambda", "schedule.kind"),
     "pdfp2o_dsn": ("solver.lambda", "schedule.kind", "schedule.alpha"),
     "pfbs_fp2o": _STEPS + ("solver.kappa", "solver.inner_tol", "solver.inner_max_iter"),
-    "ifp2o": ("solver.lambda", "solver.kappa"), "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
+    "cp": _STEPS + ("solver.theta",), "siu": _STEPS,
 }
 _SCHEDULE_READS = {"constant": ("solver.gamma",),
                    "bb_dynamic": ("schedule.gamma_lo", "schedule.gamma_hi"),
@@ -284,14 +284,6 @@ def _run_solver(cfg, problem, x_true):
         inner = StoppingRule(tol=cfg["solver.inner_tol"], max_iter=cfg["solver.inner_max_iter"])
         u, tr = pfbs_fp2o(problem, gamma, lam, kappa, inner, stop=stop, x_true=xt)
         return u.x, tr
-    if name == "ifp2o":
-        n = problem.D.in_dim
-        if n > 1024:
-            raise ConfigError("ifp2o needs a dense system; use problem.size <= 32")
-        if problem.f2.A.tag != "identity":
-            raise ConfigError("ifp2o supports identity data operators only (denoise/lasso)")
-        return ifp2o(np.eye(n), problem.f2.b, problem.f1, problem.D, lam, kappa, stop=stop,
-                     x_true=xt)
     if name == "cp":
         # auto sits inside Chambolle-Pock's strict bound sigma*tau < 1/lambda_max
         lam_cp = 0.99 * problem.lambda_hi if cfg["solver.lambda"] == _AUTO else lam

@@ -27,7 +27,7 @@ class CertificateNotApplicable(ValueError):
 
 def lambda_norm(u, lam):
     """Product-space norm ``sqrt(||x||^2 + lam * ||v||^2)`` of a (v, x) state."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     return solvers._lnorm(u.v, u.x, lam)
 
@@ -40,7 +40,7 @@ def m_seminorm(v, D, lam):
     are clamped to zero, anything more negative means ``lam`` is too large
     and raises :class:`InvariantViolationError`.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=np.float64)
     Dt_v = D.adjoint(v)

@@ -321,7 +321,7 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
         If the change criterion is not met within ``max_iter`` iterations;
         the exception carries the best estimate so far.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if D.in_dim <= D.out_dim:
         dim = D.in_dim

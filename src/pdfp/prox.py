@@ -67,8 +67,8 @@ def _quadratic(f2, what):
 
 
 def _positive(t):
-    """``t``, once checked to be positive."""
-    if t <= 0:
+    """``t``, once checked to be positive (NaN is not)."""
+    if not t > 0:
         raise ValueError("t must be positive")
     return t
 
@@ -189,7 +189,7 @@ def resolvent_identity_check(f, nu, mu, z):
     Returns ``||prox_{nu f}(z) - prox_{mu f}((mu/nu) z + (1 - mu/nu) prox_{nu f}(z))||``,
     which is zero for any proper convex ``f``.
     """
-    if nu <= 0 or mu <= 0:
+    if not (nu > 0 and mu > 0):
         raise ValueError("nu and mu must be positive")
     z = np.asarray(z, dtype=np.float64)
     lhs = f.prox(nu, z)

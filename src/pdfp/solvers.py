@@ -74,8 +74,9 @@ def make_problem(f1, f2, D, power_seed=0):
     """Assemble a :class:`Problem`, caching ``linops.norm_sq_bound(D)`` as the
     spectral bound of ``D D^T``."""
     _check_sizes(f1, "f2", f2.dim, D)
-    if f2.lipschitz <= 0:
-        raise ValueError("f2 must have a positive Lipschitz constant")
+    if not 0 < f2.lipschitz < math.inf:
+        raise ValueError(f"f2 must have a positive Lipschitz constant that is finite, "
+                         f"not {f2.lipschitz}")
     return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz,
                    lambda_max_ddt=norm_sq_bound(D, power_seed))
 

@@ -8,7 +8,7 @@ import pytest
 
 import pdfp.cli
 import pdfp.linops
-from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, ifp2o, \
+from pdfp import PowerIterationError, StoppingRule, chambolle_pock, constant_schedule, \
     make_denoise_problem, pdfp2o, pdfp2o_ds, pdfp2o_dsn, pdfp2o_kappa, pfbs_fp2o, \
     rate_certificate, siu, write_trace_csv
 from pdfp.cli import CONFIG_KEYS, PROBLEM_KINDS, SCHEDULE_KINDS, SOLVER_NAMES, \
@@ -79,11 +79,6 @@ NON_FINITE_KEYS = {
     "angle-step-nan": ({"problem.kind": "ct", "problem.angle_step": "nan"},
                        "angles must lie in [0, 180)"),
 }
-
-
-# ifp2o on a 32x32 denoise problem, 300 iterations
-_IFP2O_32 = {"solver.name": "ifp2o", "problem.size": "32", "problem.reg_weight": "0.02",
-             "run.max_iter": "300", "run.tol": "0"}
 
 
 class TestSolve:
@@ -202,7 +197,6 @@ class TestSolve:
             "pdfp2o_ds": lambda: pdfp2o_ds(p, constant_schedule(g, l, problem=p), **kw),
             "pdfp2o_dsn": lambda: pdfp2o_dsn(p, constant_schedule(g, l, 0.5, problem=p), **kw),
             "pfbs_fp2o": lambda: pfbs_fp2o(p, g, l, 0.0, StoppingRule(1e-10, 200), **kw),
-            "ifp2o": lambda: ifp2o(np.eye(256), p.f2.b, p.f1, p.D, l, 0.5, **kw),
             "cp": lambda: chambolle_pock(p, min(l, 0.99 * p.lambda_hi) / g, g, 1.0, **kw),
             "siu": lambda: siu(p, 0.9 / (p.f2.lipschitz + l / g * p.lambda_max_ddt), l / g,
                                **kw),
@@ -220,20 +214,6 @@ class TestSolve:
         snrs = [float(r["snr"]) for r in rows]
         assert objectives[-1] < objectives[0]
         assert all(math.isfinite(s) for s in snrs) and snrs[-1] > 0.0
-
-    def test_ifp2o_objective_is_the_problem_objective(self, tmp_path):
-        # it once left out the constant 0.5 ||b||^2: -20.42 against 2.7222 here
-        cfg = ExperimentConfig.load(write_cfg(tmp_path / "c.cfg", **_IFP2O_32))
-        problem, x_true, _ = cfg.build_problem()
-        x, tr = _run_solver(cfg, problem, x_true)
-        assert tr.objectives[-1] == pytest.approx(problem.objective(x), rel=1e-12)
-
-    def test_ifp2o_on_lasso(self, tmp_path):
-        cfg = write_cfg(
-            tmp_path / "l.cfg",
-            **{"problem.kind": "lasso", "solver.name": "ifp2o", "run.tol": "1e-8"},
-        )
-        assert run_experiment(cfg) == 0
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "c.cfg", **{"run.max_iter": "5", "run.tol": "0"})
@@ -288,15 +268,14 @@ class TestCompare:
         b = write_cfg(tmp_path / "b.cfg", **{"problem.size": "24"})
         assert compare(a, b, tmp_path / "m.csv") == 1
 
-    def test_ifp2o_crossings_read_its_snr(self, tmp_path, capsys):
-        # ifp2o once took no x_true: its snr column was NaN, so compare said it
-        # never crossed 15 dB on a run that ends above 23 dB
-        a = write_cfg(tmp_path / "a.cfg", **_IFP2O_32)
-        b = write_cfg(tmp_path / "b.cfg", **dict(_IFP2O_32, **{"solver.name": "pdfp2o"}))
-        assert compare(a, b, tmp_path / "m.csv") == 0
-        assert "run_a crosses 15 dB at iteration " in capsys.readouterr().out
-        rows = list(csv.DictReader((tmp_path / "m.csv").read_text().splitlines()))
-        assert all(math.isfinite(float(row["snr_a"])) for row in rows)
+    def test_unknown_solver_exits_1_before_building_the_problem(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.setattr(ExperimentConfig, "build_problem", None)
+        a = write_cfg(tmp_path / "a.cfg", **{"solver.name": "ifp2o"})
+        out = tmp_path / "m" / "m.csv"
+        assert main(["compare", str(a), str(a), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown solver: ifp2o\n"
+        assert not (tmp_path / "m").exists()
 
     def test_missing_output_directory_is_created(self, tmp_path):
         cfg = write_cfg(tmp_path / "a.cfg", **{"run.max_iter": "5", "run.tol": "0"})
@@ -655,10 +634,10 @@ REJECTED_CONFIGS = {
     # once numpy's "need at least one array to concatenate"
     "no-angles": ({"problem.kind": "ct", "problem.angle_count": "0"}, "solve",
                   "angles_deg must hold at least one angle"),
-    "ifp2o-size": ({"solver.name": "ifp2o", "problem.size": "33"}, "solve",
-                   "problem.size <= 32"),
-    "ifp2o-operator": ({"solver.name": "ifp2o", "problem.kind": "deblur"}, "solve",
-                       "ifp2o supports identity data operators only"),
+    # ifp2o is a library call: on identity data at Q = I it is pdfp2o_kappa at
+    # solver.gamma = 1
+    "ifp2o": ({"solver.name": "ifp2o"}, "solve", "unknown solver: ifp2o"),
+    "ifp2o-certify": ({"solver.name": "ifp2o"}, "certify", "unknown solver: ifp2o"),
     "certify-sigma-auto": ({"problem.kind": "deblur"}, "certify",
                            "certify needs an identity data operator"),
     # once numpy's "expected non-negative integer", which names no key

@@ -397,6 +397,11 @@ class TestAtomicWrite:
 # Calls refused with a ValueError, and the words that name what is wrong.
 NAMED_ERRORS = {
     "m-seminorm-lam": (lambda: m_seminorm(np.ones(2), identity_op(2), 0.0), "lam must be positive"),
+    # NaN passes a "<= 0" check, and would give a NaN norm
+    "m-seminorm-lam-nan": (lambda: m_seminorm(np.ones(2), identity_op(2), np.nan),
+                           "lam must be positive"),
+    "lambda-norm-lam-nan": (lambda: lambda_norm(PDState(np.ones(2), np.ones(2)), np.nan),
+                            "lam must be positive"),
     "rel-err-snr-shape": (lambda: rel_err_snr(np.ones(3), np.ones(4)),
                           "images must have the same shape"),
     # D = I: lambda_max(D D^T) = 1 admits lam up to 1 + 1e-9

@@ -344,6 +344,8 @@ NAMED_ERRORS = {
     "blur-width-float": (lambda: gaussian_blur_op(8, 8.7, 2, 1.5), "width=8.7 must be an integer"),
     "matrix-dimensions": (lambda: SparseMatrix(0, 3, (np.zeros(0, int), np.zeros(0, int), [])),
                           "matrix dimensions must be positive"),
+    # NaN passes a "<= 0" check, and would disable the extrapolation stop
+    "op-norm-sq-tol-nan": (lambda: op_norm_sq(identity_op(2), tol=np.nan), "tol must be positive"),
     "row-chunks": (lambda: SparseMatrix._from_row_chunks(
         4, 2, [(np.ones(1), np.zeros(1, np.int32), np.array([0, 1, 1, 1]))]),
         "row chunks cover 3 rows, not 4"),

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from pdfp import (  # noqa: E402
+    PDState,
     Problem,
     SparseMatrix,
     StoppingRule,
@@ -27,6 +28,7 @@ from pdfp import (  # noqa: E402
     gaussian_blur_op,
     group_l2_norm_fn,
     identity_op,
+    ifp2o,
     l1_norm_fn,
     make_problem,
     matrix_op,
@@ -571,9 +573,10 @@ GAMMA_FRACTIONS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(h=st.integers(2, 10), w=st.integers(2, 10), isotropic=st.booleans(),
        weight=st.floats(1e-3, 1.0), gamma_frac=GAMMA_FRACTIONS,
-       lam_frac=st.floats(1e-6, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
+       lam_frac=st.floats(1e-6, 1.0, exclude_min=True),
+       kappa=st.floats(0.0, 0.95, exclude_min=True), seed=st.integers(0, 2 ** 32 - 1))
 def test_collapse_identities_at_random_sizes_and_steps(h, w, isotropic, weight, gamma_frac,
-                                                       lam_frac, seed):
+                                                       lam_frac, kappa, seed):
     rng = np.random.default_rng(seed)
     hw = h * w
     f1 = (group_l2_norm_fn(2 * hw, [(k, hw + k) for k in range(hw)], weight=weight)
@@ -590,6 +593,52 @@ def test_collapse_identities_at_random_sizes_and_steps(h, w, isotropic, weight, 
     one_step = pfbs_fp2o(p, gamma, lam, 0.0, StoppingRule(tol=0.0, max_iter=1), **kw)
     assert_same_run(one_step, plain, skip=("inner_iters",))
     assert one_step[1].inner_iters.tolist() == [1] * 12
+    assert_ifp2o_is_pdfp2o_kappa_at_beta(p, weight, lam, kappa, kw)
+
+
+def assert_ifp2o_is_pdfp2o_kappa_at_beta(p, weight, lam, kappa, kw):
+    """``ifp2o`` at ``Q = I`` against ``pdfp2o_kappa`` at ``gamma = beta = 1`` from
+    ``x0 = b``, on an identity-data problem whose ``D`` is a ``diff_op_2d``.
+
+    In exact arithmetic the two are one iteration. In floating point
+    ``pdfp2o_kappa`` forms ``b`` as ``z = x - (x - b)`` and relaxes ``x``, where
+    ``ifp2o`` relaxes ``v`` and solves ``x = b - lam D^T v`` exactly (the
+    Cholesky factor of ``I`` is ``I``). So they agree within rounding. With
+    ``u`` the unit roundoff, ``n`` steps, ``N`` pixels, ``m`` rows of ``D`` and
+    ``S = max(|b|, |x_k|)`` over the run:
+
+    * ``x``: a step rounds ``x`` by at most ``(s + 4) u S`` in each run, where
+      ``s = 4`` bounds the terms of an entry of ``D^T v``; the relaxed step is
+      nonexpansive, so the runs end at most ``d = 2 n (s + 4) u S`` apart.
+    * objective: ``ifp2o``'s cancels ``0.5 x.x - b.x`` against ``0.5 b.b``. Its
+      sums of at most ``m`` terms round within ``m u`` of their terms'
+      magnitudes, which are at most 6 times ``0.5 ||b||^2 + max|objective|``,
+      and ``x``'s difference moves it by at most
+      ``(max_k ||x_k - b||_1 + 2 m weight + N d) d``.
+    * SNR: ``x``'s difference moves ``20 log10(||x_true|| / ||x - x_true||)`` by
+      at most ``(20 / ln 10) sqrt(N) d / ||x - x_true||``, and the logarithm's
+      argument rounds within ``8 u``.
+    * ``lams`` and ``alphas`` hold ``lam`` and ``kappa``, bit for bit.
+
+    ``gammas`` (NaN against ``beta``) and ``residuals`` (``||H(v) - v||``
+    against the lambda-norm of the state change) mean different things.
+    """
+    u = np.finfo(float).eps / 2
+    b, m = p.f2.b, p.D.out_dim
+    x, tr = ifp2o(np.eye(b.size), b, p.f1, p.D, lam, kappa, **kw)
+    ref, ref_tr = pdfp2o_kappa(p, p.beta, lam, kappa, u0=PDState(np.zeros(m), b),
+                               record_iterates=True, **kw)
+    xs = np.array([it.x for it in ref_tr.iterates])
+    d = 2 * tr.n_iter * (4 + 4) * u * max(np.abs(b).max(), np.abs(xs).max())
+    assert np.abs(x - ref.x).max() <= d
+    scale = 0.5 * (b @ b) + np.abs(tr.objectives).max()
+    slope = np.abs(xs - b).sum(axis=1).max() + 2 * m * weight + b.size * d
+    assert np.abs(tr.objectives - ref_tr.objectives).max() <= 6 * m * u * scale + slope * d
+    dist = np.sqrt(ref_tr.relerrs) * np.linalg.norm(kw["x_true"])
+    snr_tol = 20 / math.log(10) * (math.sqrt(b.size) * d / dist + 8 * u)
+    assert (np.abs(tr.snrs - ref_tr.snrs) <= snr_tol).all()
+    for name in ("lams", "alphas"):
+        assert getattr(tr, name).tobytes() == getattr(ref_tr, name).tobytes(), name
 
 
 EPS = np.finfo(float).eps

@@ -325,6 +325,19 @@ def test_prox_optimality_against_random_probes():
 NAMED_ERRORS = {
     "resolvent-nu": (lambda: resolvent_identity_check(l1_norm_fn(2), 0.0, 1.0, np.ones(2)),
                      "nu and mu must be positive"),
+    # NaN passes a "<= 0" check, and would give NaN arrays or a NaN residual
+    "resolvent-nu-nan": (lambda: resolvent_identity_check(l1_norm_fn(2), np.nan, 1.0,
+                                                          np.ones(2)), "nu and mu must be positive"),
+    "l1-prox-nan": (lambda: l1_prox(np.nan, np.ones(2)), "t must be positive"),
+    "group-l2-prox-nan": (lambda: group_l2_prox(np.nan, np.ones(2), [(0, 1)]),
+                          "t must be positive"),
+    "conjugate-prox-nan": (lambda: conjugate_prox(l1_norm_fn(2), np.nan, np.ones(2)),
+                           "t must be positive"),
+    **{f"{name}-{method}-nan": (lambda f=f, method=method: getattr(f, method)(np.nan, np.ones(2)),
+                                "t must be positive")
+       for name, f in (("l1-norm-fn", l1_norm_fn(2)),
+                       ("group-l2-norm-fn", group_l2_norm_fn(2, [(0, 1)])))
+       for method in ("prox", "conj_proj")},
     "quadratic-zero-A": (lambda: quadratic_fn(matrix_op(SparseMatrix(
         2, 2, (np.zeros(1, int), np.zeros(1, int), [0.0]))), np.ones(2)), "A must be nonzero"),
 }

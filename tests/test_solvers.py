@@ -26,6 +26,8 @@ from pdfp import (
     l1_prox,
     lambda_norm,
     make_deblur_problem,
+    make_denoise_problem,
+    make_lasso_problem,
     make_problem,
     matrix_op,
     optimality_residual,
@@ -297,6 +299,29 @@ class TestIfp2o:
     def test_kappa_bounds(self):
         with pytest.raises(ValueError):
             ifp2o(np.eye(2), np.ones(2), l1_norm_fn(2), identity_op(2), 1.0, 0.0)
+
+    @pytest.fixture(scope="class")
+    def denoise32_run(self):
+        # 300 steps on a 32x32 denoise problem at Q = I, kappa 0.5
+        p, x_true = make_denoise_problem(32, 0.01, 0, 0.02)
+        x, tr = ifp2o(np.eye(1024), p.f2.b, p.f1, p.D, p.lambda_hi, 0.5,
+                      stop=StoppingRule(0.0, 300), x_true=x_true.ravel())
+        return p, x, tr
+
+    def test_identity_q_objective_is_the_problem_objective(self, denoise32_run):
+        # the trace adds 0.5 b^T Q^{-1} b to 0.5 x^T Q x - b^T x
+        p, x, tr = denoise32_run
+        assert tr.objectives[-1] == pytest.approx(p.objective(x), rel=1e-12)
+
+    def test_snr_column_reads_x_true(self, denoise32_run):
+        _, _, tr = denoise32_run
+        assert np.isfinite(tr.snrs).all() and tr.snrs[-1] > 15.0
+
+    def test_converges_on_lasso(self):
+        p, x_true = make_lasso_problem(32, 0.01, 0, 0.05)
+        _, tr = ifp2o(np.eye(1024), p.f2.b, p.f1, p.D, p.lambda_hi, 0.5,
+                      stop=StoppingRule(1e-8, 2000), x_true=x_true.ravel())
+        assert tr.stop_reason == "converged"
 
 
 class TestChambollePock:
@@ -658,8 +683,8 @@ def tiny_problem():
     return make_problem(l1_norm_fn(2), quadratic_fn(identity_op(2), np.ones(2)), identity_op(2))
 
 
-def flat_f2(dim):
-    return pdfp.SmoothFn(dim=dim, value=lambda x: 0.0, grad=np.zeros_like, lipschitz=0.0)
+def flat_f2(dim, lipschitz=0.0):
+    return pdfp.SmoothFn(dim=dim, value=lambda x: 0.0, grad=np.zeros_like, lipschitz=lipschitz)
 
 
 # Calls refused with a ValueError, and the words that name what is wrong.
@@ -670,6 +695,11 @@ NAMED_ERRORS = {
                                     identity_op(2)), "f2 acts on R^3 but D maps from R^2"),
     "f2-lipschitz": (lambda: make_problem(l1_norm_fn(2), flat_f2(2), identity_op(2)),
                      "f2 must have a positive Lipschitz constant"),
+    # beta would be NaN or 0, and every gamma out of range (0, nan) or (0, 0.0)
+    **{f"f2-lipschitz-{value}": (lambda value=value: make_problem(
+        l1_norm_fn(2), flat_f2(2, float(value)), identity_op(2)),
+        f"f2 must have a positive Lipschitz constant that is finite, not {value}")
+       for value in ("nan", "inf")},
     "ifp2o-shape": (lambda: ifp2o(np.eye(2), np.ones(3), l1_norm_fn(2), identity_op(2), 1.0, 0.5),
                     "Q must be square and b must match its size"),
     "ifp2o-symmetry": (lambda: ifp2o(np.array([[2.0, 1.0], [0.0, 2.0]]), np.ones(2),

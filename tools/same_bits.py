@@ -17,25 +17,29 @@ cases:
   ``pdfp2o_dsn`` (``bb_dynamic``, ``alpha`` 0.5) on ``ct_dynamic.cfg``'s
   problem, 300 iterations at seed 1, ``pfbs_fp2o`` on the 256x256
   isotropic denoise problem (600 outer steps, inner
-  ``StoppingRule(1e-4, 50)``), and a cold-started, relaxed (``kappa`` 0.3)
-  ``pfbs_fp2o`` on the 64x64 one (100 outer steps): the final state and
-  every ``RunTrace`` column but ``wall_ms``;
+  ``StoppingRule(1e-4, 50)``), a cold-started, relaxed (``kappa`` 0.3)
+  ``pfbs_fp2o`` on the 64x64 one (100 outer steps), and ``ifp2o`` at
+  ``Q = I`` (``kappa`` 0.3, ``lam`` the problem's ``lambda_hi``) on the
+  32x32 denoise problem of the ``solve`` cases below, 200 steps at
+  ``tol`` 0 and at ``tol`` 3e-3, which stops it at step 109, so the stop
+  test decides the run's length: the final state (``x`` alone for
+  ``ifp2o``) and every ``RunTrace`` column but ``wall_ms``;
 * ``pdfp solve`` on the four shipped configs at ``--max-iter 300``, and on
   configs the case writes into its temporary directory: ``cp`` on a 32x32
-  deblur (its resolvent is a conjugate gradient), ``siu``, ``ifp2o``,
+  deblur (its resolvent is a conjugate gradient), ``siu``,
   ``pdfp2o_kappa``, ``pdfp2o_dsn`` with ``bb_dynamic`` on that deblur and
   with ``convergent_perturbation``, a relaxed ``pfbs_fp2o``, and
-  ``pdfp2o_kappa`` (``kappa`` auto, 0.5) and ``ifp2o`` (``kappa`` 0.3) at
-  ``run.tol = 3e-3``, which stops them at iterations 93 and 109, so the
-  stop test decides the run's length: the exit code, ``trace.csv`` and
+  ``pdfp2o_kappa`` (``kappa`` auto, 0.5) at ``run.tol = 3e-3``, which
+  stops it at iteration 93: the exit code, ``trace.csv`` and
   ``summary.txt`` (both without ``wall_ms``) and ``recon.pgm``;
 * ``pdfp certify`` on the keys of ``configs/lasso_certify.cfg``, and on them
   with ``schedule.alpha`` left at ``auto``, with ``schedule.alpha = 0`` and
   with ``solver.gamma = 0.5``, likewise written into the case's directory:
   the exit code and ``certificate.csv``;
-* ``pdfp compare`` of ``ifp2o`` against ``pdfp2o`` on a 32x32 denoise
-  problem (``reg_weight`` 0.02, 300 iterations), with ``--out`` inside the
-  case's output directory: the exit code and the merged CSV.
+* ``pdfp compare`` of ``pdfp2o_kappa`` at ``solver.gamma = 1`` against
+  ``pdfp2o`` on a 32x32 denoise problem (``reg_weight`` 0.02, 300
+  iterations), with ``--out`` inside the case's output directory: the exit
+  code and the merged CSV.
 
 For each case and column it prints ``equal``, or ``differs`` with the
 largest difference in units in the last place (ulps; plain differences for
@@ -70,8 +74,10 @@ def _ct_matrix(n):
 
 
 def _run_columns(state, trace):
-    """The final state's arrays and every trace field but ``wall_ms``."""
-    cols = {f"state.{k}": np.asarray(getattr(state, k)) for k in ("v", "x")}
+    """The final state's arrays (``x`` alone for an array) and every trace field
+    but ``wall_ms``."""
+    cols = ({"state.x": state} if isinstance(state, np.ndarray) else
+            {f"state.{k}": np.asarray(getattr(state, k)) for k in ("v", "x")})
     for f in dataclasses.fields(trace):
         value = getattr(trace, f.name)
         if f.name not in ("wall_ms", "iterates") and value is not None:
@@ -107,6 +113,14 @@ def _cold_pfbs_run():
     return _run_columns(*pfbs_fp2o(p, 1.99 * p.beta, p.lambda_hi, 0.3, StoppingRule(1e-4, 20),
                                    stop=StoppingRule(0.0, 100), x_true=x_true.ravel(),
                                    warm_start=False))
+
+
+def _ifp2o_run(tol):
+    """``ifp2o`` at ``Q = I`` on the problem of the ``_SMALL`` solve cases."""
+    from pdfp import StoppingRule, ifp2o, make_denoise_problem
+    p, x_true = make_denoise_problem(32, 0.05, 2, 0.1)
+    return _run_columns(*ifp2o(np.eye(1024), p.f2.b, p.f1, p.D, p.lambda_hi, 0.3,
+                               stop=StoppingRule(tol, 200), x_true=x_true.ravel()))
 
 
 def _numbers(values):
@@ -167,10 +181,8 @@ _COMPARE = {"problem.size": 32, "problem.noise": 0.05, "problem.reg_weight": 0.0
 _SOLVE_CASES = {
     "cp_deblur32": dict(_DEBLUR, **{"solver.name": "cp", "solver.theta": 0.8}),
     "siu": dict(_SMALL, **{"solver.name": "siu"}),
-    "ifp2o": dict(_SMALL, **{"solver.name": "ifp2o", "solver.kappa": 0.3}),
     "pdfp2o_kappa": dict(_SMALL, **{"solver.name": "pdfp2o_kappa"}),
     "pdfp2o_kappa_tol": dict(_SMALL, **{"solver.name": "pdfp2o_kappa", "run.tol": 3e-3}),
-    "ifp2o_tol": dict(_SMALL, **{"solver.name": "ifp2o", "solver.kappa": 0.3, "run.tol": 3e-3}),
     "pdfp2o_dsn_bb_deblur32": dict(_DEBLUR, **{"solver.name": "pdfp2o_dsn",
                                                "schedule.kind": "bb_dynamic",
                                                "schedule.alpha": 0.3}),
@@ -192,15 +204,17 @@ CASES = {
                                                                  "schedule.alpha": 0.5}),
     "denoise256_pfbs_fp2o": _denoise_run,
     "denoise64_pfbs_fp2o_cold": _cold_pfbs_run,
+    "ifp2o_denoise32": lambda: _ifp2o_run(0.0),
+    "ifp2o_denoise32_tol": lambda: _ifp2o_run(3e-3),
     **{f"solve_{name}": functools.partial(_cli, "solve", name, flags=("--max-iter", "300"))
        for name in ("ct_constant", "ct_dynamic", "denoise_small", "lasso_certify")},
     **{f"solve_{name}": functools.partial(_cli, "solve", keys)
        for name, keys in _SOLVE_CASES.items()},
     **{f"certify_{name}": functools.partial(_cli, "certify", keys)
        for name, keys in _CERTIFY_CASES.items()},
-    "compare_ifp2o_pdfp2o": functools.partial(_cli, "compare",
-                                              dict(_COMPARE, **{"solver.name": "ifp2o"}),
-                                              dict(_COMPARE, **{"solver.name": "pdfp2o"})),
+    "compare_pdfp2o_kappa_pdfp2o": functools.partial(
+        _cli, "compare", dict(_COMPARE, **{"solver.name": "pdfp2o_kappa", "solver.gamma": 1.0}),
+        dict(_COMPARE, **{"solver.name": "pdfp2o"})),
 }
 
 
