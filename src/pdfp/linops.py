@@ -32,8 +32,10 @@ class LinearOp:
 
     ``forward`` maps length ``in_dim`` vectors to length ``out_dim`` vectors,
     ``adjoint`` the reverse, and the pair must satisfy
-    ``dot(forward(x), v) == dot(x, adjoint(v))``. Constructors that know
-    the largest eigenvalue of ``D D^T`` in closed form record it in
+    ``dot(forward(x), v) == dot(x, adjoint(v))``. Each returns either a
+    new array or its input (or a view of it), and solvers may write into a
+    new one, so neither may hand back an array it keeps. Constructors that
+    know the largest eigenvalue of ``D D^T`` in closed form record it in
     ``norm_sq_hint``; consumers prefer it over power-iteration estimates.
     """
 
@@ -288,7 +290,7 @@ def gaussian_blur_op(height, width, radius, sigma):
     """
     if not 0.0 < sigma < np.inf:
         raise ValueError("sigma must be a positive finite number")
-    if radius < 1 or int(radius) != radius:
+    if not 1 <= radius < math.inf or int(radius) != radius:
         raise ValueError("radius must be a positive integer")
     h, w = _integer(height, "height"), _integer(width, "width")
     if radius >= min(h, w):
@@ -312,8 +314,9 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
     """Estimate the largest eigenvalue of ``D D^T`` by power iteration.
 
     Iterates on ``D^T D`` or ``D D^T``, whichever is smaller, and stops when
-    the Rayleigh quotient changes by less than ``tol`` relative. The zero
-    operator returns 0. Deterministic for a given ``seed``.
+    the Rayleigh quotient changes by less than ``tol`` relative, with
+    ``0 < tol < 1``. The zero operator returns 0. Deterministic for a given
+    ``seed``.
 
     Raises
     ------
@@ -321,8 +324,8 @@ def op_norm_sq(D, tol=1e-6, max_iter=20000, seed=0):
         If the change criterion is not met within ``max_iter`` iterations;
         the exception carries the best estimate so far.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be positive and below 1, not {tol}")
     if D.in_dim <= D.out_dim:
         dim = D.in_dim
         B = lambda z: D.adjoint(D.forward(z))

@@ -77,8 +77,11 @@ def make_problem(f1, f2, D, power_seed=0):
     if not 0 < f2.lipschitz < math.inf:
         raise ValueError(f"f2 must have a positive Lipschitz constant that is finite, "
                          f"not {f2.lipschitz}")
-    return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz,
-                   lambda_max_ddt=norm_sq_bound(D, power_seed))
+    bound = norm_sq_bound(D, power_seed)
+    if not 0.0 <= bound < math.inf:
+        raise ValueError(f"D's spectral bound lambda_max(D D^T) must be nonnegative and "
+                         f"finite, not {bound}")
+    return Problem(f1=f1, f2=f2, D=D, beta=1.0 / f2.lipschitz, lambda_max_ddt=bound)
 
 
 @dataclass(frozen=True)
@@ -183,14 +186,12 @@ def _dual_step(f1, t, Dy, v, w=None):
 
 class _Workspace:
     """The arrays one run of the fixed-point kernel computes into, each made at first need:
-    three "dual" buffers that dual steps fill in rotation, never the current ``v`` or the
-    outer state; two "primal" ones for ``z``, which becomes ``x'``, never the current ``x``;
-    on relaxed runs two "adj" ones for the carried ``D^T v``, never the current one; one
-    "diff"; one "tmp". ``dots`` is the outer step's ``(||v' - v||^2, ||v||^2)`` or None."""
+    two "primal" ones for ``z``, which becomes ``x'``, never the current ``x``; on relaxed
+    runs two "adj" ones for the carried ``D^T v``, never the current one; one dual "diff";
+    one "tmp". ``dots`` is the outer step's ``(||v' - v||^2, ||v||^2)`` or None."""
 
     def __init__(self, p):
-        self.dims = dict(dual=p.D.out_dim, diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim,
-                         adj=p.D.in_dim)
+        self.dims = dict(diff=p.D.out_dim, primal=p.D.in_dim, tmp=p.D.in_dim, adj=p.D.in_dim)
         self.pools, self.dots = {kind: [] for kind in self.dims}, None
 
     def take(self, kind, *busy):
@@ -211,8 +212,11 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
     never meets it, so the budget runs out. With no ``inner_stop``, one
     unrelaxed dual step makes this the operator ``T``.
     Takes ``Dt_v = D^T v`` (when ``warm``; None applies ``D^T`` here) and returns
-    ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``v'`` and ``x'``
-    are arrays of ``ws`` (a new workspace when None); ``ws.dots`` keeps the
+    ``(v', x', D^T v', k)``, ``k`` the dual steps taken. ``x'`` is an array
+    of ``ws`` (a new workspace when None); ``v'`` is the array ``D`` returned
+    for the last dual step, or a new one where that is ``y`` or ``v`` (or a
+    view of either), and an inner step's change goes over the iterate it
+    retires unless that is the ``v`` passed in. ``ws.dots`` keeps the
     stop test's dots when they are the whole step's, on a warm first step.
     """
     ws = _Workspace(p) if ws is None else ws
@@ -227,14 +231,19 @@ def _tentative(p, g, l, v, x, grad, Dt_v=None, inner_stop=None, kappa=0.0, warm=
     z = np.subtract(x, np.multiply(grad, g, out=tmp), out=ws.take("primal", x))
     for k in range(1, budget + 1):
         y = z if Dt_v is None else np.subtract(z, np.multiply(Dt_v, l, out=tmp), out=tmp)
-        v_new = _dual_step(p.f1, g / l, p.D.forward(y), v, ws.take("dual", v, v_outer))
+        Dy = p.D.forward(y)
+        # D y + v goes into D's output, unless that shares memory with y or v (D may hand back y)
+        w = None if np.may_share_memory(Dy, y) or np.may_share_memory(Dy, v) else Dy
+        v_new = _dual_step(p.f1, g / l, Dy, v, w)
         if kappa != 0.0:
             _mann(kappa, v, v_new, ws.take("diff"))
         Dt_v = p.D.adjoint(v_new)
         v, v_old = v_new, v
         if tol > 0.0:
-            d = np.subtract(v, v_old, out=ws.take("diff"))
-            dd, vv = dot(d, d), dot(v_old, v_old)
+            vv = dot(v_old, v_old)
+            # the change goes over the retired iterate, unless that is the caller's v
+            d = np.subtract(v, v_old, out=ws.take("diff") if v_old is v_outer else v_old)
+            dd = dot(d, d)
             ws.dots = (dd, vv) if warm and k == 1 else None
             if inner_stop.met(math.sqrt(dd), math.sqrt(vv)):
                 break
@@ -336,9 +345,10 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
     operator calls): one ``f2.value_and_grad`` per iterate feeds the trace's
     objective and the next step, and ``D^T v``, applied once at a warm start, is
     carried from step to step. The residual column holds the unrelaxed change;
-    the stop test reads the relaxed one, ``1 - alpha`` times it. The run's arrays come from one
-    :class:`_Workspace`; a relaxed step writes ``alpha u + (1 - alpha) T(u)`` over ``T(u)``
-    there with :func:`_mann`, as the inner ``kappa`` step does, and ``D^T v'`` from the two ``D^T``.
+    the stop test reads the relaxed one, ``1 - alpha`` times it. The run's primal arrays come
+    from one :class:`_Workspace`, its dual iterates from ``D`` (see :func:`_tentative`); a
+    relaxed step writes ``alpha u + (1 - alpha) T(u)`` over ``T(u)`` with :func:`_mann`, as
+    the inner ``kappa`` step does, and ``D^T v'`` from the two ``D^T``.
 
     With ``inner_stop`` (``pfbs_fp2o``), the dual update is the inner loop
     of :func:`_tentative`, relaxed by ``kappa`` and started from ``v``

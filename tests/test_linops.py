@@ -346,6 +346,14 @@ NAMED_ERRORS = {
                           "matrix dimensions must be positive"),
     # NaN passes a "<= 0" check, and would disable the extrapolation stop
     "op-norm-sq-tol-nan": (lambda: op_norm_sq(identity_op(2), tol=np.nan), "tol must be positive"),
+    # an infinite tol stopped at the first extrapolation, 7.52 where the bound is 7.98
+    "op-norm-sq-tol-inf": (lambda: op_norm_sq(diff_op_2d(32, 32), tol=np.inf),
+                           "tol must be positive and below 1, not inf"),
+    # int() of these raised OverflowError and numpy's own NaN message
+    "blur-radius-inf": (lambda: gaussian_blur_op(16, 16, np.inf, 1.0),
+                        "radius must be a positive integer"),
+    "blur-radius-nan": (lambda: gaussian_blur_op(16, 16, np.nan, 1.0),
+                        "radius must be a positive integer"),
     "row-chunks": (lambda: SparseMatrix._from_row_chunks(
         4, 2, [(np.ones(1), np.zeros(1, np.int32), np.array([0, 1, 1, 1]))]),
         "row chunks cover 3 rows, not 4"),

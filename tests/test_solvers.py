@@ -700,6 +700,12 @@ NAMED_ERRORS = {
         l1_norm_fn(2), flat_f2(2, float(value)), identity_op(2)),
         f"f2 must have a positive Lipschitz constant that is finite, not {value}")
        for value in ("nan", "inf")},
+    # lambda_hi would be NaN, negative or 0, and every lam out of range (0, nan] or (0, -1.0]
+    **{f"D-bound-{value}": (lambda value=value: make_problem(
+        l1_norm_fn(2), tiny_problem().f2,
+        dataclasses.replace(identity_op(2), norm_sq_hint=float(value))),
+        f"D's spectral bound lambda_max(D D^T) must be nonnegative and finite, not {value}")
+       for value in ("nan", "-1.0", "inf")},
     "ifp2o-shape": (lambda: ifp2o(np.eye(2), np.ones(3), l1_norm_fn(2), identity_op(2), 1.0, 0.5),
                     "Q must be square and b must match its size"),
     "ifp2o-symmetry": (lambda: ifp2o(np.array([[2.0, 1.0], [0.0, 2.0]]), np.ones(2),
