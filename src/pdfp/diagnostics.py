@@ -36,18 +36,20 @@ def m_seminorm(v, D, lam):
     """Semi-norm ``sqrt(<v, (I - lam D D^T) v>)`` of a dual vector.
 
     For ``0 < lam <= 1/lambda_max(D D^T)`` the weighting matrix is positive
-    semi-definite; rounding-level negative inner products (down to -1e-12)
-    are clamped to zero, anything more negative means ``lam`` is too large
-    and raises :class:`InvariantViolationError`.
+    semi-definite; rounding-level negative inner products (down to
+    ``-1e-12 ||v||^2``, since rounding scales with ``||v||^2``) are clamped to
+    zero, anything more negative means ``lam`` is too large and raises
+    :class:`InvariantViolationError`.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     v = np.asarray(v, dtype=np.float64)
     Dt_v = D.adjoint(v)
-    val = dot(v, v) - lam * dot(Dt_v, Dt_v)
-    if val < -1e-12:
+    vv = dot(v, v)
+    val = vv - lam * dot(Dt_v, Dt_v)
+    if val < -1e-12 * vv:
         raise InvariantViolationError(
-            f"<v, (I - lam D D^T) v> = {val} < -1e-12; lam is too large"
+            f"<v, (I - lam D D^T) v> = {val} < -1e-12 ||v||^2 = {-1e-12 * vv}; lam is too large"
         )
     return math.sqrt(max(val, 0.0))
 

@@ -243,31 +243,42 @@ def diff_op_2d(height, width, variant="anisotropic"):
     if variant not in ("anisotropic", "isotropic-pair"):
         raise ValueError(f"unknown variant {variant!r}")
     hw = h * w
+    # Flat passes over the row-major image pair each row's last pixel with the
+    # next row's first: "wrap" pairs, whose results are overwritten. While
+    # every row end is at most 2**1022 in magnitude they cannot overflow or be
+    # invalid; otherwise ``wrap`` skips them, so the operator raises the
+    # floating-point flags of the row-by-row form, and no others.
+    wrap = np.ones(hw - 1, dtype=bool)
+    wrap[w - 1::w] = False
+
+    def skip_wraps(a):
+        """``where=`` for a flat pass over image ``a``: every entry while its row
+        ends are at most 2**1022 in magnitude (NaN is not), else ``wrap``."""
+        return True if np.abs(a.reshape(h, w)[:, ::w - 1]).max() <= 2.0 ** 1022 else wrap
 
     def forward(x):
-        img = _vector(x, hw).reshape(h, w)
+        x = _vector(x, hw)
         out = np.empty(2 * hw)
-        dh = out[:hw].reshape(h, w)
-        dv = out[hw:].reshape(h, w)
-        np.subtract(img[:, 1:], img[:, :-1], out=dh[:, :-1])
-        dh[:, -1] = 0.0
-        np.subtract(img[1:], img[:-1], out=dv[:-1])
-        dv[-1] = 0.0
+        dh, dv = out[:hw], out[hw:]
+        np.subtract(x[1:], x[:-1], out=dh[:-1], where=skip_wraps(x))
+        dh[w - 1::w] = 0.0
+        np.subtract(x[w:], x[:-w], out=dv[:-w])
+        dv[-w:] = 0.0
         return out
 
     def adjoint(u):
         u = _vector(u, 2 * hw)
-        p = u[:hw].reshape(h, w)
-        q = u[hw:].reshape(h, w)
+        p, q = u[:hw], u[hw:]
         # Each entry sums as (((0 - p_right) + p_left) - q_below) + q_above,
         # a fixed order; 0.0 - p, unlike -p, gives +0.0 where p is +0.0.
-        out = np.empty((h, w))
-        np.subtract(0.0, p[:, :-1], out=out[:, :-1])
-        out[:, -1] = 0.0
-        out[:, 1:] += p[:, :-1]
-        out[:-1, :] -= q[:-1, :]
-        out[1:, :] += q[:-1, :]
-        return out.ravel()
+        out = np.subtract(0.0, p)
+        out[w - 1::w] = 0.0
+        np.add(out[1:], p[:-1], out=out[1:], where=skip_wraps(p))
+        # column 0 has no left neighbour: drop the wrap pairs' sums
+        np.subtract(0.0, p[w::w], out=out[w::w])
+        out[:-w] -= q[:-w]
+        out[w:] += q[:-w]
+        return out
 
     # Largest eigenvalue of D D^T in closed form: the 1-D second-difference
     # spectra add across the two axes, staying strictly below 8.

@@ -38,6 +38,7 @@ from pdfp import (
 from pdfp.diagnostics import atomic_write, rel_err_snr
 from pdfp.linops import norm
 from conftest import TIGHT_STOP
+from test_linops import dense_of
 
 
 class TestLambdaNorm:
@@ -93,6 +94,15 @@ class TestMSeminorm:
         for _ in range(50):
             v = rng.standard_normal(24)
             assert m_seminorm(v, D, lam) <= np.linalg.norm(v) + 1e-12
+
+    def test_admissible_weight_on_a_long_top_eigenvector_does_not_raise(self):
+        # <v, (I - lam D D^T) v> is 0 here up to rounding that scales with
+        # ||v||^2 = 1e8: an absolute slack of 1e-12 raised on -1.49e-08
+        D = diff_op_2d(16, 16)
+        lam = 1.0 / D.norm_sq_hint
+        M = dense_of(D)
+        v = 1e4 * np.linalg.eigh(M @ M.T)[1][:, -1]
+        assert 0.0 <= m_seminorm(v, D, lam) <= 1e-3
 
     def test_oversized_weight_raises(self):
         M = SparseMatrix(1, 1, ([0], [0], [2.0]))

@@ -106,6 +106,16 @@ def with_signed_zeros(rng, n):
     return z
 
 
+def outcome_under_raise(f, *args):
+    """``f(*args)``'s bytes, or the message of the floating-point error it
+    raises under ``np.errstate(all="raise")``."""
+    with np.errstate(all="raise"):
+        try:
+            return f(*args).tobytes()
+        except FloatingPointError as e:
+            return str(e)
+
+
 class TestDiffOpAgainstReference:
     @pytest.mark.parametrize("h,w", [(2, 2), (3, 5), (7, 4)])
     def test_bit_identical_with_signed_zeros(self, h, w):
@@ -116,6 +126,21 @@ class TestDiffOpAgainstReference:
             u = with_signed_zeros(rng, 2 * h * w)
             assert D.forward(x).tobytes() == diff_forward_reference(h, w, x).tobytes()
             assert D.adjoint(u).tobytes() == diff_adjoint_reference(h, w, u).tobytes()
+
+    @pytest.mark.parametrize("left,right", [(-1e308, 1e308), (-1e300, np.finfo(float).max),
+                                            (np.inf, np.inf), (np.nan, 1.0)])
+    def test_row_ends_raise_the_flags_of_the_reference(self, left, right):
+        # a flat pass pairs each row's last entry with the next row's first;
+        # that pair overflows, or is invalid, where the reference computes nothing
+        h, w = 3, 4
+        D = diff_op_2d(h, w)
+        x, u = np.zeros(h * w), np.zeros(2 * h * w)
+        x[w - 1], x[w] = left, right
+        u[w - 1], u[w] = right, left
+        assert outcome_under_raise(D.forward, x) == outcome_under_raise(
+            diff_forward_reference, h, w, x)
+        assert outcome_under_raise(D.adjoint, u) == outcome_under_raise(
+            diff_adjoint_reference, h, w, u)
 
     def test_all_negative_zero_input(self):
         D = diff_op_2d(3, 5)

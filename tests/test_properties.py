@@ -49,6 +49,7 @@ from pdfp.solvers import _dual_step, _tentative  # noqa: E402
 from test_linops import (  # noqa: E402
     diff_adjoint_reference,
     diff_forward_reference,
+    outcome_under_raise,
     with_signed_zeros,
 )
 from test_prox import group_ids_reference  # noqa: E402
@@ -67,6 +68,34 @@ def test_diff_op_adjoint_identity_and_reference_at_random_sizes(h, w, seed):
     assert Dt_u.tobytes() == diff_adjoint_reference(h, w, u).tobytes()
     lhs, rhs = float(Dx @ u), float(x @ Dt_u)
     assert abs(lhs - rhs) <= 1e-12 * (la.norm(Dx) * la.norm(u) + la.norm(x) * la.norm(Dt_u))
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e300, -1e300,
+            np.finfo(float).max, -np.finfo(float).max]
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(2, 40), w=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_diff_op_matches_the_reference_bits_and_flags_at_special_values(h, w, seed, data):
+    """Signed zeros, infinities, NaN and huge finite values at row ends and inside rows:
+    the flat passes give the reference's bytes and raise where it raises."""
+    rng = np.random.default_rng(seed)
+    D = diff_op_2d(h, w)
+    x, u = with_signed_zeros(rng, h * w), with_signed_zeros(rng, 2 * h * w)
+    for a in (x, u):
+        rows = a.size // w
+        for _ in range(data.draw(st.integers(0, 8))):
+            i = data.draw(st.integers(0, rows - 1))
+            j = data.draw(st.one_of(st.sampled_from([0, w - 1]), st.integers(0, w - 1)))
+            a[i * w + j] = data.draw(st.sampled_from(SPECIALS))
+    with np.errstate(all="ignore"):
+        assert D.forward(x).tobytes() == diff_forward_reference(h, w, x).tobytes()
+        assert D.adjoint(u).tobytes() == diff_adjoint_reference(h, w, u).tobytes()
+    assert outcome_under_raise(D.forward, x) == outcome_under_raise(
+        diff_forward_reference, h, w, x)
+    assert outcome_under_raise(D.adjoint, u) == outcome_under_raise(
+        diff_adjoint_reference, h, w, u)
 
 
 def random_sparse(rng, rows, cols, density):
