@@ -4,14 +4,16 @@ import contextlib
 import math
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import schedules, solvers
 from .linops import dot, norm
 
-TRACE_CSV_HEADER = "iter,gamma,lambda,alpha,objective,residual,snr,relerr,wall_ms"
+# trace.csv's columns: each RunTrace field that carries a csv name, in field order
+_TRACE_CSV = {f.metadata["csv"]: f.name for f in fields(solvers.RunTrace) if f.metadata.get("csv")}
+TRACE_CSV_HEADER = ",".join(_TRACE_CSV)
 
 # Largest dual dimension whose D D^T the rate certificate decomposes densely.
 CERTIFICATE_MAX_DUAL_DIM = 5000
@@ -238,7 +240,4 @@ def write_csv(path, header, columns):
 
 def write_trace_csv(trace, path):
     """Serialize a run trace to CSV (one row per iteration)."""
-    write_csv(path, TRACE_CSV_HEADER, (
-        trace.iters, trace.gammas, trace.lams, trace.alphas, trace.objectives,
-        trace.residuals, trace.snrs, trace.relerrs, trace.wall_ms,
-    ))
+    write_csv(path, TRACE_CSV_HEADER, [getattr(trace, name) for name in _TRACE_CSV.values()])

@@ -12,7 +12,7 @@ expose the standard forms the kernel is equivalent to.
 import math
 import operator
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -113,28 +113,28 @@ class StoppingRule:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of a solver run; the README's "What a run
-    records" gives each column per solver. ``stop_reason`` is
-    ``"converged"`` (the tolerance test passed), ``"budget"`` (``max_iter``
-    steps ran) or ``"diverged"`` (a step's change came out non-finite; that
-    step is the last one recorded).
+    """Per-iteration record of a solver run, one column per field with ``"csv"``
+    metadata (``trace.csv`` holds those it names, in order); the README's "What a
+    run records" gives each per solver. ``stop_reason`` is ``"converged"`` (the
+    tolerance test passed), ``"budget"`` (``max_iter`` steps ran) or ``"diverged"``
+    (a step's change came out non-finite; that step is the last one recorded).
     """
 
     lambda_ref: float
     converged: bool
     n_iter: int
-    iters: np.ndarray
-    gammas: np.ndarray
-    lams: np.ndarray
-    alphas: np.ndarray
-    objectives: np.ndarray
-    residuals: np.ndarray
-    dist_ref: np.ndarray
-    snrs: np.ndarray
-    relerrs: np.ndarray
-    wall_ms: np.ndarray
+    iters: np.ndarray = field(metadata={"csv": "iter"})
+    gammas: np.ndarray = field(metadata={"csv": "gamma"})
+    lams: np.ndarray = field(metadata={"csv": "lambda"})
+    alphas: np.ndarray = field(metadata={"csv": "alpha"})
+    objectives: np.ndarray = field(metadata={"csv": "objective"})
+    residuals: np.ndarray = field(metadata={"csv": "residual"})
+    dist_ref: np.ndarray = field(metadata={"csv": None})
+    snrs: np.ndarray = field(metadata={"csv": "snr"})
+    relerrs: np.ndarray = field(metadata={"csv": "relerr"})
+    wall_ms: np.ndarray = field(metadata={"csv": "wall_ms"})
     iterates: Optional[list] = None
-    inner_iters: Optional[np.ndarray] = None
+    inner_iters: Optional[np.ndarray] = field(default=None, metadata={"csv": None})
     stop_reason: str = "budget"
 
 
@@ -166,6 +166,14 @@ def _quality(x_true):
         return (nd * nd) / (nt * nt), snr_db
 
     return quality
+
+
+def _check_targets(D, ref=None, x_true=None):
+    """Reject a ``ref`` or ``x_true`` shaped unlike a run's ``(v, x)``, before any operator call."""
+    refs = () if ref is None else (("ref.v", ref.v, D.out_dim), ("ref.x", ref.x, D.in_dim))
+    for name, a, dim in (("x_true", x_true, D.in_dim), *refs):
+        if a is not None and np.shape(a) != (dim,):
+            raise ValueError(f"{name} must have shape ({dim},), not {np.shape(a)}")
 
 
 def _dual_step(f1, t, Dy, v, w=None):
@@ -270,66 +278,47 @@ def apply_Tn(p, sched, n, u):
     return PDState(vt, xt)
 
 
-@dataclass
-class _Row:
-    """What one solver step hands the driver: the new state ``(v, x)``, the
-    state ``change`` and the ``size`` of the state it started from, which
-    the stop test reads, then :class:`RunTrace` columns, each field named
-    as its column: the step's own, and four that the driver fills.
-    """
-
-    v: np.ndarray
-    x: np.ndarray
-    change: float
-    size: float
-    objectives: float
-    residuals: float
-    gammas: float = math.nan
-    lams: float = math.nan
-    alphas: float = math.nan
-    inner_iters: Optional[int] = None
-    dist_ref: float = math.nan
-    relerrs: float = math.nan
-    snrs: float = math.nan
-    wall_ms: float = math.nan
-
-
 def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False,
            inner=False):
-    """The one iteration loop of every solver: ``step(n) -> _Row``, recorded.
+    """The one iteration loop of every solver, recorded.
 
-    Stops with reason "diverged" when a step's change is not finite,
-    "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter``
-    steps. ``u0`` is the starting state stored with ``record_iterates``,
-    ``lam_ref`` weights ``dist_ref`` (the distance to ``ref``), and
-    ``inner`` asks for the ``inner_iters`` column.
+    ``step(n)`` returns the new ``(v, x)``, the state ``change`` and the ``size`` of the
+    state it started from, which the stop test reads, and a dict of the :class:`RunTrace`
+    columns it fills (another name raises ``TypeError``). The driver adds ``dist_ref``, the
+    distance to ``ref`` weighted by ``lam_ref``, ``relerrs``, ``snrs`` and ``wall_ms``, and
+    NaN for the rest; ``inner_iters`` only when ``inner``. Stops as "diverged" when a
+    change is not finite, "converged" once ``stop.met`` it, and "budget" after
+    ``stop.max_iter`` steps; ``u0`` is the first state stored with ``record_iterates``.
     """
     stop = StoppingRule() if stop is None else stop
     quality = None if x_true is None else _quality(x_true)
-    cols = {f.name: [] for f in fields(_Row)[4:] if inner or f.name != "inner_iters"}
+    names = {f.name for f in fields(RunTrace) if "csv" in f.metadata} - {"iters"}
+    cols = {name: [] for name in names if inner or name != "inner_iters"}
     iterates = [u0.copy()] if record_iterates else None
     # the caller's starting arrays must not outlive its first step
     del u0
     reason = "budget"
     t0 = time.perf_counter()
     for n in range(stop.max_iter):
-        row = step(n)
+        v, x, change, size, row = step(n)
+        if not row.keys() <= names:
+            raise TypeError(f"no RunTrace column {sorted(row.keys() - names)}")
         if ref is not None:
-            row.dist_ref = _lnorm(row.v - ref.v, row.x - ref.x, lam_ref)
+            row["dist_ref"] = _lnorm(v - ref.v, x - ref.x, lam_ref)
         if quality is not None:
-            row.relerrs, row.snrs = quality(row.x)
-        row.wall_ms = (time.perf_counter() - t0) * 1e3
-        for k, col in cols.items():
-            col.append(getattr(row, k))
+            row["relerrs"], row["snrs"] = quality(x)
+        row["wall_ms"] = (time.perf_counter() - t0) * 1e3
+        for name, col in cols.items():
+            col.append(row.get(name, math.nan))
         if record_iterates:
-            iterates.append(PDState(row.v.copy(), row.x.copy()))
-        if not math.isfinite(row.change):
+            iterates.append(PDState(v.copy(), x.copy()))
+        if not math.isfinite(change):
             reason = "diverged"
             break
-        if stop.met(row.change, row.size):
+        if stop.met(change, size):
             reason = "converged"
             break
-    k = len(cols["objectives"])
+    k = len(cols["wall_ms"])
     arrays = {name: np.array(col, dtype=np.int64 if name == "inner_iters" else None)
               for name, col in cols.items()}
     return RunTrace(lambda_ref=lam_ref, converged=reason == "converged", n_iter=k,
@@ -355,6 +344,7 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
     (``warm_start``) or from zero, and the trace records ``kappa`` as alpha
     and the inner-iteration counts.
     """
+    _check_targets(p.D, ref, x_true)
     u0 = p.zeros() if u0 is None else u0
     stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
@@ -383,8 +373,9 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
         v, it = v_new, Iterate.at(p.f2, x_new)
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(p.D.forward(x_new)) + it.value
-        return _Row(v_new, x_new, change, size, obj, res, gammas=g, lams=l,
-                    alphas=a if inner_stop is None else kappa, inner_iters=k)
+        return v_new, x_new, change, size, dict(
+            objectives=obj, residuals=res, gammas=g, lams=l,
+            alphas=a if inner_stop is None else kappa, inner_iters=k)
 
     trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates,
                    inner=inner_stop is not None)
@@ -492,6 +483,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     if Q.shape != (n, n) or b.shape != (n,):
         raise ValueError("Q must be square and b must match its size")
     _check_sizes(f1, "Q", n, D)
+    _check_targets(D, x_true=x_true)
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa={kappa} must lie in (0, 1)")
     if not (0.0 < lam < math.inf):
@@ -523,7 +515,8 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
         x = solve(b - lam * D.adjoint(v))
         Dx = D.forward(x)
         obj = f1.value(Dx) + 0.5 * dot(x, Q @ x) - dot(b, x) + half_bc
-        return _Row(v, x, (1.0 - kappa) * res, size, obj, res, lams=lam, alphas=kappa)
+        return v, x, (1.0 - kappa) * res, size, dict(objectives=obj, residuals=res, lams=lam,
+                                                     alphas=kappa)
 
     trace = _drive(step, stop, lam, None, x_true)
     return x, trace
@@ -583,6 +576,7 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
     (relative residual 1e-10) for general quadratic terms; other smooth
     terms raise :class:`UnsupportedProblemError`.
     """
+    _check_targets(p.D, ref, x_true)
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
     _quadratic(p.f2, "the primal resolvent")
@@ -600,11 +594,10 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
         vbar_new = conjugate_prox(p.f1, sig, vbar + sig * p.D.forward(y))
         x_new = resolve(x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
-        change = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
-        size = _lnorm(vbar, x, lam_ref)
+        change, size = _lnorm(vbar_new - vbar, x_new - x, lam_ref), _lnorm(vbar, x, lam_ref)
         vbar, x = vbar_new, x_new
-        return _Row(vbar, x, change, size, p.objective(x), change, gammas=tau, lams=sig,
-                    alphas=theta)
+        return vbar, x, change, size, dict(objectives=p.objective(x), residuals=change,
+                                           gammas=tau, lams=sig, alphas=theta)
 
     trace = _drive(step, stop, lam_ref, PDState(vbar, x), x_true, ref, record_iterates)
     return PDState(vbar, x), trace
@@ -650,6 +643,7 @@ def siu(p, delta, nu, stop=None, x_true=None):
     the d-update, the trace objective and the next x-update, and one
     evaluation of ``f2`` at ``x'`` the objective and the next gradient.
     """
+    _check_targets(p.D, x_true=x_true)
     _quadratic(p.f2, "the split scheme")
     delta, nu = float(delta), float(nu)
     if not (delta > 0.0 and nu > 0.0):
@@ -672,7 +666,8 @@ def siu(p, delta, nu, stop=None, x_true=None):
         x, d, v, Dx = x_new, d_new, v_new, Dx_new
         # summed in the order of Problem.objective, so the rounding matches
         obj = p.f1.value(Dx) + it.value
-        return _Row(v, x, change, size, obj, change, gammas=delta, lams=nu, alphas=0.0)
+        return v, x, change, size, dict(objectives=obj, residuals=change, gammas=delta,
+                                        lams=nu, alphas=0.0)
 
     trace = _drive(step, stop, 1.0, None, x_true)
     return SIUState(x, d, v), trace

@@ -305,9 +305,14 @@ def read_pgm(path):
         magic = fh.readline().strip()
         if magic != b"P5":
             raise ValueError("not a binary PGM file")
-        w, h = (int(tok) for tok in fh.readline().split())
+        size = fh.readline().split()
+        if len(size) != 2 or not all(tok.isdigit() for tok in size):
+            raise ValueError("bad size line: expected a width and a height")
+        w, h = map(int, size)
         maxval = int(fh.readline())
         if maxval != 65535:
             raise ValueError("expected a 16-bit PGM (maxval 65535)")
-        raw = np.frombuffer(fh.read(2 * w * h), dtype=">u2")
-    return raw.reshape(h, w).astype(np.float64) / 65535.0
+        data = fh.read(2 * w * h)
+    if len(data) != 2 * w * h:
+        raise ValueError(f"expected {w * h} 16-bit pixels, found {len(data)} bytes")
+    return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.float64) / 65535.0

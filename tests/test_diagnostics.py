@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from pdfp import (
     zero_prox_fn,
     SparseMatrix,
 )
-from pdfp.diagnostics import atomic_write, rel_err_snr
+from pdfp.diagnostics import TRACE_CSV_HEADER, atomic_write, rel_err_snr
 from pdfp.linops import norm
 from conftest import TIGHT_STOP
 from test_linops import dense_of
@@ -359,6 +360,15 @@ class TestTraceCsv:
         write_trace_csv(tr, path)
         body = path.read_text().splitlines()[1]
         assert ",nan,nan," in body
+
+    def test_readme_header_is_the_one_written(self, tmp_path, lasso1d):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        formats = readme.split("\n## File formats\n", 1)[1]
+        documented = re.search(r"\* `trace\.csv`: header `([^`]*)`", formats).group(1)
+        _, tr = pdfp2o(lasso1d, 1.0, 1.0, stop=StoppingRule(tol=0.0, max_iter=2))
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        written = (tmp_path / "trace.csv").read_text().splitlines()[0]
+        assert documented == TRACE_CSV_HEADER == written
 
 
 class TestAtomicWrite:

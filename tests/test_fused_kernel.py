@@ -652,6 +652,50 @@ def test_zero_truth_is_rejected_before_the_first_step(builder):
     assert "D_fwd" not in counter.counts
 
 
+# each solver that takes a ref state or an x_true image, with whether it takes ref;
+# ``Qb`` is ``ifp2o``'s dense data
+TARGET_SOLVERS = {
+    "pdfp2o": (lambda p, Qb, kw: pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, **kw), True),
+    "pdfp2o_kappa": (lambda p, Qb, kw: pdfp2o_kappa(p, p.beta, p.lambda_hi, 0.3, stop=STOP,
+                                                    **kw), True),
+    "pdfp2o_ds": (lambda p, Qb, kw: pdfp2o_ds(p, constant_schedule(p.beta, p.lambda_hi),
+                                              stop=STOP, **kw), True),
+    "pdfp2o_dsn": (lambda p, Qb, kw: pdfp2o_dsn(p, constant_schedule(p.beta, p.lambda_hi, 0.3),
+                                                stop=STOP, **kw), True),
+    "pfbs_fp2o": (lambda p, Qb, kw: pfbs_fp2o(p, p.beta, p.lambda_hi, 0.0, INNER, stop=STOP,
+                                              **kw), True),
+    "chambolle_pock": (lambda p, Qb, kw: chambolle_pock(p, 0.9 * p.lambda_hi / p.beta, p.beta,
+                                                        1.0, stop=STOP, **kw), True),
+    "siu": (lambda p, Qb, kw: siu(p, *siu_steps(p), stop=STOP, **kw), False),
+    "ifp2o": (lambda p, Qb, kw: ifp2o(*Qb, p.f1, p.D, p.lambda_hi, 0.3, stop=STOP, **kw), False),
+}
+# a mis-sized argument and the error that names it, for a problem with D: R^n -> R^m
+BAD_TARGETS = {
+    "ref-v": (lambda n, m: dict(ref=PDState(np.zeros(1), np.zeros(1))),
+              lambda n, m: f"ref.v must have shape ({m},), not (1,)"),
+    "ref-x": (lambda n, m: dict(ref=PDState(np.zeros(m), np.zeros(n + 1))),
+              lambda n, m: f"ref.x must have shape ({n},), not ({n + 1},)"),
+    "x_true-2d": (lambda n, m: dict(x_true=np.ones((1, n))),
+                  lambda n, m: f"x_true must have shape ({n},), not (1, {n})"),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("solver, bad", [(s, b) for s, (_, takes_ref) in TARGET_SOLVERS.items()
+                                         for b in BAD_TARGETS
+                                         if takes_ref or not b.startswith("ref")])
+def test_mis_sized_ref_or_truth_is_rejected_before_any_operator_call(builder, solver, bad):
+    p, counter = BUILDERS[builder]()
+    run, _ = TARGET_SOLVERS[solver]
+    args, message = BAD_TARGETS[bad]
+    n, m = p.D.in_dim, p.D.out_dim
+    Qb = dense_ifp2o_data(p)
+    counter.counts.clear()
+    with pytest.raises(ValueError, match=re.escape(message(n, m))):
+        run(p, Qb, args(n, m))
+    assert counter.counts == {}
+
+
 def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):
     """The primal resolvent ``(I + tau A^T A)^{-1}(w + tau A^T b)`` by a
     hand-written conjugate gradient from ``x0``, with the package's ``dot``

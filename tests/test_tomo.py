@@ -433,6 +433,12 @@ NAMED_ERRORS = {
     "read-pgm-magic": (lambda tmp: read_pgm_of(tmp, b"P2\n2 2\n65535\n"), "not a binary PGM file"),
     "read-pgm-maxval": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\n255\n" + bytes(4)),
                         "expected a 16-bit PGM (maxval 65535)"),
+    # once numpy's "buffer size must be a multiple of element size" and
+    # "not enough values to unpack"
+    "read-pgm-short": (lambda tmp: read_pgm_of(tmp, b"P5\n5 4\n65535\n" + bytes(37)),
+                       "expected 20 16-bit pixels, found 37 bytes"),
+    "read-pgm-size": (lambda tmp: read_pgm_of(tmp, b"P5\n2\n65535\n" + bytes(8)),
+                      "bad size line"),
     # once numpy's "expected non-negative integer", which names no argument,
     # and a seed of 1.5 ran as 1
     "seed-negative": (lambda tmp: make_denoise_problem(16, 0.05, -1, 0.1),
