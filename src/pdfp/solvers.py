@@ -280,15 +280,14 @@ def apply_Tn(p, sched, n, u):
 
 def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False,
            inner=False):
-    """The one iteration loop of every solver, recorded.
+    """The one iteration loop of every solver, recorded; ``u0`` is stored with ``record_iterates``.
 
-    ``step(n)`` returns the new ``(v, x)``, the state ``change`` and the ``size`` of the
-    state it started from, which the stop test reads, and a dict of the :class:`RunTrace`
-    columns it fills (another name raises ``TypeError``). The driver adds ``dist_ref``, the
-    distance to ``ref`` weighted by ``lam_ref``, ``relerrs``, ``snrs`` and ``wall_ms``, and
-    NaN for the rest; ``inner_iters`` only when ``inner``. Stops as "diverged" when a
-    change is not finite, "converged" once ``stop.met`` it, and "budget" after
-    ``stop.max_iter`` steps; ``u0`` is the first state stored with ``record_iterates``.
+    ``step(n)`` returns the new ``(v, x)``, the state ``change`` and the ``size`` of the state
+    it started from, which the stop test reads, and a dict of the :class:`RunTrace` columns it
+    fills (another name raises ``TypeError``); the driver adds ``dist_ref`` (to ``ref``, in the
+    ``lam_ref`` norm), ``relerrs``, ``snrs`` and ``wall_ms``, NaN for the rest, and keeps
+    ``inner_iters`` only when ``inner``. Stops as "diverged" when a change is not finite,
+    "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter`` steps.
     """
     stop = StoppingRule() if stop is None else stop
     quality = None if x_true is None else _quality(x_true)
@@ -594,7 +593,8 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
         vbar_new = conjugate_prox(p.f1, sig, vbar + sig * p.D.forward(y))
         x_new = resolve(x - tau * p.D.adjoint(vbar_new), x)
         y = x_new + theta * (x_new - x)
-        change, size = _lnorm(vbar_new - vbar, x_new - x, lam_ref), _lnorm(vbar, x, lam_ref)
+        change = _lnorm(vbar_new - vbar, x_new - x, lam_ref)
+        size = _lnorm(vbar, x, lam_ref)
         vbar, x = vbar_new, x_new
         return vbar, x, change, size, dict(objectives=p.objective(x), residuals=change,
                                            gammas=tau, lams=sig, alphas=theta)

@@ -47,7 +47,7 @@ from pdfp import (
     make_tomo_problem,
     make_tv_problem,
 )
-from pdfp.solvers import _mann, _quadratic_resolvent
+from pdfp.solvers import _drive, _mann, _quadratic_resolvent
 from conftest import DENOISE4_REF_OBJECTIVE, build_deblur8, build_denoise4, build_lasso1d
 
 TIGHT = StoppingRule(tol=1e-13, max_iter=200000)
@@ -514,6 +514,12 @@ def test_stopping_rule_names_a_max_iter_that_is_not_an_integer(max_iter):
 
 def test_stopping_rule_takes_numpy_integers():
     assert StoppingRule(0.0, np.int64(3)).max_iter == 3
+
+
+def test_driver_rejects_a_column_that_run_trace_lacks():
+    step = lambda n: (np.zeros(2), np.zeros(2), 1.0, 1.0, dict(objectives=0.0, gama=1.0))
+    with pytest.raises(TypeError, match=re.escape("no RunTrace column ['gama']")):
+        _drive(step, StoppingRule(0.0, 3), 1.0, None)
 
 
 class TestDivergence:
