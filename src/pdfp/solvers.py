@@ -285,9 +285,9 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
     ``step(n)`` returns the new ``(v, x)``, the state ``change`` and the ``size`` of the state
     it started from, which the stop test reads, and a dict of the :class:`RunTrace` columns it
     fills (another name raises ``TypeError``); the driver adds ``dist_ref`` (to ``ref``, in the
-    ``lam_ref`` norm), ``relerrs``, ``snrs`` and ``wall_ms``, NaN for the rest, and keeps
-    ``inner_iters`` only when ``inner``. Stops as "diverged" when a change is not finite,
-    "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter`` steps.
+    ``lam_ref`` norm), ``relerrs``, ``snrs`` and ``wall_ms``, NaN for the rest, all float64,
+    and keeps ``inner_iters`` (int64) only when ``inner``. Stops as "diverged" when a change is
+    not finite, "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter`` steps.
     """
     stop = StoppingRule() if stop is None else stop
     quality = None if x_true is None else _quality(x_true)
@@ -318,7 +318,7 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
             reason = "converged"
             break
     k = len(cols["wall_ms"])
-    arrays = {name: np.array(col, dtype=np.int64 if name == "inner_iters" else None)
+    arrays = {name: np.array(col, dtype=np.int64 if name == "inner_iters" else np.float64)
               for name, col in cols.items()}
     return RunTrace(lambda_ref=lam_ref, converged=reason == "converged", n_iter=k,
                     iters=np.arange(1, k + 1, dtype=np.int64), iterates=iterates,

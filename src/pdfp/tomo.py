@@ -309,8 +309,10 @@ def read_pgm(path):
         if len(size) != 2 or not all(tok.isdigit() for tok in size):
             raise ValueError("bad size line: expected a width and a height")
         w, h = map(int, size)
-        maxval = int(fh.readline())
-        if maxval != 65535:
+        maxval = fh.readline().strip()
+        if not maxval.isdigit():
+            raise ValueError("bad maxval line: expected 65535")
+        if int(maxval) != 65535:
             raise ValueError("expected a 16-bit PGM (maxval 65535)")
         data = fh.read(2 * w * h)
     if len(data) != 2 * w * h:

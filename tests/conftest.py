@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pdfp import (
+    RunTrace,
     StoppingRule,
     diff_op_2d,
     gaussian_blur_op,
@@ -61,6 +64,30 @@ def build_deblur8():
 
 
 TIGHT_STOP = StoppingRule(tol=1e-13, max_iter=200000)
+
+
+def same_bits(a, b):
+    """``a`` and ``b`` hold the same values bit for bit: arrays by dtype, shape and
+    bytes (so NaN equals NaN), states field by field, lists item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (type(a) is type(b) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    return a == b
+
+
+def run_differences(a, b, skip=()):
+    """What differs between two ``(final state, RunTrace)`` runs: ``"state"`` and
+    the name of each trace field but ``wall_ms`` and ``skip`` whose values are not
+    :func:`same_bits`, ``iterates`` included. Tests assert that it is empty."""
+    (ua, ta), (ub, tb) = a, b
+    names = [f.name for f in dataclasses.fields(RunTrace) if f.name not in ("wall_ms", *skip)]
+    return ([] if same_bits(ua, ub) else ["state"]) + [
+        name for name in names if not same_bits(getattr(ta, name), getattr(tb, name))]
 
 
 @pytest.fixture(scope="session")

@@ -43,7 +43,7 @@ from pdfp import (
     zero_prox_fn,
     SparseMatrix,
 )
-from conftest import build_deblur8, build_denoise4, build_lasso1d
+from conftest import build_deblur8, build_denoise4, build_lasso1d, run_differences
 
 TIGHT = StoppingRule(tol=1e-12, max_iter=200000)
 CT_SEED = 7
@@ -57,26 +57,21 @@ def report(num, name, ok, started, extra=""):
     assert ok, f"acceptance criterion {num} ({name}) failed"
 
 
-def trace_columns_equal(t1, t2):
-    cols = ("iters", "gammas", "lams", "alphas", "objectives", "residuals")
-    return all(np.array_equal(getattr(t1, c), getattr(t2, c)) for c in cols)
-
-
 def test_01_special_case_collapses():
     t0 = time.perf_counter()
     p = build_denoise4()
     stop = StoppingRule(tol=0.0, max_iter=200)
     gamma, lam = p.beta, p.lambda_hi
-    _, t_plain = pdfp2o(p, gamma, lam, stop=stop)
-    _, t_ds = pdfp2o_ds(p, constant_schedule(gamma, lam, problem=p), stop=stop)
-    _, t_dsn = pdfp2o_dsn(p, constant_schedule(gamma, lam, alpha=0.0, problem=p), stop=stop)
-    _, t_kappa = pdfp2o_kappa(p, gamma, lam, 0.0, stop=stop)
-    ok = (
-        trace_columns_equal(t_plain, t_ds)
-        and trace_columns_equal(t_ds, t_dsn)
-        and trace_columns_equal(t_plain, t_kappa)
-    )
-    report(1, "special-case collapses are bit-identical over 200 iterations", ok, t0)
+    plain = pdfp2o(p, gamma, lam, stop=stop)
+    collapses = {
+        "pdfp2o_ds": pdfp2o_ds(p, constant_schedule(gamma, lam, problem=p), stop=stop),
+        "pdfp2o_dsn": pdfp2o_dsn(p, constant_schedule(gamma, lam, alpha=0.0, problem=p),
+                                 stop=stop),
+        "pdfp2o_kappa": pdfp2o_kappa(p, gamma, lam, 0.0, stop=stop),
+    }
+    differ = {name: d for name, run in collapses.items() if (d := run_differences(run, plain))}
+    report(1, "special-case collapses are bit-identical over 200 iterations", not differ, t0,
+           f"differ from pdfp2o: {differ}" if differ else "")
 
 
 def _run_all_solvers(p):

@@ -36,7 +36,8 @@ def write_cfg(path, **overrides):
 
 def read_trace_without_wall(path):
     rows = list(csv.reader(path.read_text().splitlines()))
-    return [row[:-1] for row in rows]
+    wall = rows[0].index("wall_ms")
+    return [row[:wall] + row[wall + 1:] for row in rows]
 
 
 class TestConfigParsing:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import re
@@ -219,12 +220,9 @@ class TestFejerCheck:
 
 def _trace_with_iterates(iterates):
     k = len(iterates) - 1
-    z = np.zeros(k)
-    return RunTrace(
-        lambda_ref=1.0, converged=False, n_iter=k,
-        iters=np.arange(1, k + 1), gammas=z, lams=z, alphas=z, objectives=z,
-        residuals=z, dist_ref=z, snrs=z, relerrs=z, wall_ms=z, iterates=iterates,
-    )
+    columns = {f.name: np.zeros(k) for f in dataclasses.fields(RunTrace) if "csv" in f.metadata}
+    columns["iters"] = np.arange(1, k + 1)
+    return RunTrace(lambda_ref=1.0, converged=False, n_iter=k, iterates=iterates, **columns)
 
 
 def synthetic_certifiable_problem(scale=1.001):
@@ -351,7 +349,7 @@ class TestTraceCsv:
             assert len(row) == 9
             for cell in row:
                 assert self.CELL.match(cell), cell
-        objectives = np.array([float(r[4]) for r in rows[1:]])
+        objectives = np.array([float(r[rows[0].index("objective")]) for r in rows[1:]])
         np.testing.assert_array_equal(objectives, tr.objectives)
 
     def test_missing_metrics_serialize_as_nan(self, tmp_path, lasso1d):

@@ -16,6 +16,8 @@ import pdfp.solvers
 from pdfp import (
     Iterate,
     PDState,
+    RunTrace,
+    SIUState,
     SmoothFn,
     StoppingRule,
     TomoGeometry,
@@ -42,7 +44,7 @@ from pdfp import (
     apply_T,
 )
 from pdfp.linops import dot, norm
-from conftest import DENOISE4_DATA
+from conftest import DENOISE4_DATA, run_differences
 
 N_ITER = 20
 
@@ -135,7 +137,7 @@ def dual_proj(f1, t, w):
     return w - f1.prox(t, w) if f1.conj_proj is None else f1.conj_proj(t, w)
 
 
-def unfused_steps(p, sched, relaxed, lam_ref):
+def unfused_steps(p, sched, lam_ref):
     """The driver before fusion: every step evaluates ``grad f2`` afresh, the
     schedule reads a fresh ``f2`` evaluation, and the objective comes from
     ``Problem.objective``. The dual step is written out as
@@ -147,7 +149,7 @@ def unfused_steps(p, sched, relaxed, lam_ref):
     for n in itertools.count():
         g = float(sched.gamma(n, Iterate.at(p.f2, x)))
         l = float(sched.lam(n, None))
-        a = float(sched.alpha(n, None)) if relaxed else 0.0
+        a = float(sched.alpha(n, None))
         z = x - g * p.f2.grad(x)
         w = p.D.forward(z - l * Dt_v) + v
         vt = dual_proj(p.f1, g / l, w)
@@ -163,15 +165,6 @@ def unfused_steps(p, sched, relaxed, lam_ref):
         step, denom = lnorm(v_new - v, x_new - x, lam_ref), max(1.0, lnorm(v, x, lam_ref))
         v, x = v_new, x_new
         yield Step(v, x, p.objective(x), res, step, denom, g, l, a)
-
-
-def unfused_reference(p, sched, n_iter, relaxed):
-    steps = list(itertools.islice(
-        unfused_steps(p, sched, relaxed, float(sched.lam(0, None))), n_iter))
-    xs = [np.zeros(p.D.in_dim)] + [s.x for s in steps]
-    vs = [np.zeros(p.D.out_dim)] + [s.v for s in steps]
-    return (xs, vs, np.array([s.obj for s in steps]), np.array([s.res for s in steps]),
-            np.array([s.g for s in steps]))
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -226,37 +219,6 @@ class TestOperatorCounts:
         assert per_step == dict.fromkeys(runs, 2.0 if tol == 0.0 else 4.0)
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-@pytest.mark.parametrize("kind", ["pdfp2o", "ds_bb", "dsn_const", "dsn_bb"])
-def test_fused_driver_matches_unfused_reference(builder, kind):
-    p, _ = BUILDERS[builder]()
-    sched = _schedule(kind, p)
-    relaxed = kind.startswith("dsn")
-    xs, vs, objs, ress, gammas = unfused_reference(p, sched, N_ITER, relaxed)
-    _, tr = _run(kind, p)
-    assert len(tr.iterates) == N_ITER + 1
-    for u, x, v in zip(tr.iterates, xs, vs):
-        assert_array_equal(u.x, x)
-        assert_array_equal(u.v, v)
-    assert_array_equal(tr.objectives, objs)
-    assert_array_equal(tr.residuals, ress)
-    assert_array_equal(tr.gammas, gammas)
-
-
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_prox_fallback_matches_unfused_reference(builder):
-    # an f1 without conj_proj takes the dual step as w - prox(t, w)
-    p, _ = BUILDERS[builder]()
-    p = dataclasses.replace(p, f1=dataclasses.replace(p.f1, conj_proj=None))
-    sched = _schedule("pdfp2o", p)
-    xs, vs, objs, _, _ = unfused_reference(p, sched, N_ITER, relaxed=False)
-    _, tr = _run("pdfp2o", p)
-    for u, x, v in zip(tr.iterates, xs, vs):
-        assert_array_equal(u.x, x)
-        assert_array_equal(u.v, v)
-    assert_array_equal(tr.objectives, objs)
-
-
 def lnorm(v, x, lam):
     return math.sqrt(dot(x, x) + lam * dot(v, v))
 
@@ -296,15 +258,6 @@ def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
         yield Step(v, x, p.objective(x), step, step, denom, gamma, lam, kappa, inner)
 
 
-def pfbs_reference(p, gamma, lam, kappa, inner_stop, n_iter, warm_start):
-    steps = list(itertools.islice(
-        pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start), n_iter))
-    xs = [np.zeros(p.D.in_dim)] + [s.x for s in steps]
-    vs = [np.zeros(p.D.out_dim)] + [s.v for s in steps]
-    return (xs, vs, np.array([s.obj for s in steps]), np.array([s.res for s in steps]),
-            np.array([s.inner for s in steps]))
-
-
 def siu_steps(p):
     nu = 1.0
     return 0.9 / (p.f2.lipschitz + nu * p.lambda_max_ddt), nu
@@ -312,7 +265,7 @@ def siu_steps(p):
 
 def siu_loop(p, delta, nu, final):
     """``siu`` before fusion: ``A x`` and ``D x`` afresh in each x-update and
-    again in ``Problem.objective``. ``final`` gets the latest ``(x, d, v)``."""
+    again in ``Problem.objective``. ``final[0]`` gets the latest state."""
     A, b = p.f2.A, p.f2.b
     x, d, v = np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)
     while True:
@@ -326,14 +279,8 @@ def siu_loop(p, delta, nu, final):
                          + dot(v_new - v, v_new - v))
         denom = max(1.0, math.sqrt(dot(x, x) + dot(d, d) + dot(v, v)))
         x, d, v = x_new, d_new, v_new
-        final[:] = [x, d, v]
+        final[0] = SIUState(x, d, v)
         yield Step(v, x, p.objective(x), step, step, denom, delta, nu, 0.0)
-
-
-def siu_reference(p, delta, nu, n_iter):
-    final = [None] * 3
-    steps = list(itertools.islice(siu_loop(p, delta, nu, final), n_iter))
-    return tuple(final), np.array([s.obj for s in steps]), np.array([s.res for s in steps])
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -454,22 +401,6 @@ class TestSplitSolverOperatorCounts:
         assert counter.counts == {}
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-@pytest.mark.parametrize("warm,kappa", PFBS_CASES)
-def test_pfbs_fp2o_matches_unfused_reference(builder, warm, kappa):
-    p, _ = BUILDERS[builder]()
-    xs, vs, objs, ress, inners = pfbs_reference(
-        p, 1.99 * p.beta, p.lambda_hi, kappa, INNER, N_ITER, warm)
-    _, tr = _pfbs(p, warm, kappa)
-    assert len(tr.iterates) == N_ITER + 1
-    for u, x, v in zip(tr.iterates, xs, vs):
-        assert_array_equal(u.x, x)
-        assert_array_equal(u.v, v)
-    assert_array_equal(tr.objectives, objs)
-    assert_array_equal(tr.residuals, ress)
-    assert_array_equal(tr.inner_iters, inners)
-
-
 # Inner rules at the edges of the inner loop: no dual step at all (refused),
 # exactly one, and the full budget with the inner tolerance test switched off.
 INNER_EDGES = {"budget0": StoppingRule(tol=1e-2, max_iter=0),
@@ -490,71 +421,16 @@ def test_pfbs_fp2o_inner_edges_match_unfused_reference(builder, warm, kappa, inn
             pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, warm_start=warm)
         assert counter.counts == {}
         return
-    state, tr = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
-                          record_iterates=True, warm_start=warm)
+    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
+                    record_iterates=True, warm_start=warm)
     want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
                           inner=True)
-    assert_trace_matches(tr, want)
-    assert_array_equal(state.x, want["iterates"][-1].x)
-    assert_array_equal(state.v, want["iterates"][-1].v)
-    assert np.all(tr.inner_iters == rule.max_iter)
+    assert not run_differences(got, (want.iterates[-1], want))
+    assert np.all(got[1].inner_iters == rule.max_iter)
     if (inner, warm, kappa) == ("budget1", True, 0.0):
         # one warm-started unrelaxed inner step is pdfp2o, field for field
-        _, tr_p = pdfp2o(p, g, l, stop=STOP, ref=ref, x_true=xt, record_iterates=True)
-        assert_trace_matches(tr, {name: getattr(tr_p, name) for name in want
-                                  if name != "inner_iters"})
-
-
-def smooth4():
-    """``denoise4`` with the non-quadratic data term ``sum(sqrt(1 + (x - b)^2))``,
-    whose gradient ``(x - b) / sqrt(1 + (x - b)^2)`` is 1-Lipschitz: the kernel
-    evaluates it through ``SmoothFn.value_and_grad``."""
-    b = DENOISE4_DATA
-    f2 = SmoothFn(dim=16, value=lambda x: float(np.sum(np.sqrt(1.0 + (x - b) ** 2))),
-                  grad=lambda x: (x - b) / np.sqrt(1.0 + (x - b) ** 2), lipschitz=1.0)
-    return make_problem(l1_norm_fn(32, weight=0.2), f2, diff_op_2d(4, 4, "anisotropic"))
-
-
-@pytest.mark.parametrize("kind", ["pdfp2o", "pdfp2o_kappa", "ds_const",
-                                  *(f"pfbs-{warm}-{kappa}" for warm, kappa in PFBS_CASES)])
-def test_non_quadratic_data_term_matches_unfused_reference(kind):
-    # the solvers that take any smooth f2; cp, siu and ifp2o need a quadratic
-    # and bb_dynamic reads its residual
-    p = smooth4()
-    g, l = 1.99 * p.beta, p.lambda_hi
-    if kind.startswith("pfbs"):
-        _, warm, kappa = kind.split("-")
-        warm, kappa = warm == "True", float(kappa)
-        xs, vs, objs, ress, inners = pfbs_reference(p, g, l, kappa, INNER, N_ITER, warm)
-        _, tr = _pfbs(p, warm, kappa)
-        assert_array_equal(tr.inner_iters, inners)
-    else:
-        alpha = 0.3 if kind == "pdfp2o_kappa" else 0.0
-        sched = constant_schedule(g, l, alpha=alpha, problem=p)
-        xs, vs, objs, ress, _ = unfused_reference(p, sched, N_ITER, relaxed=alpha > 0.0)
-        common = dict(stop=STOP, record_iterates=True)
-        _, tr = {"pdfp2o": lambda: pdfp2o(p, g, l, **common),
-                 "pdfp2o_kappa": lambda: pdfp2o_kappa(p, g, l, alpha, **common),
-                 "ds_const": lambda: pdfp2o_ds(p, sched, **common)}[kind]()
-    assert len(tr.iterates) == N_ITER + 1
-    for u, x, v in zip(tr.iterates, xs, vs):
-        assert_array_equal(u.x, x)
-        assert_array_equal(u.v, v)
-    assert_array_equal(tr.objectives, objs)
-    assert_array_equal(tr.residuals, ress)
-
-
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_siu_matches_unfused_reference(builder):
-    p, _ = BUILDERS[builder]()
-    delta, nu = siu_steps(p)
-    (x, d, v), objs, ress = siu_reference(p, delta, nu, N_ITER)
-    state, tr = siu(p, delta, nu, stop=STOP)
-    assert_array_equal(state.x, x)
-    assert_array_equal(state.d, d)
-    assert_array_equal(state.v, v)
-    assert_array_equal(tr.objectives, objs)
-    assert_array_equal(tr.residuals, ress)
+        plain = pdfp2o(p, g, l, stop=STOP, ref=ref, x_true=xt, record_iterates=True)
+        assert not run_differences(got, plain, skip=("inner_iters",))
 
 
 def test_operators_returning_their_input_are_not_overwritten():
@@ -576,17 +452,13 @@ def test_operators_returning_their_input_are_not_overwritten():
     }
     ops = {"input": aliasing, "view": viewing, "copy": copying}
     for name, run in runs.items():
-        traces = {kind: run(make_problem(l1_norm_fn(16, weight=0.2),
-                                         quadratic_fn(identity_op(16), DENOISE4_DATA), D))[1]
-                  for kind, D in ops.items()}
-        want = traces.pop("copy")
-        for kind, got in traces.items():
-            msg = f"{name}, D returns its {kind}"
-            assert len(got.iterates) == len(want.iterates) == N_ITER + 1, msg
-            for u, w in zip(got.iterates, want.iterates):
-                assert_array_equal(u.x, w.x, err_msg=msg)
-                assert_array_equal(u.v, w.v, err_msg=msg)
-            assert_array_equal(got.objectives, want.objectives, err_msg=msg)
+        got = {kind: run(make_problem(l1_norm_fn(16, weight=0.2),
+                                      quadratic_fn(identity_op(16), DENOISE4_DATA), D))
+               for kind, D in ops.items()}
+        want = got.pop("copy")
+        assert want[1].n_iter == N_ITER, name
+        for kind, aliased in got.items():
+            assert not run_differences(aliased, want), f"{name}, D returns its {kind}"
 
 
 # A tolerance under which some warm-started outer steps end after one inner
@@ -604,15 +476,13 @@ def test_pfbs_fp2o_workspace_matches_unfused_reference(builder, warm, kappa, bud
     p, _ = BUILDERS[builder]()
     g, l, rule = 1.99 * p.beta, p.lambda_hi, StoppingRule(tol=REUSE_TOL, max_iter=budget)
     xt, ref = x_true_for(p), ref_state_for(p)
-    state, tr = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
-                          record_iterates=True, warm_start=warm)
+    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
+                    record_iterates=True, warm_start=warm)
     want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
                           inner=True)
-    assert_trace_matches(tr, want)
-    assert_array_equal(state.x, want["iterates"][-1].x)
-    assert_array_equal(state.v, want["iterates"][-1].v)
+    assert not run_differences(got, (want.iterates[-1], want))
     if warm and budget > 1:
-        assert 1 in tr.inner_iters and tr.inner_iters.max() > 1
+        assert 1 in want.inner_iters and want.inner_iters.max() > 1
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
@@ -741,7 +611,7 @@ def cp_steps(p, sigma, tau, theta, lam_ref):
 def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
     """``ifp2o``'s loop: the relaxed dual iteration on ``H(v) = P(D x(v) + v)``,
     each primal ``x(v) = Q^{-1}(b - lam D^T v)`` read off by a Cholesky
-    solve, the first at ``v = 0``. ``final`` gets the latest primal."""
+    solve, the first at ``v = 0``. ``final[0]`` gets the latest primal."""
     cho = scipy.linalg.cho_factor(Q)
     solve = lambda rhs: scipy.linalg.cho_solve(cho, rhs)
     x = solve(b)
@@ -755,7 +625,7 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
         step, denom = norm(v_new - v), max(1.0, norm(v))
         v = v_new
         x = solve(b - lam * D.adjoint(v))
-        final[:] = [x]
+        final[0] = x
         obj = f1.value(D.forward(x)) + 0.5 * dot(x, Q @ x) - dot(b, x) + half_bc
         yield Step(v, x, obj, res, step, denom, math.nan, lam, kappa)
 
@@ -763,7 +633,8 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
 def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=False):
     """The trace a reference loop gives under ``stop``: the stop test on
     ``step / denom``, the distance to ``ref`` in the ``lam_ref`` norm, and
-    SNR/RelErr against ``x_true`` (NaN columns where these are absent)."""
+    SNR/RelErr against ``x_true`` (NaN columns where these are absent, and in
+    ``wall_ms``); ``iterates`` starts at ``u0`` when one is given."""
     rows, converged = [], False
     for s in itertools.islice(steps, stop.max_iter):
         rows.append(s)
@@ -779,41 +650,16 @@ def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=F
         nds = [norm(s.x - x_true) for s in rows]
         snrs = np.array([20.0 * math.log10(nt / nd) for nd in nds])
         relerrs = np.array([(nd * nd) / (nt * nt) for nd in nds])
-    return {
-        "converged": converged,
-        "stop_reason": "converged" if converged else "budget",
-        "n_iter": k,
-        "lambda_ref": lam_ref,
-        "iters": np.arange(1, k + 1, dtype=np.int64),
-        "gammas": col("g"),
-        "lams": col("l"),
-        "alphas": col("a"),
-        "objectives": col("obj"),
-        "residuals": col("res"),
-        "dist_ref": nans if ref is None else np.array(
+    return RunTrace(
+        lambda_ref=lam_ref, converged=converged, n_iter=k,
+        iters=np.arange(1, k + 1, dtype=np.int64), gammas=col("g"), lams=col("l"),
+        alphas=col("a"), objectives=col("obj"), residuals=col("res"),
+        dist_ref=nans if ref is None else np.array(
             [lnorm(s.v - ref.v, s.x - ref.x, lam_ref) for s in rows]),
-        "snrs": snrs,
-        "relerrs": relerrs,
-        "inner_iters": np.array([s.inner for s in rows], dtype=np.int64) if inner else None,
-        "iterates": None if u0 is None else [u0] + [PDState(s.v, s.x) for s in rows],
-    }
-
-
-def assert_trace_matches(tr, want):
-    for name, value in want.items():
-        got = getattr(tr, name)
-        if value is None:
-            assert got is None, name
-        elif name == "iterates":
-            assert len(got) == len(value)
-            for u, w in zip(got, value):
-                assert_array_equal(u.x, w.x)
-                assert_array_equal(u.v, w.v)
-        elif isinstance(value, np.ndarray):
-            assert got.dtype == value.dtype, name
-            assert_array_equal(got, value, err_msg=name)
-        else:
-            assert got == value, name
+        snrs=snrs, relerrs=relerrs, wall_ms=nans,
+        iterates=None if u0 is None else [u0] + [PDState(s.v, s.x) for s in rows],
+        inner_iters=np.array([s.inner for s in rows], dtype=np.int64) if inner else None,
+        stop_reason="converged" if converged else "budget")
 
 
 def x_true_for(p):
@@ -832,72 +678,105 @@ def dense_ifp2o_data(p):
 
 
 def solver_case(name, p, stop):
-    """Runs solver ``name`` under ``stop``; returns its final state arrays and
-    trace, and the reference loop's final state arrays and expected trace."""
-    g, l = p.beta, p.lambda_hi
+    """Runs case ``name`` under ``stop``: the solver's run and its reference loop's, each
+    ``(final state, trace)``. A constant-step case takes ``gamma = beta``, or ``1.99 beta``
+    where ``name`` ends in ``@1.99``; only the schedule the case runs is built."""
+    name, _, scale = name.partition("@")
+    g, l = float(scale or 1.0) * p.beta, p.lambda_hi
     xt, ref, u0 = x_true_for(p), ref_state_for(p), p.zeros()
     common = dict(stop=stop, ref=ref, x_true=xt, record_iterates=True)
-    if name in ("pdfp2o", "ds_bb", "dsn_const", "dsn_bb"):
-        sched = {"pdfp2o": constant_schedule(g, l, problem=p),
-                 "ds_bb": bb_dynamic_schedule(p),
-                 "dsn_const": constant_schedule(g, l, 0.3, problem=p),
-                 "dsn_bb": bb_dynamic_schedule(p, alpha0=0.3)}[name]
-        if name == "pdfp2o":
-            state, tr = pdfp2o(p, g, l, **common)
-        else:
-            state, tr = (pdfp2o_ds if name == "ds_bb" else pdfp2o_dsn)(p, sched, **common)
-        lam_ref = float(sched.lam(0, None))
-        steps = unfused_steps(p, sched, name.startswith("dsn"), lam_ref)
-        want = expected_trace(steps, stop, lam_ref, u0, ref, xt)
-        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
+    targets, final = dict(u0=u0, ref=ref, x_true=xt), None
     if name.startswith("pfbs"):
         _, warm, kappa = name.split("-")
         warm, kappa = warm == "warm", float(kappa)
-        state, tr = pfbs_fp2o(p, g, l, kappa, INNER, warm_start=warm, **common)
-        want = expected_trace(pfbs_steps(p, g, l, kappa, INNER, warm), stop, l, u0, ref, xt,
-                              inner=True)
-        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
-    if name.startswith("cp"):
+        got = pfbs_fp2o(p, g, l, kappa, INNER, warm_start=warm, **common)
+        steps, lam_ref, targets["inner"] = pfbs_steps(p, g, l, kappa, INNER, warm), l, True
+    elif name.startswith("cp"):
         theta = float(name.split("-")[1])
         sigma, tau = 0.9 * l / g, g
-        state, tr = chambolle_pock(p, sigma, tau, theta, **common)
-        want = expected_trace(cp_steps(p, sigma, tau, theta, sigma * tau), stop, sigma * tau,
-                              u0, ref, xt)
-        return (state.v, state.x), tr, (want["iterates"][-1].v, want["iterates"][-1].x), want
-    if name == "siu":
-        final = [np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim)]
+        got = chambolle_pock(p, sigma, tau, theta, **common)
+        lam_ref = sigma * tau
+        steps = cp_steps(p, sigma, tau, theta, lam_ref)
+    elif name == "siu":
+        final = [SIUState(np.zeros(p.D.in_dim), np.zeros(p.D.out_dim), np.zeros(p.D.out_dim))]
         delta, nu = siu_steps(p)
-        state, tr = siu(p, delta, nu, stop=stop, x_true=xt)
-        want = expected_trace(siu_loop(p, delta, nu, final), stop, 1.0, x_true=xt)
-        return (state.x, state.d, state.v), tr, tuple(final), want
-    Q, b = dense_ifp2o_data(p)
-    lam = 1.0 / p.lambda_max_ddt
-    final = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q), b)]
-    x, tr = ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=stop)
-    want = expected_trace(ifp2o_loop(Q, b, p.f1, p.D, lam, 0.3, final), stop, lam)
-    return (x,), tr, tuple(final), want
+        got = siu(p, delta, nu, stop=stop, x_true=xt)
+        steps, lam_ref, targets = siu_loop(p, delta, nu, final), 1.0, dict(x_true=xt)
+    elif name == "ifp2o":
+        Q, b = dense_ifp2o_data(p)
+        lam = 1.0 / p.lambda_max_ddt
+        final = [scipy.linalg.cho_solve(scipy.linalg.cho_factor(Q), b)]
+        got = ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=stop)
+        steps, lam_ref, targets = ifp2o_loop(Q, b, p.f1, p.D, lam, 0.3, final), lam, {}
+    else:
+        alpha = 0.3 if name in ("pdfp2o_kappa", "dsn_const", "dsn_bb") else 0.0
+        sched = (bb_dynamic_schedule(p, alpha0=alpha) if name.endswith("_bb")
+                 else constant_schedule(g, l, alpha, problem=p))
+        if name == "pdfp2o":
+            got = pdfp2o(p, g, l, **common)
+        elif name == "pdfp2o_kappa":
+            got = pdfp2o_kappa(p, g, l, alpha, **common)
+        else:
+            got = (pdfp2o_dsn if name.startswith("dsn") else pdfp2o_ds)(p, sched, **common)
+        lam_ref = float(sched.lam(0, None))
+        steps = unfused_steps(p, sched, lam_ref)
+    want = expected_trace(steps, stop, lam_ref, **targets)
+    return got, (want.iterates[-1] if final is None else final[0], want)
 
 
-SOLVER_CASES = ["pdfp2o", "ds_bb", "dsn_const", "dsn_bb",
-                *(f"pfbs-{'warm' if warm else 'cold'}-{kappa}" for warm, kappa in PFBS_CASES),
-                "cp-1.0", "cp-0.0", "siu", "ifp2o"]
+def smooth4():
+    """``denoise4`` with the non-quadratic data term ``sum(sqrt(1 + (x - b)^2))``,
+    whose gradient ``(x - b) / sqrt(1 + (x - b)^2)`` is 1-Lipschitz: the kernel
+    evaluates it through ``SmoothFn.value_and_grad``."""
+    b = DENOISE4_DATA
+    f2 = SmoothFn(dim=16, value=lambda x: float(np.sum(np.sqrt(1.0 + (x - b) ** 2))),
+                  grad=lambda x: (x - b) / np.sqrt(1.0 + (x - b) ** 2), lipschitz=1.0)
+    return make_problem(l1_norm_fn(32, weight=0.2), f2, diff_op_2d(4, 4, "anisotropic"))
+
+
+def case_problem(name):
+    """``ct16``, ``denoise4`` or ``smooth4``; a ``-prox`` suffix drops ``f1.conj_proj``,
+    so every dual step takes the ``w - prox`` fallback."""
+    name, _, fallback = name.partition("-")
+    p = smooth4() if name == "smooth4" else BUILDERS[name]()[0]
+    return dataclasses.replace(p, f1=dataclasses.replace(p.f1, conj_proj=None)) if fallback else p
+
+
+CONSTANT_STEP_CASES = ["pdfp2o", "pdfp2o_kappa", "ds_const", "dsn_const",
+                       *(f"pfbs-{'warm' if warm else 'cold'}-{kappa}"
+                         for warm, kappa in PFBS_CASES)]
+SOLVER_CASES = [*CONSTANT_STEP_CASES, "ds_bb", "dsn_bb", "cp-1.0", "cp-0.0", "siu", "ifp2o"]
+# the cases that need a quadratic f2: bb_dynamic reads its residual
+QUADRATIC_ONLY = {"ds_bb", "dsn_bb", "cp-1.0", "cp-0.0", "siu"}
 EARLY = StoppingRule(tol=1e-2, max_iter=200)
 STOPS = {"budget": STOP, "early": EARLY, "empty": StoppingRule(tol=1e-2, max_iter=0)}
+PROBLEMS = ["ct16", "denoise4", "smooth4"]
+LARGE_STEPS = [f"{name}@1.99" for name in CONSTANT_STEP_CASES]
+# every case under every stop; at the fixed budget also the constant-step cases at
+# 1.99 beta, where unrelaxed runs do not stop early, and every case with the prox
+# fallback. ifp2o takes a dense Q and b, so it has no smooth4 case.
+CASES = [case for case in [
+    *((problem, stop, name) for problem in PROBLEMS for stop in sorted(STOPS)
+      for name in SOLVER_CASES),
+    *((problem, "budget", name) for problem in PROBLEMS for name in LARGE_STEPS),
+    *((f"{problem}-prox", "budget", name) for problem in PROBLEMS
+      for name in SOLVER_CASES + LARGE_STEPS),
+] if not (case[0].startswith("smooth4") and case[2] == "ifp2o")]
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-@pytest.mark.parametrize("stop_name", sorted(STOPS))
-@pytest.mark.parametrize("name", SOLVER_CASES)
-def test_solver_trace_matches_reference_loop(builder, stop_name, name):
-    """Every solver's state and every trace field but ``wall_ms`` equal
+@pytest.mark.parametrize("problem,stop_name,name", CASES)
+def test_solver_trace_matches_reference_loop(problem, stop_name, name):
+    """Every solver's final state and every trace field but ``wall_ms`` equal
     those of its reference loop, under a fixed budget, an early stop and an
-    empty budget."""
-    p, _ = BUILDERS[builder]()
-    state, tr, want_state, want = solver_case(name, p, STOPS[stop_name])
-    assert_trace_matches(tr, want)
-    assert len(state) == len(want_state)
-    for got, w in zip(state, want_state):
-        assert_array_equal(got, w)
+    empty budget; on ``smooth4`` each solver that needs a quadratic refuses it."""
+    p = case_problem(problem)
+    if problem.startswith("smooth4") and name in QUADRATIC_ONLY:
+        with pytest.raises(UnsupportedProblemError):
+            solver_case(name, p, STOPS[stop_name])
+        return
+    got, want = solver_case(name, p, STOPS[stop_name])
+    assert not run_differences(got, want)
+    tr = got[1]
     if stop_name == "early":
         assert tr.converged and tr.n_iter < EARLY.max_iter
     if stop_name == "empty":
@@ -920,9 +799,7 @@ def test_cp_stop_test_divides_by_the_old_state(builder):
              if max(old[k], new[k]) < min(old[:k] + new[:k]) and old[k] != new[k])
     tol = 0.5 * (old[n] + new[n])
     stop = StoppingRule(tol=tol, max_iter=len(rows))
-    state, tr = chambolle_pock(p, sigma, tau, 1.0, stop=stop)
-    want = expected_trace(iter(rows), stop, lam_ref)
-    assert_trace_matches(tr, want)
-    assert_array_equal(state.x, rows[tr.n_iter - 1].x)
-    assert_array_equal(state.v, rows[tr.n_iter - 1].v)
-    assert (tr.n_iter == n + 1) == (old[n] < new[n])
+    got = chambolle_pock(p, sigma, tau, 1.0, stop=stop, record_iterates=True)
+    want = expected_trace(iter(rows), stop, lam_ref, p.zeros())
+    assert not run_differences(got, (want.iterates[-1], want))
+    assert (want.n_iter == n + 1) == (old[n] < new[n])

@@ -46,6 +46,7 @@ from pdfp import (  # noqa: E402
 from pdfp import linops, solvers, tomo  # noqa: E402
 from pdfp.prox import _group_ids, _Partition  # noqa: E402
 from pdfp.solvers import _dual_step, _tentative  # noqa: E402
+from conftest import run_differences, same_bits  # noqa: E402
 from test_linops import (  # noqa: E402
     diff_adjoint_reference,
     diff_forward_reference,
@@ -577,20 +578,6 @@ def test_prox_satisfies_the_subgradient_inequality_at_random_inputs(kind, data, 
     assert subgradient_prox_check(f, t, z, seed=seed, tol=slack)
 
 
-def assert_same_run(a, b, skip=()):
-    """Same final state and every ``RunTrace`` field but ``wall_ms``, bit for bit."""
-    (ua, ta), (ub, tb) = a, b
-    assert ua.x.tobytes() == ub.x.tobytes() and ua.v.tobytes() == ub.v.tobytes()
-    for f in dataclasses.fields(ta):
-        if f.name == "wall_ms" or f.name in skip:
-            continue
-        x, y = getattr(ta, f.name), getattr(tb, f.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
-        else:
-            assert x == y, f.name
-
-
 # gamma / (2 beta): the bulk of the range, and the top window above the
 # 2 beta (1 - 1e-9) cap of a decaying schedule
 GAMMA_FRACTIONS = st.one_of(
@@ -616,11 +603,13 @@ def test_collapse_identities_at_random_sizes_and_steps(h, w, isotropic, weight, 
     kw = dict(stop=StoppingRule(tol=0.0, max_iter=12), x_true=rng.random(hw))
     plain = pdfp2o(p, gamma, lam, **kw)
     ds = pdfp2o_ds(p, constant_schedule(gamma, lam, problem=p), **kw)
-    assert_same_run(ds, plain)
-    assert_same_run(pdfp2o_dsn(p, constant_schedule(gamma, lam, 0.0, problem=p), **kw), ds)
+    assert not run_differences(ds, plain)
+    dsn = pdfp2o_dsn(p, constant_schedule(gamma, lam, 0.0, problem=p), **kw)
+    assert not run_differences(dsn, ds)
+    assert not run_differences(pdfp2o_kappa(p, gamma, lam, 0.0, **kw), plain)
     # one warm inner step at kappa 0 is pdfp2o's step; only the inner count is extra
     one_step = pfbs_fp2o(p, gamma, lam, 0.0, StoppingRule(tol=0.0, max_iter=1), **kw)
-    assert_same_run(one_step, plain, skip=("inner_iters",))
+    assert not run_differences(one_step, plain, skip=("inner_iters",))
     assert one_step[1].inner_iters.tolist() == [1] * 12
     assert_ifp2o_is_pdfp2o_kappa_at_beta(p, weight, lam, kappa, kw)
 
@@ -666,11 +655,7 @@ def assert_ifp2o_is_pdfp2o_kappa_at_beta(p, weight, lam, kappa, kw):
     dist = np.sqrt(ref_tr.relerrs) * np.linalg.norm(kw["x_true"])
     snr_tol = 20 / math.log(10) * (math.sqrt(b.size) * d / dist + 8 * u)
     assert (np.abs(tr.snrs - ref_tr.snrs) <= snr_tol).all()
-    for name in ("lams", "alphas"):
-        assert getattr(tr, name).tobytes() == getattr(ref_tr, name).tobytes(), name
-
-
-EPS = np.finfo(float).eps
+    assert same_bits(tr.lams, ref_tr.lams) and same_bits(tr.alphas, ref_tr.alphas)
 
 
 @settings(max_examples=60, deadline=None)

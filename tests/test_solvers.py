@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import re
@@ -46,17 +47,11 @@ from pdfp import (
     TomoGeometry,
     make_tomo_problem,
     make_tv_problem,
+    write_trace_csv,
 )
 from pdfp.solvers import _drive, _mann, _quadratic_resolvent
-from conftest import DENOISE4_REF_OBJECTIVE, build_deblur8, build_denoise4, build_lasso1d
-
-TIGHT = StoppingRule(tol=1e-13, max_iter=200000)
-
-
-def assert_traces_bitwise(t1, t2):
-    """Bit-exact equality of everything except wall-clock columns."""
-    for name in ("iters", "gammas", "lams", "objectives", "residuals", "snrs", "relerrs"):
-        np.testing.assert_array_equal(getattr(t1, name), getattr(t2, name), err_msg=name)
+from conftest import (DENOISE4_REF_OBJECTIVE, TIGHT_STOP, build_deblur8, build_denoise4,
+                      build_lasso1d)
 
 
 def diag_quadratic_problem(diag, b, reg=0.05):
@@ -120,12 +115,12 @@ class TestPdfp2o:
         assert tr.converged
 
     def test_denoise4_reaches_reference_objective(self, denoise4):
-        u, tr = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT)
+        u, tr = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT_STOP)
         assert tr.converged
         assert denoise4.objective(u.x) == pytest.approx(DENOISE4_REF_OBJECTIVE, abs=1e-6)
 
     def test_distance_to_limit_is_nonincreasing(self, denoise4):
-        u_hat, _ = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT)
+        u_hat, _ = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT_STOP)
         _, tr = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi,
                        stop=StoppingRule(tol=0.0, max_iter=150), ref=u_hat)
         d = tr.dist_ref
@@ -139,15 +134,9 @@ class TestPdfp2o:
 
 
 class TestPdfp2oKappa:
-    def test_zero_relaxation_is_bit_identical(self, denoise4):
-        stop = StoppingRule(tol=0.0, max_iter=100)
-        _, t1 = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=stop)
-        _, t2 = pdfp2o_kappa(denoise4, denoise4.beta, denoise4.lambda_hi, 0.0, stop=stop)
-        assert_traces_bitwise(t1, t2)
-
     def test_half_relaxation_reaches_same_limit(self, lasso1d):
-        u0, _ = pdfp2o(lasso1d, 1.0, 1.0, stop=TIGHT)
-        u5, tr = pdfp2o_kappa(lasso1d, 1.0, 1.0, 0.5, stop=TIGHT)
+        u0, _ = pdfp2o(lasso1d, 1.0, 1.0, stop=TIGHT_STOP)
+        u5, tr = pdfp2o_kappa(lasso1d, 1.0, 1.0, 0.5, stop=TIGHT_STOP)
         assert tr.converged
         assert abs(u5.x[0] - u0.x[0]) <= 1e-8
 
@@ -174,18 +163,11 @@ class TestPdfp2oKappa:
 
 
 class TestPdfp2oDs:
-    def test_constant_schedule_is_bit_identical(self, denoise4):
-        stop = StoppingRule(tol=0.0, max_iter=100)
-        sched = constant_schedule(denoise4.beta, denoise4.lambda_hi, problem=denoise4)
-        _, t1 = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=stop)
-        _, t2 = pdfp2o_ds(denoise4, sched, stop=stop)
-        assert_traces_bitwise(t1, t2)
-
     def test_adaptive_schedule_reaches_constant_step_limit(self):
         p = diag_quadratic_problem([1.0, 1.5, 2.0], [1.0, -2.0, 0.5])
-        u_const, _ = pdfp2o(p, p.beta, p.lambda_hi, stop=TIGHT)
+        u_const, _ = pdfp2o(p, p.beta, p.lambda_hi, stop=TIGHT_STOP)
         sched = bb_dynamic_schedule(p, lambda0=p.lambda_hi)
-        u_bb, tr = pdfp2o_ds(p, sched, stop=TIGHT)
+        u_bb, tr = pdfp2o_ds(p, sched, stop=TIGHT_STOP)
         assert tr.converged
         assert np.linalg.norm(u_bb.x - u_const.x) <= 1e-8
 
@@ -214,25 +196,17 @@ class TestPdfp2oDs:
 
 
 class TestPdfp2oDsn:
-    def test_zero_alpha_is_bit_identical_to_ds(self, denoise4):
-        stop = StoppingRule(tol=0.0, max_iter=100)
-        sched = constant_schedule(0.9 * denoise4.beta, denoise4.lambda_hi, alpha=0.0,
-                                  problem=denoise4)
-        _, t1 = pdfp2o_ds(denoise4, sched, stop=stop)
-        _, t2 = pdfp2o_dsn(denoise4, sched, stop=stop)
-        assert_traces_bitwise(t1, t2)
-
     def test_half_alpha_reaches_same_limit(self, lasso1d):
-        u_ref, _ = pdfp2o(lasso1d, 1.0, 1.0, stop=TIGHT)
+        u_ref, _ = pdfp2o(lasso1d, 1.0, 1.0, stop=TIGHT_STOP)
         sched = constant_schedule(1.0, 1.0, alpha=0.5, problem=lasso1d)
-        u, tr = pdfp2o_dsn(lasso1d, sched, stop=TIGHT)
+        u, tr = pdfp2o_dsn(lasso1d, sched, stop=TIGHT_STOP)
         assert tr.converged
         assert abs(u.x[0] - u_ref.x[0]) <= 1e-8
 
     def test_fejer_monotone_against_limit(self, denoise4):
         sched = constant_schedule(denoise4.beta, denoise4.lambda_hi, alpha=0.4,
                                   problem=denoise4)
-        u_hat, _ = pdfp2o_dsn(denoise4, sched, stop=TIGHT)
+        u_hat, _ = pdfp2o_dsn(denoise4, sched, stop=TIGHT_STOP)
         _, tr = pdfp2o_dsn(denoise4, sched, stop=StoppingRule(tol=0.0, max_iter=200),
                            ref=u_hat)
         d = tr.dist_ref
@@ -255,16 +229,6 @@ class TestPfbsFp2o:
         assert denoise4.objective(u.x) == pytest.approx(DENOISE4_REF_OBJECTIVE, abs=1e-5)
         assert tr.inner_iters.max() > 1  # the inner loop did real work
 
-    def test_single_warm_inner_iteration_is_bit_identical_to_main_solver(self, denoise4):
-        stop = StoppingRule(tol=0.0, max_iter=60)
-        one_inner = StoppingRule(tol=0.0, max_iter=1)
-        u1, t1 = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=stop)
-        u2, t2 = pfbs_fp2o(denoise4, denoise4.beta, denoise4.lambda_hi, 0.0, one_inner,
-                           stop=stop, warm_start=True)
-        np.testing.assert_array_equal(u1.x, u2.x)
-        np.testing.assert_array_equal(u1.v, u2.v)
-        np.testing.assert_array_equal(t1.objectives, t2.objectives)
-
 
 class TestIfp2o:
     def test_zero_f1_returns_direct_solve(self):
@@ -282,7 +246,7 @@ class TestIfp2o:
         b = denoise4.f2.b
         x, tr = ifp2o(np.eye(16), b, denoise4.f1, denoise4.D, denoise4.lambda_hi, 0.3,
                       stop=StoppingRule(tol=1e-13, max_iter=100000))
-        u_ref, _ = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT)
+        u_ref, _ = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT_STOP)
         assert np.linalg.norm(x - u_ref.x) <= 1e-6
 
     def test_identity_everything_is_soft_threshold(self):
@@ -492,7 +456,7 @@ class TestOptimality:
     def test_converged_states_satisfy_first_order_conditions(self, builder):
         p = builder()
         gamma, lam = p.beta, p.lambda_hi
-        u, tr = pdfp2o(p, gamma, lam, stop=TIGHT)
+        u, tr = pdfp2o(p, gamma, lam, stop=TIGHT_STOP)
         assert tr.converged
         assert optimality_residual(p, gamma, lam, u) <= 1e-6
 
@@ -520,6 +484,22 @@ def test_driver_rejects_a_column_that_run_trace_lacks():
     step = lambda n: (np.zeros(2), np.zeros(2), 1.0, 1.0, dict(objectives=0.0, gama=1.0))
     with pytest.raises(TypeError, match=re.escape("no RunTrace column ['gama']")):
         _drive(step, StoppingRule(0.0, 3), 1.0, None)
+
+
+def test_integer_steps_give_float64_trace_columns(tmp_path):
+    # an integer step or weight once made an int64 column, and "0" in trace.csv
+    p, _ = make_denoise_problem(16, 0.1, 1, 0.05)
+    runs = {"pfbs_fp2o": pfbs_fp2o(p, 1, 0.125, 0, StoppingRule(0, 2), stop=StoppingRule(0, 3)),
+            "chambolle_pock": chambolle_pock(p, 0.1, 1, 1, stop=StoppingRule(0, 3))}
+    for solver, (_, tr) in runs.items():
+        for f in dataclasses.fields(tr):
+            col = getattr(tr, f.name)
+            if isinstance(col, np.ndarray):
+                want = np.int64 if f.name in ("iters", "inner_iters") else np.float64
+                assert col.dtype == want, (solver, f.name)
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        rows = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()))
+        assert [row["alpha"] for row in rows] == [repr(float(tr.alphas[0]))] * 3, solver
 
 
 class TestDivergence:

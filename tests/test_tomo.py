@@ -433,6 +433,11 @@ NAMED_ERRORS = {
     "read-pgm-magic": (lambda tmp: read_pgm_of(tmp, b"P2\n2 2\n65535\n"), "not a binary PGM file"),
     "read-pgm-maxval": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\n255\n" + bytes(4)),
                         "expected a 16-bit PGM (maxval 65535)"),
+    # once Python's "invalid literal for int() with base 10: b'abc\\n'"
+    "read-pgm-maxval-text": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\nabc\n" + bytes(8)),
+                             "bad maxval line: expected 65535"),
+    "read-pgm-maxval-empty": (lambda tmp: read_pgm_of(tmp, b"P5\n2 2\n\n" + bytes(8)),
+                              "bad maxval line: expected 65535"),
     # once numpy's "buffer size must be a multiple of element size" and
     # "not enough values to unpack"
     "read-pgm-short": (lambda tmp: read_pgm_of(tmp, b"P5\n5 4\n65535\n" + bytes(37)),
