@@ -18,6 +18,7 @@ from pdfp import (
     PDState,
     RunTrace,
     SIUState,
+    Schedule,
     SmoothFn,
     StoppingRule,
     TomoGeometry,
@@ -709,7 +710,8 @@ def solver_case(name, p, stop):
         got = ifp2o(Q, b, p.f1, p.D, lam, 0.3, stop=stop)
         steps, lam_ref, targets = ifp2o_loop(Q, b, p.f1, p.D, lam, 0.3, final), lam, {}
     else:
-        alpha = 0.3 if name in ("pdfp2o_kappa", "dsn_const", "dsn_bb") else 0.0
+        # pdfp2o_ds is handed a relaxed schedule, whose alpha it must drop
+        alpha = {"pdfp2o": 0.0, "ds_const": 0.5, "ds_bb": 0.5}.get(name, 0.3)
         sched = (bb_dynamic_schedule(p, alpha0=alpha) if name.endswith("_bb")
                  else constant_schedule(g, l, alpha, problem=p))
         if name == "pdfp2o":
@@ -719,6 +721,8 @@ def solver_case(name, p, stop):
         else:
             got = (pdfp2o_dsn if name.startswith("dsn") else pdfp2o_ds)(p, sched, **common)
         lam_ref = float(sched.lam(0, None))
+        if name.startswith("ds_"):
+            sched = Schedule(sched.gamma, sched.lam, lambda n, it: 0.0)
         steps = unfused_steps(p, sched, lam_ref)
     want = expected_trace(steps, stop, lam_ref, **targets)
     return got, (want.iterates[-1] if final is None else final[0], want)
