@@ -129,7 +129,6 @@ class RunTrace:
     alphas: np.ndarray = field(metadata={"csv": "alpha"})
     objectives: np.ndarray = field(metadata={"csv": "objective"})
     residuals: np.ndarray = field(metadata={"csv": "residual"})
-    dist_ref: np.ndarray = field(metadata={"csv": None})
     snrs: np.ndarray = field(metadata={"csv": "snr"})
     relerrs: np.ndarray = field(metadata={"csv": "relerr"})
     wall_ms: np.ndarray = field(metadata={"csv": "wall_ms"})
@@ -149,9 +148,14 @@ def _lnorm(v, x, lam, vv=None):
     return math.sqrt(dot(x, x) + lam * (dot(v, v) if vv is None else vv))
 
 
-def _quality(x_true):
-    """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here."""
+def _quality(x_true, dim=None):
+    """``x -> rel_err_snr(x, x_true)``, with ``||x_true||`` taken once, here; None for a None
+    ``x_true``. With ``dim`` (a run's), an ``x_true`` not of shape ``(dim,)`` raises first."""
+    if x_true is None:
+        return None
     x_true = np.asarray(x_true, dtype=np.float64)
+    if dim is not None and x_true.shape != (dim,):
+        raise ValueError(f"x_true must have shape ({dim},), not {x_true.shape}")
     nt = norm(x_true)
     if nt == 0.0:
         raise ValueError("x_true must be nonzero")
@@ -166,14 +170,6 @@ def _quality(x_true):
         return (nd * nd) / (nt * nt), snr_db
 
     return quality
-
-
-def _check_targets(D, ref=None, x_true=None):
-    """Reject a ``ref`` or ``x_true`` shaped unlike a run's ``(v, x)``, before any operator call."""
-    refs = () if ref is None else (("ref.v", ref.v, D.out_dim), ("ref.x", ref.x, D.in_dim))
-    for name, a, dim in (("x_true", x_true, D.in_dim), *refs):
-        if a is not None and np.shape(a) != (dim,):
-            raise ValueError(f"{name} must have shape ({dim},), not {np.shape(a)}")
 
 
 def _dual_step(f1, t, Dy, v, w=None):
@@ -278,19 +274,18 @@ def apply_Tn(p, sched, n, u):
     return PDState(vt, xt)
 
 
-def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False,
-           inner=False):
+def _drive(step, stop, lam_ref, u0, quality=None, record_iterates=False, inner=False):
     """The one iteration loop of every solver, recorded; ``u0`` is stored with ``record_iterates``.
 
     ``step(n)`` returns the new ``(v, x)``, the state ``change`` and the ``size`` of the state
     it started from, which the stop test reads, and a dict of the :class:`RunTrace` columns it
-    fills (another name raises ``TypeError``); the driver adds ``dist_ref`` (to ``ref``, in the
-    ``lam_ref`` norm), ``relerrs``, ``snrs`` and ``wall_ms``, NaN for the rest, all float64,
-    and keeps ``inner_iters`` (int64) only when ``inner``. Stops as "diverged" when a change is
-    not finite, "converged" once ``stop.met`` it, and "budget" after ``stop.max_iter`` steps.
+    fills (another name raises ``TypeError``); the driver adds ``relerrs`` and ``snrs`` (from
+    ``quality``, the :func:`_quality` of the run's ``x_true``) and ``wall_ms``, NaN for the
+    rest, all float64, and keeps ``inner_iters`` (int64) only when ``inner``. Stops as
+    "diverged" when a change is not finite, "converged" once ``stop.met`` it, and "budget"
+    after ``stop.max_iter`` steps.
     """
     stop = StoppingRule() if stop is None else stop
-    quality = None if x_true is None else _quality(x_true)
     names = {f.name for f in fields(RunTrace) if "csv" in f.metadata} - {"iters"}
     cols = {name: [] for name in names if inner or name != "inner_iters"}
     iterates = [u0.copy()] if record_iterates else None
@@ -302,8 +297,6 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
         v, x, change, size, row = step(n)
         if not row.keys() <= names:
             raise TypeError(f"no RunTrace column {sorted(row.keys() - names)}")
-        if ref is not None:
-            row["dist_ref"] = _lnorm(v - ref.v, x - ref.x, lam_ref)
         if quality is not None:
             row["relerrs"], row["snrs"] = quality(x)
         row["wall_ms"] = (time.perf_counter() - t0) * 1e3
@@ -325,8 +318,8 @@ def _drive(step, stop, lam_ref, u0, x_true=None, ref=None, record_iterates=False
                     stop_reason=reason, **arrays)
 
 
-def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False,
-                inner_stop=None, kappa=0.0, warm_start=True):
+def _run_kernel(p, sched, u0, stop, x_true=None, record_iterates=False, inner_stop=None,
+                kappa=0.0, warm_start=True):
     """Shared step of the fixed-point family (plain, relaxed, dynamic, inner loop).
 
     Each quantity is computed once (the README's cost table counts the
@@ -343,7 +336,7 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
     (``warm_start``) or from zero, and the trace records ``kappa`` as alpha
     and the inner-iteration counts.
     """
-    _check_targets(p.D, ref, x_true)
+    quality = _quality(x_true, p.D.in_dim)
     u0 = p.zeros() if u0 is None else u0
     stop = StoppingRule() if stop is None else stop
     v = np.array(u0.v, dtype=np.float64)
@@ -376,12 +369,12 @@ def _run_kernel(p, sched, u0, stop, ref=None, x_true=None, record_iterates=False
             objectives=obj, residuals=res, gammas=g, lams=l,
             alphas=a if inner_stop is None else kappa, inner_iters=k)
 
-    trace = _drive(step, stop, lam_ref, PDState(v, it.x), x_true, ref, record_iterates,
+    trace = _drive(step, stop, lam_ref, PDState(v, it.x), quality, record_iterates,
                    inner=inner_stop is not None)
     return PDState(v, it.x), trace
 
 
-def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
+def pdfp2o(p, gamma, lam, u0=None, stop=None, x_true=None, record_iterates=False):
     """Fixed-point iteration with constant stepsizes.
 
     Iterates ``u_{n+1} = T(u_n)`` where ``T`` combines one gradient step on
@@ -395,22 +388,19 @@ def pdfp2o(p, gamma, lam, u0=None, stop=None, ref=None, x_true=None, record_iter
         The final state and the per-iteration trace, whose ``stop_reason``
         tells a converged run from one that ran out of budget or diverged.
     """
-    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, ref=ref, x_true=x_true,
-                       record_iterates=record_iterates)
+    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, x_true, record_iterates)
 
 
-def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, ref=None, x_true=None,
-                 record_iterates=False):
+def pdfp2o_kappa(p, gamma, lam, kappa, u0=None, stop=None, x_true=None, record_iterates=False):
     """Relaxed fixed-point iteration ``u_{n+1} = kappa u_n + (1 - kappa) T(u_n)``.
 
     ``kappa = 0`` reproduces :func:`pdfp2o` exactly.
     """
     _check_alpha(kappa, 0, "kappa")
-    return _run_kernel(p, constant_schedule(gamma, lam, kappa), u0, stop, ref=ref, x_true=x_true,
-                       record_iterates=record_iterates)
+    return _run_kernel(p, constant_schedule(gamma, lam, kappa), u0, stop, x_true, record_iterates)
 
 
-def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
+def pdfp2o_ds(p, sched, u0=None, stop=None, x_true=None, record_iterates=False):
     """Fixed-point iteration with dynamic stepsizes drawn from ``sched``.
 
     Each iteration performs::
@@ -422,23 +412,22 @@ def pdfp2o_ds(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterat
 
     A constant schedule reproduces :func:`pdfp2o` exactly.
     """
-    return _run_kernel(p, Schedule(sched.gamma, sched.lam, None), u0, stop, ref=ref,
-                       x_true=x_true, record_iterates=record_iterates)
+    return _run_kernel(p, Schedule(sched.gamma, sched.lam, None), u0, stop, x_true,
+                       record_iterates)
 
 
-def pdfp2o_dsn(p, sched, u0=None, stop=None, ref=None, x_true=None, record_iterates=False):
+def pdfp2o_dsn(p, sched, u0=None, stop=None, x_true=None, record_iterates=False):
     """Relaxed (Mann) iteration over the dynamic-stepsize operator.
 
     The update is the convex combination ``alpha_n u_n + (1 - alpha_n) T_n(u_n)``
     with all three parameter sequences drawn from ``sched``. ``alpha_n = 0``
     reproduces :func:`pdfp2o_ds` exactly.
     """
-    return _run_kernel(p, sched, u0, stop, ref=ref, x_true=x_true,
-                       record_iterates=record_iterates)
+    return _run_kernel(p, sched, u0, stop, x_true, record_iterates)
 
 
-def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
-              x_true=None, record_iterates=False, warm_start=True):
+def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, x_true=None,
+              record_iterates=False, warm_start=True):
     """Forward step plus an inner fixed-point loop for the implicit prox.
 
     After the forward step ``z = x - gamma * grad f2(x)``, the dual variable
@@ -459,9 +448,8 @@ def pfbs_fp2o(p, gamma, lam, kappa, inner_stop, u0=None, stop=None, ref=None,
         raise ValueError("pfbs_fp2o needs inner_stop.max_iter >= 1: with no inner step "
                          "the dual variable never moves and the run minimizes f2 alone")
     _check_alpha(kappa, 0, "kappa")
-    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, ref=ref, x_true=x_true,
-                       record_iterates=record_iterates, inner_stop=inner_stop, kappa=kappa,
-                       warm_start=warm_start)
+    return _run_kernel(p, constant_schedule(gamma, lam), u0, stop, x_true, record_iterates,
+                       inner_stop, kappa, warm_start)
 
 
 def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
@@ -482,7 +470,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
     if Q.shape != (n, n) or b.shape != (n,):
         raise ValueError("Q must be square and b must match its size")
     _check_sizes(f1, "Q", n, D)
-    _check_targets(D, x_true=x_true)
+    quality = _quality(x_true, D.in_dim)
     if not (0.0 < kappa < 1.0):
         raise ValueError(f"kappa={kappa} must lie in (0, 1)")
     if not (0.0 < lam < math.inf):
@@ -517,7 +505,7 @@ def ifp2o(Q, b, f1, D, lam, kappa, stop=None, x_true=None):
         return v, x, (1.0 - kappa) * res, size, dict(objectives=obj, residuals=res, lams=lam,
                                                      alphas=kappa)
 
-    trace = _drive(step, stop, lam, None, x_true)
+    trace = _drive(step, stop, lam, None, quality)
     return x, trace
 
 
@@ -558,8 +546,7 @@ def _quadratic_resolvent(f2, tau):
     return resolve
 
 
-def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
-                   record_iterates=False):
+def chambolle_pock(p, sigma, tau, theta, stop=None, x_true=None, record_iterates=False):
     """Primal-dual hybrid gradient scheme on the saddle form of the problem.
 
     Updates, at constant steps with ``sigma, tau > 0`` and
@@ -575,7 +562,7 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
     (relative residual 1e-10) for general quadratic terms; other smooth
     terms raise :class:`UnsupportedProblemError`.
     """
-    _check_targets(p.D, ref, x_true)
+    quality = _quality(x_true, p.D.in_dim)
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must lie in [0, 1]")
     _quadratic(p.f2, "the primal resolvent")
@@ -599,7 +586,7 @@ def chambolle_pock(p, sigma, tau, theta, stop=None, ref=None, x_true=None,
         return vbar, x, change, size, dict(objectives=p.objective(x), residuals=change,
                                            gammas=tau, lams=sig, alphas=theta)
 
-    trace = _drive(step, stop, lam_ref, PDState(vbar, x), x_true, ref, record_iterates)
+    trace = _drive(step, stop, lam_ref, PDState(vbar, x), quality, record_iterates)
     return PDState(vbar, x), trace
 
 
@@ -643,7 +630,7 @@ def siu(p, delta, nu, stop=None, x_true=None):
     the d-update, the trace objective and the next x-update, and one
     evaluation of ``f2`` at ``x'`` the objective and the next gradient.
     """
-    _check_targets(p.D, x_true=x_true)
+    quality = _quality(x_true, p.D.in_dim)
     _quadratic(p.f2, "the split scheme")
     delta, nu = float(delta), float(nu)
     if not (delta > 0.0 and nu > 0.0):
@@ -669,7 +656,7 @@ def siu(p, delta, nu, stop=None, x_true=None):
         return v, x, change, size, dict(objectives=obj, residuals=change, gammas=delta,
                                         lams=nu, alphas=0.0)
 
-    trace = _drive(step, stop, 1.0, None, x_true)
+    trace = _drive(step, stop, 1.0, None, quality)
     return SIUState(x, d, v), trace
 
 

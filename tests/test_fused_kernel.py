@@ -234,11 +234,13 @@ def _pfbs(p, warm, kappa):
                      record_iterates=True, warm_start=warm)
 
 
-def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start):
-    """``pfbs_fp2o`` before fusion: ``grad f2`` and ``D^T v_i`` afresh at every
-    use, both norms of the inner test afresh, the objective from
-    ``Problem.objective``; each inner step's ``w = D(z - lam D^T v_i) + v_i``."""
-    v, x = np.zeros(p.D.out_dim), np.zeros(p.D.in_dim)
+def pfbs_steps(p, gamma, lam, kappa, inner_stop, warm_start, u0=None):
+    """``pfbs_fp2o`` before fusion, from ``u0`` (zero when None): ``grad f2`` and
+    ``D^T v_i`` afresh at every use, both norms of the inner test afresh, the
+    objective from ``Problem.objective``; each inner step's
+    ``w = D(z - lam D^T v_i) + v_i``."""
+    u0 = p.zeros() if u0 is None else u0
+    v, x = u0.v.copy(), u0.x.copy()
     while True:
         z = x - gamma * p.f2.grad(x)
         vi = v if warm_start else np.zeros_like(v)
@@ -415,22 +417,22 @@ INNER_EDGES = {"budget0": StoppingRule(tol=1e-2, max_iter=0),
 def test_pfbs_fp2o_inner_edges_match_unfused_reference(builder, warm, kappa, inner):
     p, counter = BUILDERS[builder]()
     g, l, rule = 1.99 * p.beta, p.lambda_hi, INNER_EDGES[inner]
-    xt, ref = x_true_for(p), ref_state_for(p)
+    xt = x_true_for(p)
     if rule.max_iter == 0:
         # the reference loop would keep v at zero and minimize f2 alone
         with pytest.raises(ValueError, match=r"inner_stop\.max_iter >= 1"):
             pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, warm_start=warm)
         assert counter.counts == {}
         return
-    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
-                    record_iterates=True, warm_start=warm)
-    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
+    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, x_true=xt, record_iterates=True,
+                    warm_start=warm)
+    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), xt,
                           inner=True)
     assert not run_differences(got, (want.iterates[-1], want))
     assert np.all(got[1].inner_iters == rule.max_iter)
     if (inner, warm, kappa) == ("budget1", True, 0.0):
         # one warm-started unrelaxed inner step is pdfp2o, field for field
-        plain = pdfp2o(p, g, l, stop=STOP, ref=ref, x_true=xt, record_iterates=True)
+        plain = pdfp2o(p, g, l, stop=STOP, x_true=xt, record_iterates=True)
         assert not run_differences(got, plain, skip=("inner_iters",))
 
 
@@ -476,10 +478,10 @@ REUSE_TOL = 2e-2
 def test_pfbs_fp2o_workspace_matches_unfused_reference(builder, warm, kappa, budget):
     p, _ = BUILDERS[builder]()
     g, l, rule = 1.99 * p.beta, p.lambda_hi, StoppingRule(tol=REUSE_TOL, max_iter=budget)
-    xt, ref = x_true_for(p), ref_state_for(p)
-    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, ref=ref, x_true=xt,
-                    record_iterates=True, warm_start=warm)
-    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), ref, xt,
+    xt = x_true_for(p)
+    got = pfbs_fp2o(p, g, l, kappa, rule, stop=STOP, x_true=xt, record_iterates=True,
+                    warm_start=warm)
+    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, warm), STOP, l, p.zeros(), xt,
                           inner=True)
     assert not run_differences(got, (want.iterates[-1], want))
     if warm and budget > 1:
@@ -487,11 +489,34 @@ def test_pfbs_fp2o_workspace_matches_unfused_reference(builder, warm, kappa, bud
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("kappa,tol", [(0.0, 2.0), (0.4, 1.0)])
+@pytest.mark.parametrize("outer_tol", [0.0, 2.0])
+def test_pfbs_fp2o_inner_stop_divides_by_the_old_dual_iterate(builder, kappa, tol, outer_tol):
+    """The inner stop test reads ``||d|| / max(1, ||v_i||)``, ``v_i`` the iterate the step
+    started from. A warm start from a ``v`` far outside the dual ball puts that ratio and
+    the one over the new iterate on opposite sides of ``tol``, so the first outer step
+    takes one inner step only if the code divides by the old iterate. With ``outer_tol``
+    the outer stop test reads the same dots (the workspace's), and ends the run there."""
+    p, _ = BUILDERS[builder]()
+    g, l, rule = 1.99 * p.beta, p.lambda_hi, StoppingRule(tol=tol, max_iter=5)
+    stop = StoppingRule(tol=outer_tol, max_iter=N_ITER)
+    u0 = PDState(np.full(p.D.out_dim, 100.0), np.zeros(p.D.in_dim))
+    got = pfbs_fp2o(p, g, l, kappa, rule, u0=u0, stop=stop, record_iterates=True)
+    want = expected_trace(pfbs_steps(p, g, l, kappa, rule, True, u0), stop, l, u0, inner=True)
+    assert not run_differences(got, (want.iterates[-1], want))
+    d = norm(want.iterates[1].v - u0.v)
+    assert d / max(1.0, norm(u0.v)) <= tol < d / max(1.0, norm(want.iterates[1].v))
+    assert want.inner_iters[0] == 1
+    assert want.n_iter == (1 if outer_tol else N_ITER)
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
 def test_results_survive_a_later_call_or_run_on_the_same_problem(builder):
     """Each ``apply_T`` call and each run computes into arrays of its own, so
     a second call or run leaves what the first returned as it was."""
     p, _ = BUILDERS[builder]()
-    g, l, u = 1.99 * p.beta, p.lambda_hi, ref_state_for(p)
+    g, l = 1.99 * p.beta, p.lambda_hi
+    u = PDState(np.full(p.D.out_dim, 0.01), np.full(p.D.in_dim, 0.2))
     first = apply_T(p, g, l, u)
     kept = first.copy()
     for again in (u, first):
@@ -514,57 +539,45 @@ def test_results_survive_a_later_call_or_run_on_the_same_problem(builder):
             assert_array_equal(state.v, kept.v)
 
 
-@pytest.mark.parametrize("builder", sorted(BUILDERS))
-def test_zero_truth_is_rejected_before_the_first_step(builder):
-    # ||x_true|| is taken once per run, before any step applies D
-    p, counter = BUILDERS[builder]()
-    with pytest.raises(ValueError, match="x_true must be nonzero"):
-        pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, x_true=np.zeros(p.D.in_dim))
-    assert "D_fwd" not in counter.counts
-
-
-# each solver that takes a ref state or an x_true image, with whether it takes ref;
-# ``Qb`` is ``ifp2o``'s dense data
-TARGET_SOLVERS = {
-    "pdfp2o": (lambda p, Qb, kw: pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, **kw), True),
-    "pdfp2o_kappa": (lambda p, Qb, kw: pdfp2o_kappa(p, p.beta, p.lambda_hi, 0.3, stop=STOP,
-                                                    **kw), True),
-    "pdfp2o_ds": (lambda p, Qb, kw: pdfp2o_ds(p, constant_schedule(p.beta, p.lambda_hi),
-                                              stop=STOP, **kw), True),
-    "pdfp2o_dsn": (lambda p, Qb, kw: pdfp2o_dsn(p, constant_schedule(p.beta, p.lambda_hi, 0.3),
-                                                stop=STOP, **kw), True),
-    "pfbs_fp2o": (lambda p, Qb, kw: pfbs_fp2o(p, p.beta, p.lambda_hi, 0.0, INNER, stop=STOP,
-                                              **kw), True),
-    "chambolle_pock": (lambda p, Qb, kw: chambolle_pock(p, 0.9 * p.lambda_hi / p.beta, p.beta,
-                                                        1.0, stop=STOP, **kw), True),
-    "siu": (lambda p, Qb, kw: siu(p, *siu_steps(p), stop=STOP, **kw), False),
-    "ifp2o": (lambda p, Qb, kw: ifp2o(*Qb, p.f1, p.D, p.lambda_hi, 0.3, stop=STOP, **kw), False),
+# each solver, all of which take an x_true image; ``Qb`` is ``ifp2o``'s dense data
+TRUTH_SOLVERS = {
+    "pdfp2o": lambda p, Qb, xt: pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, x_true=xt),
+    "pdfp2o_kappa": lambda p, Qb, xt: pdfp2o_kappa(p, p.beta, p.lambda_hi, 0.3, stop=STOP,
+                                                   x_true=xt),
+    "pdfp2o_ds": lambda p, Qb, xt: pdfp2o_ds(p, constant_schedule(p.beta, p.lambda_hi),
+                                             stop=STOP, x_true=xt),
+    "pdfp2o_dsn": lambda p, Qb, xt: pdfp2o_dsn(p, constant_schedule(p.beta, p.lambda_hi, 0.3),
+                                               stop=STOP, x_true=xt),
+    "pfbs_fp2o": lambda p, Qb, xt: pfbs_fp2o(p, p.beta, p.lambda_hi, 0.0, INNER, stop=STOP,
+                                             x_true=xt),
+    "chambolle_pock": lambda p, Qb, xt: chambolle_pock(p, 0.9 * p.lambda_hi / p.beta, p.beta,
+                                                       1.0, stop=STOP, x_true=xt),
+    "siu": lambda p, Qb, xt: siu(p, *siu_steps(p), stop=STOP, x_true=xt),
+    "ifp2o": lambda p, Qb, xt: ifp2o(*Qb, p.f1, p.D, p.lambda_hi, 0.3, stop=STOP, x_true=xt),
 }
-# a mis-sized argument and the error that names it, for a problem with D: R^n -> R^m
-BAD_TARGETS = {
-    "ref-v": (lambda n, m: dict(ref=PDState(np.zeros(1), np.zeros(1))),
-              lambda n, m: f"ref.v must have shape ({m},), not (1,)"),
-    "ref-x": (lambda n, m: dict(ref=PDState(np.zeros(m), np.zeros(n + 1))),
-              lambda n, m: f"ref.x must have shape ({n},), not ({n + 1},)"),
-    "x_true-2d": (lambda n, m: dict(x_true=np.ones((1, n))),
-                  lambda n, m: f"x_true must have shape ({n},), not (1, {n})"),
+# a bad x_true and the error that names it, for a problem whose x lies in R^n
+BAD_TRUTHS = {
+    "x_true-2d": (lambda n: np.ones((1, n)),
+                  lambda n: f"x_true must have shape ({n},), not (1, {n})"),
+    "x_true-zero": (np.zeros, lambda n: "x_true must be nonzero"),
 }
 
 
 @pytest.mark.parametrize("builder", sorted(BUILDERS))
-@pytest.mark.parametrize("solver, bad", [(s, b) for s, (_, takes_ref) in TARGET_SOLVERS.items()
-                                         for b in BAD_TARGETS
-                                         if takes_ref or not b.startswith("ref")])
-def test_mis_sized_ref_or_truth_is_rejected_before_any_operator_call(builder, solver, bad):
+@pytest.mark.parametrize("solver", TRUTH_SOLVERS)
+@pytest.mark.parametrize("bad", BAD_TRUTHS)
+def test_bad_truth_is_rejected_before_any_operator_call(builder, solver, bad, monkeypatch):
+    # ||x_true|| is taken once per run, before any operator call or factorization
     p, counter = BUILDERS[builder]()
-    run, _ = TARGET_SOLVERS[solver]
-    args, message = BAD_TARGETS[bad]
-    n, m = p.D.in_dim, p.D.out_dim
+    make, message = BAD_TRUTHS[bad]
+    n = p.D.in_dim
     Qb = dense_ifp2o_data(p)
     counter.counts.clear()
-    with pytest.raises(ValueError, match=re.escape(message(n, m))):
-        run(p, Qb, args(n, m))
-    assert counter.counts == {}
+    factored = []
+    monkeypatch.setattr(scipy.linalg, "cho_factor", lambda *args: factored.append(1))
+    with pytest.raises(ValueError, match=re.escape(message(n))):
+        TRUTH_SOLVERS[solver](p, Qb, make(n))
+    assert (counter.counts, factored) == ({}, [])
 
 
 def resolvent_reference(f2, tau, w, x0, tol=1e-10, max_iter=1000):
@@ -631,11 +644,10 @@ def ifp2o_loop(Q, b, f1, D, lam, kappa, final):
         yield Step(v, x, obj, res, step, denom, math.nan, lam, kappa)
 
 
-def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=False):
+def expected_trace(steps, stop, lam_ref, u0=None, x_true=None, inner=False):
     """The trace a reference loop gives under ``stop``: the stop test on
-    ``step / denom``, the distance to ``ref`` in the ``lam_ref`` norm, and
-    SNR/RelErr against ``x_true`` (NaN columns where these are absent, and in
-    ``wall_ms``); ``iterates`` starts at ``u0`` when one is given."""
+    ``step / denom`` and SNR/RelErr against ``x_true`` (NaN columns without it,
+    and in ``wall_ms``); ``iterates`` starts at ``u0`` when one is given."""
     rows, converged = [], False
     for s in itertools.islice(steps, stop.max_iter):
         rows.append(s)
@@ -654,10 +666,8 @@ def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=F
     return RunTrace(
         lambda_ref=lam_ref, converged=converged, n_iter=k,
         iters=np.arange(1, k + 1, dtype=np.int64), gammas=col("g"), lams=col("l"),
-        alphas=col("a"), objectives=col("obj"), residuals=col("res"),
-        dist_ref=nans if ref is None else np.array(
-            [lnorm(s.v - ref.v, s.x - ref.x, lam_ref) for s in rows]),
-        snrs=snrs, relerrs=relerrs, wall_ms=nans,
+        alphas=col("a"), objectives=col("obj"), residuals=col("res"), snrs=snrs,
+        relerrs=relerrs, wall_ms=nans,
         iterates=None if u0 is None else [u0] + [PDState(s.v, s.x) for s in rows],
         inner_iters=np.array([s.inner for s in rows], dtype=np.int64) if inner else None,
         stop_reason="converged" if converged else "budget")
@@ -665,10 +675,6 @@ def expected_trace(steps, stop, lam_ref, u0=None, ref=None, x_true=None, inner=F
 
 def x_true_for(p):
     return np.linspace(0.5, 1.5, p.D.in_dim)
-
-
-def ref_state_for(p):
-    return PDState(np.full(p.D.out_dim, 0.01), np.full(p.D.in_dim, 0.2))
 
 
 def dense_ifp2o_data(p):
@@ -684,9 +690,9 @@ def solver_case(name, p, stop):
     where ``name`` ends in ``@1.99``; only the schedule the case runs is built."""
     name, _, scale = name.partition("@")
     g, l = float(scale or 1.0) * p.beta, p.lambda_hi
-    xt, ref, u0 = x_true_for(p), ref_state_for(p), p.zeros()
-    common = dict(stop=stop, ref=ref, x_true=xt, record_iterates=True)
-    targets, final = dict(u0=u0, ref=ref, x_true=xt), None
+    xt = x_true_for(p)
+    common = dict(stop=stop, x_true=xt, record_iterates=True)
+    targets, final = dict(u0=p.zeros(), x_true=xt), None
     if name.startswith("pfbs"):
         _, warm, kappa = name.split("-")
         warm, kappa = warm == "warm", float(kappa)

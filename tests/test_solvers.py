@@ -21,6 +21,7 @@ from pdfp import (
     convergent_perturbation_schedule,
     bb_dynamic_schedule,
     ds_split_x_update,
+    fejer_check,
     identity_op,
     ifp2o,
     l1_norm_fn,
@@ -122,9 +123,8 @@ class TestPdfp2o:
     def test_distance_to_limit_is_nonincreasing(self, denoise4):
         u_hat, _ = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi, stop=TIGHT_STOP)
         _, tr = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi,
-                       stop=StoppingRule(tol=0.0, max_iter=150), ref=u_hat)
-        d = tr.dist_ref
-        assert np.all(d[1:] <= d[:-1] + 1e-10)
+                       stop=StoppingRule(tol=0.0, max_iter=150), record_iterates=True)
+        assert fejer_check(tr, u_hat, denoise4.lambda_hi)
 
     def test_budget_exhaustion_flags_nonconvergence(self, denoise4):
         _, tr = pdfp2o(denoise4, denoise4.beta, denoise4.lambda_hi,
@@ -208,9 +208,8 @@ class TestPdfp2oDsn:
                                   problem=denoise4)
         u_hat, _ = pdfp2o_dsn(denoise4, sched, stop=TIGHT_STOP)
         _, tr = pdfp2o_dsn(denoise4, sched, stop=StoppingRule(tol=0.0, max_iter=200),
-                           ref=u_hat)
-        d = tr.dist_ref
-        assert np.all(d[1:] <= d[:-1] + 1e-10)
+                           record_iterates=True)
+        assert fejer_check(tr, u_hat, denoise4.lambda_hi)
 
 
 class TestPfbsFp2o:
