@@ -539,6 +539,22 @@ def test_results_survive_a_later_call_or_run_on_the_same_problem(builder):
             assert_array_equal(state.v, kept.v)
 
 
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_zero_truth_is_rejected_before_the_first_step(builder):
+    # a warm start from u0 applies D^T to its v before the first step; a zero
+    # x_true is refused before that call too
+    p, counter = BUILDERS[builder]()
+    u0, _ = pdfp2o(p, p.beta, p.lambda_hi, stop=STOP)
+    zero = np.zeros(p.D.in_dim)
+    counter.counts.clear()
+    for run in (lambda: pdfp2o(p, p.beta, p.lambda_hi, u0=u0, stop=STOP, x_true=zero),
+                lambda: pfbs_fp2o(p, p.beta, p.lambda_hi, 0.0, INNER, u0=u0, stop=STOP,
+                                  x_true=zero)):
+        with pytest.raises(ValueError, match="x_true must be nonzero"):
+            run()
+    assert counter.counts == {}
+
+
 # each solver, all of which take an x_true image; ``Qb`` is ``ifp2o``'s dense data
 TRUTH_SOLVERS = {
     "pdfp2o": lambda p, Qb, xt: pdfp2o(p, p.beta, p.lambda_hi, stop=STOP, x_true=xt),
