@@ -114,6 +114,7 @@ class SparseMatrix:
     """
 
     def __init__(self, rows, cols, triplets):
+        rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
         if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if not isinstance(triplets, tuple) or len(triplets) != 3:

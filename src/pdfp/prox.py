@@ -1,12 +1,13 @@
 """Proximity operators, conjugate proxes, and smooth quadratic terms."""
 
 import itertools
+import operator
 
 import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .linops import dot, norm, norm_sq_bound
+from .linops import _integer, dot, norm, norm_sq_bound
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ def l1_prox(t, z):
 
 
 def _group_ids(dim, groups):
-    """Validate that ``groups``, sequences of indices or an ``(n_groups, size)``
+    """Validate that ``groups``, sequences of integer indices or an ``(n_groups, size)``
     integer array, partition ``range(dim)``; return the id map.
 
     The check runs on all indices at once. Read group by group, it raises at
@@ -91,17 +92,22 @@ def _group_ids(dim, groups):
     n_groups = len(groups)
     if isinstance(groups, np.ndarray) and groups.ndim == 2 and groups.dtype.kind in "iu":
         # an array's rows are the groups, read without a Python object per group
-        sizes, idx = groups.shape[1], groups.ravel().astype(np.int64)
+        sizes, idx = groups.shape[1], groups.ravel().astype(np.int64, copy=False)
     else:
         sizes = np.fromiter(map(len, groups), dtype=np.int64, count=n_groups)
-        idx = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
-                          count=int(sizes.sum()))
+        try:
+            idx = np.fromiter(map(operator.index, itertools.chain.from_iterable(groups)),
+                              dtype=np.int64, count=int(sizes.sum()))
+        except TypeError:  # a float or bool index: name the first one
+            for i in itertools.chain.from_iterable(groups):
+                _integer(i, "group index")
+            raise
     owner = np.repeat(np.arange(n_groups), sizes)
     bad = (idx < 0) | (idx >= dim)
     n_ok = int(owner[np.argmax(bad)]) if bad.any() else n_groups
-    # only groups before the first out-of-range one can overlap
-    ok = owner < n_ok
-    idx, owner = idx[ok], owner[ok]
+    if n_ok < n_groups:  # only groups before the first out-of-range one can overlap
+        ok = owner < n_ok
+        idx, owner = idx[ok], owner[ok]
     gid = np.full(dim, n_groups, dtype=np.int64)
     np.minimum.at(gid, idx, owner)
     if (owner > gid[idx]).any():
@@ -128,7 +134,7 @@ class _Partition:
     def __init__(self, dim, groups):
         self.gid = _group_ids(dim, groups)
         self.n_groups = n = len(groups)
-        strided = n > 1 and dim % n == 0 and np.array_equal(self.gid, np.arange(dim) % n)
+        strided = n > 1 and dim % n == 0 and (self.gid.reshape(-1, n) == np.arange(n)).all()
         self.rows = dim // n if strided else None
 
     def norms(self, z):

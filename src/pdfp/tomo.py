@@ -50,15 +50,19 @@ def shepp_logan(n):
     half = (n - 1) / 2.0
     xs = (np.arange(n) - half) / half
     ys = (half - np.arange(n)) / half
-    X, Y = np.meshgrid(xs, ys)
     img = np.zeros((n, n))
     for amp, a, b, x0, y0, phi in SHEPP_LOGAN_ELLIPSES:
         t = math.radians(phi)
         ct, st = math.cos(t), math.sin(t)
-        xc = X - x0
-        yc = Y - y0
+        # the ellipse's bounding box, two pixels wider on each side; the test
+        # below is the full grid's, element by element, on row and column slices
+        rx, ry = half * math.hypot(a * ct, b * st) + 2, half * math.hypot(a * st, b * ct) + 2
+        cols = slice(max(0, math.floor(half * (1 + x0) - rx)), math.ceil(half * (1 + x0) + rx) + 1)
+        rows = slice(max(0, math.floor(half * (1 - y0) - ry)), math.ceil(half * (1 - y0) + ry) + 1)
+        xc = xs[cols] - x0
+        yc = ys[rows, None] - y0
         inside = ((xc * ct + yc * st) / a) ** 2 + ((yc * ct - xc * st) / b) ** 2 <= 1.0
-        img[inside] += amp
+        img[rows, cols][inside] += amp
     return np.clip(img, 0.0, 1.0)
 
 

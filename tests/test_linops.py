@@ -369,6 +369,14 @@ NAMED_ERRORS = {
     "blur-width-float": (lambda: gaussian_blur_op(8, 8.7, 2, 1.5), "width=8.7 must be an integer"),
     "matrix-dimensions": (lambda: SparseMatrix(0, 3, (np.zeros(0, int), np.zeros(0, int), [])),
                           "matrix dimensions must be positive"),
+    # once numpy's "'float' object cannot be interpreted as an integer" and a
+    # TypeError about "<=", which name no argument
+    "matrix-rows-float": (lambda: SparseMatrix(2.5, 3, ([0], [0], [1.0])),
+                          "rows=2.5 must be an integer"),
+    "matrix-rows-text": (lambda: SparseMatrix("2", 3, ([0], [0], [1.0])),
+                         "rows='2' must be an integer"),
+    "matrix-cols-float": (lambda: SparseMatrix(2, 3.0, ([0], [0], [1.0])),
+                          "cols=3.0 must be an integer"),
     # NaN passes a "<= 0" check, and would disable the extrapolation stop
     "op-norm-sq-tol-nan": (lambda: op_norm_sq(identity_op(2), tol=np.nan), "tol must be positive"),
     # an infinite tol stopped at the first extrapolation, 7.52 where the bound is 7.98
@@ -394,4 +402,5 @@ def test_named_errors(case):
 
 def test_image_sides_take_numpy_integers():
     assert diff_op_2d(np.int64(4), np.int32(5)).in_dim == 20
+    assert SparseMatrix(np.int64(2), np.uint8(3), ([1], [2], [1.0])).shape == (2, 3)
     assert gaussian_blur_op(np.int64(8), np.uint8(6), 2, 1.5).in_dim == 48

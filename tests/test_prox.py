@@ -173,6 +173,31 @@ def test_group_ids_matches_loop_on_ragged_groups(groups):
         np.testing.assert_array_equal(_group_ids(6, groups), want)
 
 
+# Indices that are not integers were once cast to int64 without a word:
+# [[0.5, 2.0], [1.0, 3.0]] grouped {0, 2} and {1, 3}, so the norm of
+# [3, 4, 0, 0] read 7.0, and [[True], [False]] was the partition {1}, {0}.
+@pytest.mark.parametrize("dim, groups, named", [
+    (4, [[0.5, 2.0], [1.0, 3.0]], "group index=0.5 must be an integer"),
+    (4, [(0, 2), (1, 3.0)], "group index=3.0 must be an integer"),
+    (4, np.array([[0.0, 2.0], [1.0, 3.0]]), r"group index=.*0\.0.* must be an integer"),
+    (4, [np.array([0, 2]), np.array([1.0, 3.0])], r"group index=.*1\.0.* must be an integer"),
+    (2, np.array([[True], [False]]), r"group index=.*True.* must be an integer"),
+], ids=["list-of-floats", "one-float", "float-array", "float-array-group", "bool-array"])
+def test_non_integer_group_indices_rejected(dim, groups, named):
+    with pytest.raises(ValueError, match=named):
+        group_l2_norm_fn(dim, groups)
+    with pytest.raises(ValueError, match=named):
+        group_l2_prox(1.0, np.ones(dim), groups)
+
+
+def test_python_and_numpy_integer_group_indices_accepted():
+    want = group_ids_reference(4, [(0, 2), (1, 3)])
+    for groups in ([(np.int64(0), np.int32(2)), (np.uint8(1), 3)],
+                   [np.array([0, 2], dtype=np.int8), range(1, 4, 2)],
+                   np.array([[0, 2], [1, 3]], dtype=np.uint16)):
+        np.testing.assert_array_equal(_group_ids(4, groups), want)
+
+
 class TestConjugateProx:
     def test_l1_conjugate_is_linf_projection(self):
         f = l1_norm_fn(2)

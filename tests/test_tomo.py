@@ -29,6 +29,20 @@ from pdfp import (
 )
 
 
+def shepp_logan_full_grid(n):
+    """The phantom with every pixel tested against every ellipse: the reference
+    for ``shepp_logan``, which tests each ellipse's bounding box alone."""
+    half = (n - 1) / 2.0
+    X, Y = np.meshgrid((np.arange(n) - half) / half, (half - np.arange(n)) / half)
+    img = np.zeros((n, n))
+    for amp, a, b, x0, y0, phi in pdfp.tomo.SHEPP_LOGAN_ELLIPSES:
+        t = math.radians(phi)
+        ct, st = math.cos(t), math.sin(t)
+        xc, yc = X - x0, Y - y0
+        img[((xc * ct + yc * st) / a) ** 2 + ((yc * ct - xc * st) / b) ** 2 <= 1.0] += amp
+    return np.clip(img, 0.0, 1.0)
+
+
 class TestSheppLogan:
     def test_values_in_unit_interval(self):
         img = shepp_logan(64)
@@ -55,6 +69,11 @@ class TestSheppLogan:
 
     def test_deterministic(self):
         np.testing.assert_array_equal(shepp_logan(48), shepp_logan(48))
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 255, 256, 257, 512])
+    def test_matches_full_grid_reference_bit_for_bit(self, n):
+        # odd sides put pixel centres on ellipse edges, next to each bounding box
+        assert shepp_logan(n).tobytes() == shepp_logan_full_grid(n).tobytes()
 
     def test_rejects_tiny_images(self):
         with pytest.raises(ValueError):
